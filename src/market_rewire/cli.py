@@ -16,7 +16,7 @@ from datetime import date
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .ingest import fill_missing, load_panel
+from .ingest import load_panel
 from .networks import Graph, MetricsRow, SignedGraph
 from .pipeline import THREAD_ENV_VAR, PipelineConfig, RunResult, run
 from .synth import Shock, SynthSpec, generate, write_panel
@@ -347,8 +347,6 @@ def _cmd_run(args) -> int:
 
     try:
         panel = load_panel(args.input, args.meta)
-        if not panel.is_complete():
-            panel = fill_missing(panel, config.fill_policy)
     except (ValueError, OSError) as e:
         print(f"error [ingest]: {e}", file=sys.stderr)
         return 2

@@ -10,6 +10,10 @@ There is no path-length normalization and, by default, no global warping
 band. `distance_matrix` evaluates all unordered pairs at once through a
 pair-batched version of the same dynamic program; both code paths perform
 identical elementary float operations, so their results agree bitwise.
+The batched version keeps pairs on the last axis and only two rows of the
+table, so one day's matrix over n assets and w-day windows needs
+O(pairs * w) floats, pairs = n(n-1)/2: about 140 MB at 500 assets and
+w = 20, where a full (pairs, w, w) table would need 0.8 GB.
 """
 
 from dataclasses import dataclass
@@ -98,23 +102,24 @@ def dtw_distance(p, q, band: int | None = None) -> float:
 
 
 def _batched_dtw(P: np.ndarray, Q: np.ndarray, band: int | None) -> np.ndarray:
-    """DTW over many equal-length pairs at once; rows of P align with rows of Q."""
-    k, w = P.shape
-    C = np.abs(P[:, :, None] - Q[:, None, :])
-    if band is not None:
-        a = np.arange(w)
-        C[:, np.abs(a[:, None] - a[None, :]) > band] = np.inf
-    f = np.empty_like(C)
-    f[:, 0, 0] = C[:, 0, 0]
-    for j in range(1, w):
-        f[:, 0, j] = f[:, 0, j - 1] + C[:, 0, j]
-    for i in range(1, w):
-        f[:, i, 0] = f[:, i - 1, 0] + C[:, i, 0]
-        for j in range(1, w):
-            best = np.minimum(f[:, i, j - 1], f[:, i - 1, j])
-            np.minimum(best, f[:, i - 1, j - 1], out=best)
-            f[:, i, j] = C[:, i, j] + best
-    return f[:, -1, -1]
+    """DTW over many equal-length pairs at once; columns of P align with columns of Q.
+
+    The table is padded with a +inf border and a 0 corner, so every cell takes
+    the same update; only two rows of it are kept, and the band is a range of j.
+    """
+    w, k = P.shape
+    prev, cur = np.full((2, w + 1, k), np.inf)
+    prev[0] = 0.0
+    for i in range(w):
+        lo, hi = (0, w) if band is None else (max(0, i - band), min(w, i + band + 1))
+        c = np.abs(P[i] - Q[lo:hi])
+        cur[lo] = np.inf  # left of the band: border, or a stale cell from row i - 2
+        for j in range(lo, hi):
+            np.minimum(cur[j], prev[j + 1], out=cur[j + 1])
+            np.minimum(cur[j + 1], prev[j], out=cur[j + 1])
+            cur[j + 1] += c[j - lo]
+        prev, cur = cur, prev
+    return prev[w]
 
 
 def distance_matrix(
@@ -145,11 +150,11 @@ def distance_matrix(
     n = len(windows)
     d = np.zeros((n, n))
     if n > 1:
-        Z = np.stack([win.values for win in windows]).astype(float, copy=False)
+        Z = np.stack([win.values for win in windows], axis=1).astype(float, copy=False)
         if not np.isfinite(Z).all():
             raise ValueError("windows contain non-finite values")
         ii, jj = np.triu_indices(n, k=1)
-        vals = _batched_dtw(Z[ii], Z[jj], band)
+        vals = _batched_dtw(Z.take(ii, axis=1), Z.take(jj, axis=1), band)
         d[ii, jj] = vals
         d[jj, ii] = vals
     return DistanceMatrix(end_date=end, asset_ids=tuple(ids), d=d)

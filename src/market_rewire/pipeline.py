@@ -61,13 +61,17 @@ class PipelineConfig:
             raise ValueError("hub_min_degree must be >= 1")
         if self.fill_policy not in FILL_POLICIES:
             raise ValueError(f"fill_policy must be one of {FILL_POLICIES}")
+        if self.snapshot_dates not in (None, "all"):
+            if isinstance(self.snapshot_dates, str):
+                raise ValueError(
+                    f"snapshot_dates must be 'all', None or dates, not {self.snapshot_dates!r}"
+                )
+            self.snapshot_dates = frozenset(self.snapshot_dates)
 
     def wants_snapshot(self, d: date) -> bool:
         if self.snapshot_dates is None:
             return False
-        if self.snapshot_dates == "all":
-            return True
-        return d in set(self.snapshot_dates)
+        return self.snapshot_dates == "all" or d in self.snapshot_dates
 
 
 @dataclass
@@ -107,11 +111,15 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
 
     The panel needs at least window_w + 1 dates so that one differential step
     exists. Panels with missing cells are resolved with `config.fill_policy`
-    first. `threads` > 1 computes distance matrices for different days
-    concurrently; the result is identical to the single-threaded run.
+    first. Every date in `config.snapshot_dates` must be an analyzable date,
+    one with a full trailing window. `threads` > 1 computes distance matrices
+    for different days concurrently; the result is identical to the
+    single-threaded run.
     """
     if config is None:
         config = PipelineConfig()
+    if not panel.is_complete():
+        panel = fill_missing(panel, config.fill_policy)
     w = config.window_w
     minimum = w + 1
     if panel.n_dates < minimum:
@@ -119,8 +127,13 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
             f"panel has {panel.n_dates} dates; need at least {minimum} "
             f"(window width {w} plus one differential step)"
         )
-    if not panel.is_complete():
-        panel = fill_missing(panel, config.fill_policy)
+    if config.snapshot_dates not in (None, "all"):
+        unknown = sorted(config.snapshot_dates.difference(panel.dates[w - 1 :]))
+        if unknown:
+            raise ValueError(
+                f"snapshot date(s) {', '.join(str(d) for d in unknown)} not among the "
+                f"analyzable dates {panel.dates[w - 1]} .. {panel.dates[-1]}"
+            )
 
     workers = _worker_count(threads)
     indices = range(w - 1, panel.n_dates)

@@ -120,6 +120,31 @@ def test_too_few_dates_exits_2_naming_pipeline(tmp_path, capsys):
     assert "error [pipeline]" in capsys.readouterr().err
 
 
+
+def test_first_row_blank_under_forward_fill_exits_2_naming_asset(tmp_path, capsys):
+    src = tmp_path / "data"
+    main(gen_args(src, assets=3, days=30, shock=None))
+    csv = src / "prices.csv"
+    lines = csv.read_text().split("\n")
+    cells = lines[1].split(",")
+    cells[2] = ""  # second asset, first date
+    lines[1] = ",".join(cells)
+    csv.write_text("\n".join(lines))
+    assert main(run_args(src, tmp_path / "out", ["--fill", "forward_fill"])) == 2
+    err = capsys.readouterr().err
+    assert "error [pipeline]" in err
+    assert "bnd01" in err
+
+
+def test_unanalyzable_snapshot_date_exits_2(tmp_path, capsys):
+    src = tmp_path / "data"
+    main(gen_args(src, days=30, shock=None))
+    first_date = (src / "prices.csv").read_text().split("\n")[1].split(",")[0]
+    rc = main(run_args(src, tmp_path / "out", ["--snapshots", first_date]))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [pipeline]" in err and first_date in err
+
 def test_gen_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(gen_args(a)) == 0

@@ -2,6 +2,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from conftest import dtw_bruteforce
 from hypothesis import given, strategies as st
 
 from market_rewire import StandardizedWindow, distance_matrix, dtw_distance
@@ -144,3 +145,37 @@ def test_distance_matrix_type_validation():
         DistanceMatrix(
             end_date=date(2020, 1, 1), asset_ids=("a", "b"), d=np.full((2, 2), np.nan)
         )
+
+
+finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def day_with_band(draw):
+    """n windows of equal length w, and a band from None or 0..w+1."""
+    n = draw(st.integers(2, 6))
+    w = draw(st.integers(2, 24))
+    rows = draw(st.lists(st.lists(finite, min_size=w, max_size=w), min_size=n, max_size=n))
+    band = draw(st.none() | st.integers(0, w + 1))
+    return np.array(rows), band
+
+
+@given(day_with_band())
+def test_matrix_equals_scalar_bitwise_for_any_shape_and_band(case):
+    arrays, band = case
+    dm = distance_matrix(_windows(arrays), band=band)
+    n = len(arrays)
+    for i in range(n):
+        assert dm.d[i, i] == 0.0
+        for j in range(i + 1, n):
+            expected = dtw_distance(arrays[i], arrays[j], band=band)
+            assert dm.d[i, j] == expected
+            assert dm.d[j, i] == expected
+
+
+@given(
+    st.lists(finite, min_size=1, max_size=6),
+    st.lists(finite, min_size=1, max_size=6),
+)
+def test_scalar_equals_bruteforce_on_lengths_up_to_6(p, q):
+    assert dtw_distance(p, q) == dtw_bruteforce(p, q)

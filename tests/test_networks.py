@@ -3,6 +3,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from market_rewire import (
     DistanceMatrix,
@@ -245,3 +246,37 @@ def test_graph_type_validation():
             red_edges={("a", "b")},
             blue_edges={("b", "a")},
         )
+
+
+@pytest.fixture(scope="module")
+def scipy_sparse():
+    return pytest.importorskip("scipy.sparse"), pytest.importorskip("scipy.sparse.csgraph")
+
+
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n),
+        )
+    )
+)
+def test_connected_components_match_scipy(scipy_sparse, case):
+    sparse, csgraph = scipy_sparse
+    n, pairs = case
+    pairs = [(a, b) for a, b in pairs if a != b]
+    nodes = tuple(f"n{i:02d}" for i in range(n))
+    g = Graph(end_date=D0, nodes=nodes, edges={(nodes[a], nodes[b]) for a, b in pairs})
+
+    rows = [a for a, _ in pairs]
+    cols = [b for _, b in pairs]
+    adj = sparse.coo_matrix(([1] * len(pairs), (rows, cols)), shape=(n, n))
+    n_ref, labels = csgraph.connected_components(adj, directed=False)
+    expected = {frozenset(nodes[i] for i in range(n) if labels[i] == k) for k in range(n_ref)}
+
+    comps = connected_components(g)
+    assert {frozenset(c) for c in comps} == expected
+    assert len(comps) == n_ref
+    # components come in order of their first node's position in g.nodes
+    firsts = [min(nodes.index(x) for x in c) for c in comps]
+    assert firsts == sorted(firsts)

@@ -1,3 +1,5 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,30 @@ def test_snapshots_all_list_and_none(shock_panel):
     some = run(shock_panel, PipelineConfig(snapshot_dates=chosen))
     assert sorted(some.snapshots) == sorted(chosen)
 
+
+
+def test_snapshot_dates_from_a_generator(shock_panel):
+    chosen = [shock_panel.dates[25], shock_panel.dates[40]]
+    cfg = PipelineConfig(snapshot_dates=(d for d in chosen))
+    assert cfg.snapshot_dates == frozenset(chosen)
+    assert sorted(run(shock_panel, cfg).snapshots) == chosen
+    # the config stays reusable: a second run still sees every date
+    assert sorted(run(shock_panel, cfg).snapshots) == chosen
+
+
+def test_unanalyzable_snapshot_dates_are_named(shock_panel):
+    early, late = shock_panel.dates[3], shock_panel.dates[-1] + timedelta(days=1)
+    cfg = PipelineConfig(snapshot_dates=[early, shock_panel.dates[30], late])
+    with pytest.raises(ValueError, match="snapshot date") as exc:
+        run(shock_panel, cfg)
+    msg = str(exc.value)
+    assert str(early) in msg and str(late) in msg
+    assert str(shock_panel.dates[30]) not in msg.split("not among")[0]
+
+
+def test_snapshot_dates_string_rejected():
+    with pytest.raises(ValueError, match="snapshot_dates"):
+        PipelineConfig(snapshot_dates="2020-01-02")
 
 def test_run_fills_missing_per_policy(panel_factory):
     rng = np.random.default_rng(12)
