@@ -344,6 +344,8 @@ def _cmd_run(args) -> int:
         )
     except ValueError as e:
         raise _UsageError(str(e)) from None
+    if args.threads is not None and args.threads < 0:
+        raise _UsageError(f"--threads must be >= 0, got {args.threads}")
 
     try:
         panel = load_panel(args.input, args.meta)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, Literal
 
-from .dtw import DistanceMatrix, distance_matrix
+from .dtw import DistanceMatrix, _validate_band, distance_matrix
 from .ingest import FILL_POLICIES, PricePanel, fill_missing
 from .networks import (
     Graph,
@@ -61,6 +61,7 @@ class PipelineConfig:
             raise ValueError("hub_min_degree must be >= 1")
         if self.fill_policy not in FILL_POLICIES:
             raise ValueError(f"fill_policy must be one of {FILL_POLICIES}")
+        self.band_halfwidth = _validate_band(self.band_halfwidth)
         if self.snapshot_dates not in (None, "all"):
             if isinstance(self.snapshot_dates, str):
                 raise ValueError(
@@ -91,6 +92,8 @@ class RunResult:
 
 def _worker_count(threads: int | None) -> int:
     """Resolve the worker count: explicit argument, capped by the env var."""
+    if threads is not None and threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 or None for the default), got {threads}")
     env = os.environ.get(THREAD_ENV_VAR, "").strip()
     cap = 0
     if env:
@@ -114,10 +117,12 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     first. Every date in `config.snapshot_dates` must be an analyzable date,
     one with a full trailing window. `threads` > 1 computes distance matrices
     for different days concurrently; the result is identical to the
-    single-threaded run.
+    single-threaded run. None or 0 threads takes the default, and a negative
+    count raises.
     """
     if config is None:
         config = PipelineConfig()
+    workers = _worker_count(threads)
     if not panel.is_complete():
         panel = fill_missing(panel, config.fill_policy)
     w = config.window_w
@@ -135,7 +140,6 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
                 f"analyzable dates {panel.dates[w - 1]} .. {panel.dates[-1]}"
             )
 
-    workers = _worker_count(threads)
     indices = range(w - 1, panel.n_dates)
 
     def matrix_at(t: int) -> DistanceMatrix:

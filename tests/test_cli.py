@@ -101,6 +101,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  "--snapshots", "2020-13-45"]) == 1
     assert main(["run", "--input", "x", "--meta", "y", "--out", str(tmp_path),
                  "--window", "1"]) == 1
+    assert main(["run", "--input", "x", "--meta", "y", "--out", str(tmp_path),
+                 "--band", "-1"]) == 1
+    assert main(["run", "--input", "x", "--meta", "y", "--out", str(tmp_path),
+                 "--threads", "-3"]) == 1
     err = capsys.readouterr().err
     assert "error [usage]" in err
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from conftest import dtw_bruteforce
 from hypothesis import given, strategies as st
 
-from market_rewire import StandardizedWindow, distance_matrix, dtw_distance
+from market_rewire import StandardizedWindow, distance_matrix, dtw, dtw_distance
 
 sequences = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=8
@@ -78,6 +79,11 @@ def test_wide_band_equals_unconstrained():
 def test_band_validation():
     with pytest.raises(ValueError, match="band"):
         dtw_distance([1.0, 2.0], [1.0, 2.0], band=-1)
+    for band in (0.9, 1.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            dtw_distance([1.0, 2.0], [1.0, 2.0], band=band)
+        with pytest.raises(ValueError, match="integer"):
+            distance_matrix(_windows([[1.0, 2.0], [2.0, 1.0]]), band=band)
 
 
 def test_input_validation():
@@ -153,8 +159,8 @@ finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinit
 @st.composite
 def day_with_band(draw):
     """n windows of equal length w, and a band from None or 0..w+1."""
-    n = draw(st.integers(2, 6))
-    w = draw(st.integers(2, 24))
+    n = draw(st.integers(2, 8))
+    w = draw(st.integers(1, 24))
     rows = draw(st.lists(st.lists(finite, min_size=w, max_size=w), min_size=n, max_size=n))
     band = draw(st.none() | st.integers(0, w + 1))
     return np.array(rows), band
@@ -163,7 +169,10 @@ def day_with_band(draw):
 @given(day_with_band())
 def test_matrix_equals_scalar_bitwise_for_any_shape_and_band(case):
     arrays, band = case
-    dm = distance_matrix(_windows(arrays), band=band)
+    # blocks of 3 pairs, so up to 28 pairs span many block edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw, "_PAIR_BLOCK", 3)
+        dm = distance_matrix(_windows(arrays), band=band)
     n = len(arrays)
     for i in range(n):
         assert dm.d[i, i] == 0.0
@@ -171,6 +180,32 @@ def test_matrix_equals_scalar_bitwise_for_any_shape_and_band(case):
             expected = dtw_distance(arrays[i], arrays[j], band=band)
             assert dm.d[i, j] == expected
             assert dm.d[j, i] == expected
+
+
+def test_matrix_equals_scalar_across_the_real_block_edge():
+    n = 70  # 2415 pairs: one full block and a partial one
+    assert n * (n - 1) // 2 > dtw._PAIR_BLOCK
+    arrays = np.random.default_rng(70).normal(size=(n, 20))
+    dm = distance_matrix(_windows(arrays))
+    ii, jj = np.triu_indices(n, k=1)
+    edge = dtw._PAIR_BLOCK
+    for p in [0, *range(edge - 3, edge + 3), ii.size - 1]:
+        i, j = ii[p], jj[p]
+        assert dm.d[i, j] == dm.d[j, i] == dtw_distance(arrays[i], arrays[j])
+
+
+def test_one_day_peak_memory_stays_bounded():
+    """One day over 400 assets: all 79,800 pairs in one batch peaked at 93 MB;
+    fixed pair blocks keep the peak near 5 MB."""
+    arrays = np.random.default_rng(400).normal(size=(400, 20))
+    windows = _windows(arrays)
+    tracemalloc.start()
+    try:
+        distance_matrix(windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @given(

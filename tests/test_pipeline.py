@@ -111,6 +111,12 @@ def test_env_var_caps_threads(shock_panel, monkeypatch):
     assert capped.metrics == plain.metrics
 
 
+def test_negative_threads_rejected(shock_panel):
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        run(shock_panel, threads=-5)
+    assert run(shock_panel, threads=0).metrics == run(shock_panel, threads=None).metrics
+
+
 def test_env_var_validated(shock_panel, monkeypatch):
     monkeypatch.setenv("MARKET_REWIRE_THREADS", "lots")
     with pytest.raises(ValueError, match="MARKET_REWIRE_THREADS"):
@@ -191,6 +197,10 @@ def test_config_validation():
         PipelineConfig(hub_min_degree=0)
     with pytest.raises(ValueError, match="fill_policy"):
         PipelineConfig(fill_policy="zero")
+    for band in (-1, 0.9, True, "2"):
+        with pytest.raises(ValueError, match="band half-width"):
+            PipelineConfig(band_halfwidth=band)
+    assert PipelineConfig(band_halfwidth=np.int64(3)).band_halfwidth == 3
 
 
 def test_shock_panel_dynamics(shock_panel):
