@@ -62,6 +62,15 @@ def _sorted_signed_edges(sg: SignedGraph) -> list[tuple[str, str, str]]:
     return sorted(tagged)
 
 
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _dot_escape(s: str) -> str:
+    """Escape a DOT quoted-string body, so `"` and a trailing `\\` cannot end it."""
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_graph(
     g: Graph | SignedGraph,
     fmt: str = "dot",
@@ -78,33 +87,43 @@ def export_graph(
     classes = classes or {}
     nodes = sorted(g.nodes)
     signed = isinstance(g, SignedGraph)
+    edges = _sorted_signed_edges(g) if signed else sorted(g.edges)
 
     if fmt == "json":
-        payload = {
-            "date": g.end_date.isoformat(),
-            "nodes": [{"id": n, "class": classes.get(n, "other")} for n in nodes],
-            "edges": (
-                [{"a": a, "b": b, "color": c} for a, b, c in _sorted_signed_edges(g)]
-                if signed
-                else [{"a": a, "b": b} for a, b in sorted(g.edges)]
-            ),
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        # the same text as json.dumps(payload, indent=2) + "\n", built here
+        # because an indent makes json run its pure-Python encoder;
+        # json.dumps of each string keeps the C encoder's escaping
+        ids = {n: json.dumps(n) for n in nodes}
+        node_items = [
+            f'    {{\n      "id": {ids[n]},\n'
+            f'      "class": {json.dumps(classes.get(n, "other"))}\n    }}'
+            for n in nodes
+        ]
+        edge_items = [
+            f'    {{\n      "a": {ids[e[0]]},\n      "b": {ids[e[1]]}'
+            + (f',\n      "color": "{e[2]}"\n    }}' if signed else "\n    }")
+            for e in edges
+        ]
+        return (
+            f'{{\n  "date": "{g.end_date.isoformat()}",\n'
+            f'  "nodes": {_json_list(node_items)},\n'
+            f'  "edges": {_json_list(edge_items)}\n}}\n'
+        )
 
-    name = "differential" if signed else "cooccurrence"
-    lines = [f"graph {name} {{"]
+    ids = {n: _dot_escape(n) for n in nodes}
+    lines = [f"graph {'differential' if signed else 'cooccurrence'} {{"]
     lines.append(f'  label="{g.end_date.isoformat()}";')
     lines.append("  node [style=filled];")
     for n in nodes:
         cls = classes.get(n, "other")
         color = CLASS_COLORS.get(cls, CLASS_COLORS["other"])
-        lines.append(f'  "{n}" [class="{cls}", fillcolor="{color}"];')
+        lines.append(f'  "{ids[n]}" [class="{_dot_escape(cls)}", fillcolor="{color}"];')
     if signed:
-        for a, b, c in _sorted_signed_edges(g):
-            lines.append(f'  "{a}" -- "{b}" [color="{c}"];')
+        for a, b, c in edges:
+            lines.append(f'  "{ids[a]}" -- "{ids[b]}" [color="{c}"];')
     else:
-        for a, b in sorted(g.edges):
-            lines.append(f'  "{a}" -- "{b}";')
+        for a, b in edges:
+            lines.append(f'  "{ids[a]}" -- "{ids[b]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -61,10 +61,15 @@ class DistanceMatrix:
         return len(self.asset_ids)
 
 
+def _is_integer(value) -> bool:
+    """True for ints and numpy integers, False for bools and everything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _validate_band(band) -> int | None:
     if band is None:
         return None
-    if isinstance(band, bool) or not isinstance(band, numbers.Integral):
+    if not _is_integer(band):
         raise ValueError(f"band half-width must be an integer or None, got {band!r}")
     if band < 0:
         raise ValueError(f"band half-width must be >= 0, got {band}")

@@ -9,13 +9,14 @@ distance matrices are held at a time; day-level parallelism is allowed
 because each matrix depends only on its own window.
 """
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, Literal
 
-from .dtw import DistanceMatrix, _validate_band, distance_matrix
+from .dtw import DistanceMatrix, _is_integer, _validate_band, distance_matrix
 from .ingest import FILL_POLICIES, PricePanel, fill_missing
 from .networks import (
     Graph,
@@ -51,6 +52,14 @@ class PipelineConfig:
     snapshot_dates: Literal["all"] | Iterable[date] | None = None
 
     def __post_init__(self):
+        for name in ("window_w", "hub_min_degree"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("cooc_threshold", "diff_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if self.window_w < 2:
             raise ValueError(f"window_w must be >= 2, got {self.window_w}")
         if not self.cooc_threshold > 0:

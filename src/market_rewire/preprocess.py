@@ -19,6 +19,25 @@ class StandardizedWindow:
     values: np.ndarray
 
 
+def _zscore_rows(x: np.ndarray) -> np.ndarray:
+    """Z-score each row of a 2-D float array by its own mean and sample std.
+
+    Reducing along the last axis of a C-contiguous array sums each row with
+    numpy's pairwise summation, exactly as the 1-D call does, so every row is
+    bitwise equal to z-scoring it alone; reducing along axis 0 is not.
+    """
+    if not np.isfinite(x).all():
+        raise ValueError("window contains non-finite values")
+    sd = x.std(axis=1, ddof=1, keepdims=True)
+    constant = sd[:, 0] == 0.0
+    if constant.any():
+        warnings.warn("constant window: standardized values set to zero", stacklevel=3)
+        sd[constant] = 1.0
+    z = (x - x.mean(axis=1, keepdims=True)) / sd
+    z[constant] = 0.0
+    return z
+
+
 def window_zscore(raw_window) -> np.ndarray:
     """Standardize a window by its own mean and sample standard deviation.
 
@@ -31,13 +50,7 @@ def window_zscore(raw_window) -> np.ndarray:
         raise ValueError(f"window must be one-dimensional, got shape {x.shape}")
     if x.size < 2:
         raise ValueError(f"window must have at least 2 observations, got {x.size}")
-    if not np.isfinite(x).all():
-        raise ValueError("window contains non-finite values")
-    sd = x.std(ddof=1)
-    if sd == 0.0:
-        warnings.warn("constant window: standardized values set to zero", stacklevel=2)
-        return np.zeros_like(x)
-    return (x - x.mean()) / sd
+    return _zscore_rows(x[None, :])[0]
 
 
 def apply_direction(window, direction: int) -> np.ndarray:
@@ -77,15 +90,10 @@ def windows_at(
             raise ValueError("asset override must match the panel's ids and order")
 
     end = panel.dates[t]
-    raw = panel.values[t - w + 1 : t + 1, :]
-    out = []
-    for col, meta in enumerate(assets):
-        z = window_zscore(raw[:, col])
-        out.append(
-            StandardizedWindow(
-                asset_id=meta.asset_id,
-                end_date=end,
-                values=apply_direction(z, meta.direction),
-            )
-        )
-    return out
+    rows = np.ascontiguousarray(panel.values[t - w + 1 : t + 1, :].T, dtype=float)
+    z = _zscore_rows(rows)
+    z *= np.array([[float(a.direction)] for a in assets])
+    return [
+        StandardizedWindow(asset_id=meta.asset_id, end_date=end, values=row)
+        for meta, row in zip(assets, z)
+    ]

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from market_rewire import AssetMeta, PricePanel
+from market_rewire import AssetMeta, PricePanel, SignedGraph
 
 
 def dtw_bruteforce(p, q):
@@ -32,6 +34,23 @@ def dtw_bruteforce(p, q):
 
     walk(0, 0, 0.0)
     return best[0]
+
+
+def graph_json_reference(g, classes=None):
+    """Snapshot JSON as json.dumps renders it: the text export_graph must equal."""
+    classes = classes or {}
+    if isinstance(g, SignedGraph):
+        tagged = [(a, b, "red") for a, b in g.red_edges]
+        tagged += [(a, b, "blue") for a, b in g.blue_edges]
+        edges = [{"a": a, "b": b, "color": c} for a, b, c in sorted(tagged)]
+    else:
+        edges = [{"a": a, "b": b} for a, b in sorted(g.edges)]
+    payload = {
+        "date": g.end_date.isoformat(),
+        "nodes": [{"id": n, "class": classes.get(n, "other")} for n in sorted(g.nodes)],
+        "edges": edges,
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
 import json
+import re
 from datetime import date
 
 import pytest
 
+from conftest import graph_json_reference
 from market_rewire import Graph, SignedGraph
 from market_rewire.cli import export_graph, main, metrics_csv_text
 from market_rewire.networks import MetricsRow
@@ -228,6 +230,55 @@ def test_export_json_shape_and_order():
     assert payload["nodes"] == [{"id": "a", "class": "fx"}, {"id": "b", "class": "other"}]
     assert payload["edges"] == [{"a": "a", "b": "b", "color": "blue"}]
     assert list(payload["edges"][0]) == ["a", "b", "color"]
+
+
+ODD_IDS = ('a"b', "c\\", "\u00e9t\u00e9", "x\x01y", "plain")
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(end_date=D0, nodes=ODD_IDS, edges=frozenset()),
+        Graph(end_date=D0, nodes=(), edges=frozenset()),
+        Graph(
+            end_date=D0,
+            nodes=ODD_IDS,
+            edges={(ODD_IDS[0], ODD_IDS[1]), (ODD_IDS[2], ODD_IDS[4])},
+        ),
+        SignedGraph(end_date=D0, nodes=ODD_IDS, red_edges=frozenset(), blue_edges=frozenset()),
+        SignedGraph(
+            end_date=D0,
+            nodes=ODD_IDS,
+            red_edges={(ODD_IDS[0], ODD_IDS[3])},
+            blue_edges={(ODD_IDS[1], ODD_IDS[2]), (ODD_IDS[0], ODD_IDS[4])},
+        ),
+    ],
+)
+@pytest.mark.parametrize("classes", [None, {ODD_IDS[0]: "bond", ODD_IDS[2]: 'we"ird\\'}])
+def test_export_json_equals_json_dumps(g, classes):
+    # nodes missing from `classes` take "other"; every id needs JSON escaping
+    assert export_graph(g, "json", classes) == graph_json_reference(g, classes)
+
+
+DOT_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    g = SignedGraph(
+        end_date=D0,
+        nodes=ODD_IDS,
+        red_edges={(ODD_IDS[0], ODD_IDS[1])},
+        blue_edges={(ODD_IDS[1], ODD_IDS[4])},
+    )
+    text = export_graph(g, "dot", {ODD_IDS[0]: 'st"ock\\'})
+    assert '"a\\"b" [class="st\\"ock\\\\", fillcolor="black"];' in text
+    assert '"a\\"b" -- "c\\\\" [color="red"];' in text
+    for line in text.splitlines():
+        # every quoted string closes where a C-style lexer says it does, so
+        # no quote or backslash is left outside one
+        assert not re.search(r'["\\]', DOT_QUOTED.sub("", line)), line
+    unescaped = {re.sub(r"\\(.)", r"\1", m) for m in DOT_QUOTED.findall(text)}
+    assert set(ODD_IDS) | {'st"ock\\'} <= unescaped
 
 
 def test_export_graph_format_validated():

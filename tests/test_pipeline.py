@@ -203,6 +203,35 @@ def test_config_validation():
     assert PipelineConfig(band_halfwidth=np.int64(3)).band_halfwidth == 3
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("window_w", 20.5, "integer"),
+        ("window_w", "20", "integer"),
+        ("window_w", True, "integer"),
+        ("hub_min_degree", 2.5, "integer"),
+        ("hub_min_degree", True, "integer"),
+        ("cooc_threshold", "2", "real number"),
+        ("cooc_threshold", None, "real number"),
+        ("diff_threshold", True, "real number"),
+        ("diff_threshold", "1.0", "real number"),
+    ],
+)
+def test_config_rejects_wrong_types(field, value, kind):
+    # hub_min_degree=2.5 used to count hubs at degree >= 2.5, window_w="20"
+    # raised TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an? {kind}, got"):
+        PipelineConfig(**{field: value})
+
+
+def test_config_accepts_numpy_numbers():
+    cfg = PipelineConfig(
+        window_w=np.int64(10), hub_min_degree=np.int32(2),
+        cooc_threshold=np.float64(1.5), diff_threshold=1,
+    )
+    assert (cfg.window_w, cfg.hub_min_degree, cfg.cooc_threshold) == (10, 2, 1.5)
+
+
 def test_shock_panel_dynamics(shock_panel):
     """The regime change shows up as a GBE trough and a closer-hub burst."""
     result = run(shock_panel)

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import build_panel
 from market_rewire import apply_direction, window_zscore, windows_at
 
 nonconstant_windows = (
@@ -122,3 +125,53 @@ def test_windows_at_asset_override_must_match(panel_factory):
     wrong = [AssetMeta("zz", "Z", "stock", 1), AssetMeta("a01", "B", "stock", 1)]
     with pytest.raises(ValueError, match="override"):
         windows_at(panel, t=24, w=20, assets=wrong)
+
+
+def _zscore_1d(x):
+    """The per-asset formula: mean and n-1 std of one 1-D column."""
+    sd = x.std(ddof=1)
+    return np.zeros_like(x) if sd == 0.0 else (x - x.mean()) / sd
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.integers(2, 300),
+    extra=st.integers(0, 3),
+    directions=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=6),
+    constant=st.sets(st.integers(0, 5), max_size=3),
+    log_scale=st.floats(-3, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windows_at_rows_bitwise_equal_per_column_zscore(
+    w, extra, directions, constant, log_scale, seed
+):
+    # w up to 300 crosses numpy's 128-element pairwise-summation block
+    n = len(directions)
+    values = np.random.default_rng(seed).normal(100.0, 1.0, (w + extra, n)) * 10.0**log_scale
+    constant = sorted(c for c in constant if c < n)
+    # integer-valued, so the mean of the column is exact and its std is 0.0
+    values[:, constant] = np.round(values[0, constant])
+    panel = build_panel(values, directions=directions)
+    t = w + extra - 1
+    if constant:
+        with pytest.warns(UserWarning, match="^constant window: standardized values set to zero$"):
+            wins = windows_at(panel, t, w)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wins = windows_at(panel, t, w)
+    for col, (win, d) in enumerate(zip(wins, directions)):
+        raw = values[t - w + 1 : t + 1, col]
+        # .tobytes() tells -0.0 (a zeroed window with direction -1) from 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert win.values.tobytes() == apply_direction(window_zscore(raw), d).tobytes()
+            assert window_zscore(raw).tobytes() == _zscore_1d(raw).tobytes()
+        assert win.values.any() == (col not in constant)
+
+
+def test_windows_at_rejects_non_finite(panel_factory):
+    values = np.random.default_rng(2).uniform(90, 110, (25, 3))
+    values[10, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        windows_at(panel_factory(values), t=24, w=20)
