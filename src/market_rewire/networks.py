@@ -6,6 +6,10 @@ the clusters whose node-count distribution feeds graph-based entropy. A
 differential network compares two consecutive distance matrices: pairs that
 moved apart by strictly more than a threshold get a red edge, pairs that
 moved closer a blue edge. Hubs are counted per edge color.
+
+`day_metrics` gives the same counts and entropy straight from the upper
+triangle of the distance matrices, without building a graph; the pipeline
+uses it on every date and builds graphs only for snapshots.
 """
 
 import math
@@ -93,14 +97,19 @@ class HubCounts(NamedTuple):
     farther_hub_ids: frozenset[str]
 
 
+def _upper_edges(mask: np.ndarray, ids: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(ids[i], ids[j]) for every True mask[i, j] above the diagonal."""
+    ii, jj = np.nonzero(mask)
+    upper = ii < jj
+    return [(ids[i], ids[j]) for i, j in zip(ii[upper].tolist(), jj[upper].tolist())]
+
+
 def cooccurrence_network(dm: DistanceMatrix, theta: float) -> Graph:
     """Graph with an edge wherever the pairwise distance is strictly below `theta`."""
     if not theta > 0:
         raise ValueError(f"co-occurrence threshold must be > 0, got {theta}")
-    n = dm.n_assets
-    ii, jj = np.nonzero(np.triu(dm.d < theta, k=1))
-    edges = {(dm.asset_ids[i], dm.asset_ids[j]) for i, j in zip(ii.tolist(), jj.tolist())}
-    return Graph(end_date=dm.end_date, nodes=dm.asset_ids, edges=frozenset(edges))
+    edges = _upper_edges(dm.d < theta, dm.asset_ids)
+    return Graph(end_date=dm.end_date, nodes=dm.asset_ids, edges=edges)
 
 
 def connected_components(g: Graph) -> list[set[str]]:
@@ -132,14 +141,30 @@ def connected_components(g: Graph) -> list[set[str]]:
     return components
 
 
-def graph_based_entropy(components: Sequence[set[str]]) -> float:
-    """Shannon entropy, in bits, of the cluster-size distribution.
+def _component_sizes(n: int, a: np.ndarray, b: np.ndarray) -> list[int]:
+    """Node counts of the connected components of the graph on nodes 0..n-1
+    with edges (a[e], b[e]).
 
-    Each cluster's frequency is its node count. A single cluster gives 0;
-    n equal clusters give log2(n). An empty partition (zero nodes) returns
-    0 by convention.
+    Every node carries the label of a node in its own component, no larger
+    than itself. Each round hooks the larger label of every edge whose ends
+    disagree under the smaller one and then lets every node take its label's
+    label, so some label shrinks each round. Once the ends of every edge
+    agree, each component carries one label of its own.
     """
-    sizes = sorted((len(c) for c in components if len(c) > 0), reverse=True)
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        if (la == lb).all():
+            return [s for s in np.bincount(label, minlength=n).tolist() if s]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        label = label[label]
+
+
+def _size_entropy(sizes: Sequence[int]) -> float:
+    """Shannon entropy, in bits, of cluster sizes taken as frequencies."""
+    # summed largest first whatever order the clusters come in, so the graph
+    # and array paths give the same bits
+    sizes = sorted((s for s in sizes if s > 0), reverse=True)
     total = sum(sizes)
     if total == 0:
         return 0.0
@@ -149,6 +174,16 @@ def graph_based_entropy(components: Sequence[set[str]]) -> float:
         h -= p * math.log2(p)
     # avoid -0.0 from the single-cluster case
     return h + 0.0
+
+
+def graph_based_entropy(components: Sequence[set[str]]) -> float:
+    """Shannon entropy, in bits, of the cluster-size distribution.
+
+    Each cluster's frequency is its node count. A single cluster gives 0;
+    n equal clusters give log2(n). An empty partition (zero nodes) returns
+    0 by convention.
+    """
+    return _size_entropy([len(c) for c in components])
 
 
 def difference_matrix(x_t: DistanceMatrix, x_prev: DistanceMatrix) -> np.ndarray:
@@ -180,15 +215,11 @@ def differential_network(
     n = len(ids)
     if D.shape != (n, n):
         raise ValueError(f"difference matrix shape {D.shape} does not match {n} assets")
-    red_i, red_j = np.nonzero(np.triu(D > delta, k=1))
-    blue_i, blue_j = np.nonzero(np.triu(D < -delta, k=1))
-    red = {(ids[i], ids[j]) for i, j in zip(red_i.tolist(), red_j.tolist())}
-    blue = {(ids[i], ids[j]) for i, j in zip(blue_i.tolist(), blue_j.tolist())}
     return SignedGraph(
         end_date=end_date,
         nodes=ids,
-        red_edges=frozenset(red),
-        blue_edges=frozenset(blue),
+        red_edges=_upper_edges(D > delta, ids),
+        blue_edges=_upper_edges(D < -delta, ids),
     )
 
 
@@ -209,3 +240,50 @@ def count_hubs(sg: SignedGraph, k: int) -> HubCounts:
     closer = frozenset(n for n, deg in blue_deg.items() if deg >= k)
     farther = frozenset(n for n, deg in red_deg.items() if deg >= k)
     return HubCounts(len(closer), len(farther), closer, farther)
+
+
+def _hub_count(n: int, a: np.ndarray, b: np.ndarray, k: int) -> int:
+    """Nodes of 0..n-1 that are an end of at least `k` of the edges (a[e], b[e])."""
+    degree = np.bincount(np.concatenate((a, b)), minlength=n)
+    return int(np.count_nonzero(degree >= k))
+
+
+def day_metrics(
+    end_date: date,
+    n: int,
+    pairs: tuple[np.ndarray, np.ndarray],
+    dist: np.ndarray,
+    change: np.ndarray | None,
+    theta: float,
+    delta: float,
+    k: int,
+) -> MetricsRow:
+    """One date's metrics straight from the upper triangle of its matrices.
+
+    Entry p of `dist` is the distance between assets pairs[0][p] and
+    pairs[1][p] of n, and entry p of `change` that distance minus the
+    previous date's (None on the first analyzable date). The row equals the
+    one read off `cooccurrence_network`, `connected_components`,
+    `graph_based_entropy`, `differential_network` and `count_hubs` with the
+    same thresholds, without building a graph.
+    """
+    ii, jj = pairs
+    near = dist < theta
+    sizes = _component_sizes(n, ii[near], jj[near])
+    differential = {}
+    if change is not None:
+        red = change > delta
+        blue = change < -delta
+        differential = dict(
+            n_red_edges=int(np.count_nonzero(red)),
+            n_blue_edges=int(np.count_nonzero(blue)),
+            n_farther_hubs=_hub_count(n, ii[red], jj[red], k),
+            n_closer_hubs=_hub_count(n, ii[blue], jj[blue], k),
+        )
+    return MetricsRow(
+        end_date=end_date,
+        gbe=_size_entropy(sizes),
+        n_components=len(sizes),
+        n_cooc_edges=int(np.count_nonzero(near)),
+        **differential,
+    )

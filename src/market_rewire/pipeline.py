@@ -1,20 +1,28 @@
 """Per-day orchestration: windows -> distance matrix -> networks -> metrics.
 
 For every date index t from window_w - 1 onward the pipeline standardizes
-each asset's trailing window, computes the pairwise DTW distance matrix,
-builds the co-occurrence network and its graph-based entropy, and, from the
-second analyzable date on, differences against the previous day's matrix to
-build the differential network and count hubs. Only two consecutive
-distance matrices are held at a time; day-level parallelism is allowed
-because each matrix depends only on its own window.
+each asset's trailing window and computes the pairwise DTW distance matrix.
+It then reads the date's metrics straight off the upper triangle of that
+matrix and, from the second analyzable date on, of its change from the
+previous day's: co-occurrence edges, components and graph-based entropy,
+red and blue edges and hub counts (`networks.day_metrics`). `Graph` and
+`SignedGraph` objects are built only for the dates in
+`PipelineConfig.snapshot_dates`. Only two consecutive distance matrices are
+held at a time; day-level parallelism is allowed because each matrix depends
+only on its own window. The pool computes the matrices while the calling
+thread turns them into rows, and Python work there holds the interpreter
+lock the pool's numpy calls also need, so the per-day work is kept to a few
+array operations.
 """
 
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import date
+from datetime import date, datetime
 from typing import Iterable, Literal
+
+import numpy as np
 
 from .dtw import DistanceMatrix, _is_integer, _validate_band, distance_matrix
 from .ingest import FILL_POLICIES, PricePanel, fill_missing
@@ -23,11 +31,9 @@ from .networks import (
     MetricsRow,
     SignedGraph,
     cooccurrence_network,
-    connected_components,
-    count_hubs,
+    day_metrics,
     difference_matrix,
     differential_network,
-    graph_based_entropy,
 )
 from .preprocess import windows_at
 
@@ -76,7 +82,11 @@ class PipelineConfig:
                 raise ValueError(
                     f"snapshot_dates must be 'all', None or dates, not {self.snapshot_dates!r}"
                 )
-            self.snapshot_dates = frozenset(self.snapshot_dates)
+            dates = tuple(self.snapshot_dates)
+            for d in dates:
+                if not isinstance(d, date) or isinstance(d, datetime):
+                    raise ValueError(f"snapshot_dates entries must be datetime.date, got {d!r}")
+            self.snapshot_dates = frozenset(dates)
 
     def wants_snapshot(self, d: date) -> bool:
         if self.snapshot_dates is None:
@@ -150,6 +160,9 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
             )
 
     indices = range(w - 1, panel.n_dates)
+    n = panel.n_assets
+    pairs = np.triu_indices(n, k=1)
+    flat = pairs[0] * n + pairs[1]
 
     def matrix_at(t: int) -> DistanceMatrix:
         return distance_matrix(windows_at(panel, t, w), band=config.band_halfwidth)
@@ -158,49 +171,46 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     prev: DistanceMatrix | None = None
     if workers <= 1:
         for t in indices:
-            prev = _process_day(matrix_at(t), prev, config, result)
+            prev = _process_day(matrix_at(t), prev, pairs, flat, config, result)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for start in range(indices.start, indices.stop, _CHUNK):
                 chunk = range(start, min(start + _CHUNK, indices.stop))
                 for dm in pool.map(matrix_at, chunk):
-                    prev = _process_day(dm, prev, config, result)
+                    prev = _process_day(dm, prev, pairs, flat, config, result)
     return result
 
 
 def _process_day(
     dm: DistanceMatrix,
     prev: DistanceMatrix | None,
+    pairs: tuple[np.ndarray, np.ndarray],
+    flat: np.ndarray,
     config: PipelineConfig,
     result: RunResult,
 ) -> DistanceMatrix:
-    g = cooccurrence_network(dm, config.cooc_threshold)
-    components = connected_components(g)
-    gbe = graph_based_entropy(components)
-
-    sg: SignedGraph | None = None
-    if prev is None:
-        row = MetricsRow(
-            end_date=dm.end_date,
-            gbe=gbe,
-            n_components=len(components),
-            n_cooc_edges=len(g.edges),
-        )
-    else:
-        diff = difference_matrix(dm, prev)
-        sg = differential_network(diff, config.diff_threshold, dm.asset_ids, dm.end_date)
-        hubs = count_hubs(sg, config.hub_min_degree)
-        row = MetricsRow(
-            end_date=dm.end_date,
-            gbe=gbe,
-            n_components=len(components),
-            n_cooc_edges=len(g.edges),
-            n_red_edges=len(sg.red_edges),
-            n_blue_edges=len(sg.blue_edges),
-            n_farther_hubs=hubs.n_farther_hubs,
-            n_closer_hubs=hubs.n_closer_hubs,
-        )
+    """Append the date's metrics row, computed from the upper triangles of the
+    distance matrices (`pairs` as row and column indices, `flat` as
+    row-major ones), and build the date's graphs only if it is a snapshot
+    date."""
+    upper = dm.d.take(flat)
+    change = None if prev is None else upper - prev.d.take(flat)
+    row = day_metrics(
+        dm.end_date,
+        dm.n_assets,
+        pairs,
+        upper,
+        change,
+        config.cooc_threshold,
+        config.diff_threshold,
+        config.hub_min_degree,
+    )
     result.metrics.append(row)
     if config.wants_snapshot(dm.end_date):
+        g = cooccurrence_network(dm, config.cooc_threshold)
+        sg = None
+        if prev is not None:
+            diff = difference_matrix(dm, prev)
+            sg = differential_network(diff, config.diff_threshold, dm.asset_ids, dm.end_date)
         result.snapshots[dm.end_date] = DaySnapshot(cooccurrence=g, differential=sg)
     return dm

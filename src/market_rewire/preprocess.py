@@ -29,7 +29,10 @@ def _zscore_rows(x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("window contains non-finite values")
     sd = x.std(axis=1, ddof=1, keepdims=True)
-    constant = sd[:, 0] == 0.0
+    # max == min is exact where a zero std is not: a repeated 100.37 has a
+    # rounded mean and a tiny nonzero std. A std that underflows to zero
+    # (spreads below about 1e-161) counts as constant too.
+    constant = (x.max(axis=1) == x.min(axis=1)) | (sd[:, 0] == 0.0)
     if constant.any():
         warnings.warn("constant window: standardized values set to zero", stacklevel=3)
         sd[constant] = 1.0

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from market_rewire import AssetMeta, PricePanel, SignedGraph
+from market_rewire import (
+    AssetMeta,
+    MetricsRow,
+    PricePanel,
+    SignedGraph,
+    connected_components,
+    count_hubs,
+    graph_based_entropy,
+)
 
 
 def dtw_bruteforce(p, q):
@@ -56,6 +64,23 @@ def graph_json_reference(g, classes=None):
 @pytest.fixture
 def dtw_oracle():
     return dtw_bruteforce
+
+
+def graph_metrics_row(g, sg, k):
+    """A date's metrics read off its co-occurrence graph and, when there is
+    one, its differential graph with hub degree `k`: the reference that the
+    pipeline's array metrics must equal."""
+    comps = connected_components(g)
+    row = {"gbe": graph_based_entropy(comps), "n_components": len(comps), "n_cooc_edges": len(g.edges)}
+    if sg is not None:
+        hubs = count_hubs(sg, k)
+        row.update(
+            n_red_edges=len(sg.red_edges),
+            n_blue_edges=len(sg.blue_edges),
+            n_farther_hubs=hubs.n_farther_hubs,
+            n_closer_hubs=hubs.n_closer_hubs,
+        )
+    return MetricsRow(end_date=g.end_date, **row)
 
 
 def build_panel(values, directions=None, classes=None, dates=None):

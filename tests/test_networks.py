@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import graph_metrics_row
 from market_rewire import (
     DistanceMatrix,
     Graph,
@@ -16,6 +17,7 @@ from market_rewire import (
     differential_network,
     graph_based_entropy,
 )
+from market_rewire.networks import day_metrics
 
 D0 = date(2020, 3, 2)
 
@@ -280,3 +282,42 @@ def test_connected_components_match_scipy(scipy_sparse, case):
     # components come in order of their first node's position in g.nodes
     firsts = [min(nodes.index(x) for x in c) for c in comps]
     assert firsts == sorted(firsts)
+
+
+@st.composite
+def day_pairs(draw):
+    """Two symmetric distance matrices over n assets. Halves in [0, 6] put
+    entries exactly on the co-occurrence threshold 2.0 and exact changes on
+    +/-1.0; some entries are arbitrary floats. Isolated assets are far from
+    every other on the current date, and ids are not in sorted order."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exact = draw(st.floats(0, 1))
+
+    def matrix():
+        m = np.where(rng.random((n, n)) < exact, rng.integers(0, 13, (n, n)) / 2, rng.uniform(0, 6, (n, n)))
+        m = np.triu(m, k=1)
+        return m + m.T
+
+    cur, prev = matrix(), matrix()
+    isolated = sorted(draw(st.sets(st.integers(0, n - 1))))
+    cur[isolated, :] = cur[:, isolated] = 9.0
+    np.fill_diagonal(cur, 0.0)
+    ids = tuple(f"a{p:02d}" for p in draw(st.permutations(range(n))))
+    return ids, cur, prev, draw(st.integers(1, 4))
+
+
+@given(day_pairs())
+def test_day_metrics_equal_the_graph_path(case):
+    ids, cur, prev, k = case
+    n = len(ids)
+    dm = DistanceMatrix(D0, ids, cur)
+    before = DistanceMatrix(D0, ids, prev)
+    pairs = np.triu_indices(n, k=1)
+    upper = cur[pairs]
+    g = cooccurrence_network(dm, 2.0)
+    sg = differential_network(difference_matrix(dm, before), 1.0, ids, D0)
+    first = day_metrics(D0, n, pairs, upper, None, 2.0, 1.0, k)
+    assert first == graph_metrics_row(g, None, k)
+    later = day_metrics(D0, n, pairs, upper, upper - prev[pairs], 2.0, 1.0, k)
+    assert later == graph_metrics_row(g, sg, k)

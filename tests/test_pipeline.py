@@ -1,10 +1,13 @@
-from datetime import timedelta
+from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
+from conftest import graph_metrics_row
 from market_rewire import (
+    Graph,
     PipelineConfig,
+    SignedGraph,
     Shock,
     SynthSpec,
     generate,
@@ -162,6 +165,45 @@ def test_unanalyzable_snapshot_dates_are_named(shock_panel):
 def test_snapshot_dates_string_rejected():
     with pytest.raises(ValueError, match="snapshot_dates"):
         PipelineConfig(snapshot_dates="2020-01-02")
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        (["2007-02-05"], "'2007-02-05'"),
+        (["x", 3], "'x'"),
+        ([date(2007, 2, 5), datetime(2007, 2, 6)], "datetime.datetime(2007, 2, 6, 0, 0)"),
+        ([None], "None"),
+    ],
+)
+def test_snapshot_dates_entries_must_be_dates(entries, bad):
+    # a string entry used to fail later as "not among the analyzable dates",
+    # and ["x", 3] with a bare TypeError from sorting
+    with pytest.raises(ValueError, match="^snapshot_dates entries must be datetime.date, got ") as exc:
+        PipelineConfig(snapshot_dates=entries)
+    assert str(exc.value).endswith(bad)
+
+
+def test_metrics_do_not_depend_on_snapshots(shock_panel):
+    every = run(shock_panel, PipelineConfig(snapshot_dates="all"))
+    assert run(shock_panel).metrics == every.metrics
+    k = PipelineConfig().hub_min_degree
+    for row in every.metrics:
+        snap = every.snapshots[row.end_date]
+        assert row == graph_metrics_row(snap.cooccurrence, snap.differential, k)
+
+
+def test_graphs_are_built_only_for_snapshot_dates(shock_panel, monkeypatch):
+    built = []
+    for cls in (Graph, SignedGraph):
+        init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self, init=init: (built.append(self.end_date), init(self)))
+    run(shock_panel)
+    assert built == []
+    chosen = [shock_panel.dates[25], shock_panel.dates[40]]
+    run(shock_panel, PipelineConfig(snapshot_dates=chosen), threads=2)
+    assert sorted(built) == sorted(chosen * 2)
+
 
 def test_run_fills_missing_per_policy(panel_factory):
     rng = np.random.default_rng(12)

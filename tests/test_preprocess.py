@@ -27,6 +27,16 @@ def test_constant_window_is_zero_with_warning():
     np.testing.assert_array_equal(z, np.zeros(4))
 
 
+@pytest.mark.parametrize("window", [[100.37] * 20, [0.1] * 3])
+def test_stale_quote_is_a_constant_window(window):
+    # its sample std is not exactly 0.0: these used to z-score to a flat
+    # 0.9747 vector and a flat -0.8165 vector, with no warning
+    assert np.std(window, ddof=1) != 0.0
+    with pytest.warns(UserWarning, match="constant window"):
+        z = window_zscore(window)
+    np.testing.assert_array_equal(z, np.zeros(len(window)))
+
+
 @given(nonconstant_windows)
 def test_zscore_mean_zero_sd_one(window):
     z = window_zscore(window)
@@ -130,7 +140,7 @@ def test_windows_at_asset_override_must_match(panel_factory):
 def _zscore_1d(x):
     """The per-asset formula: mean and n-1 std of one 1-D column."""
     sd = x.std(ddof=1)
-    return np.zeros_like(x) if sd == 0.0 else (x - x.mean()) / sd
+    return np.zeros_like(x) if x.max() == x.min() else (x - x.mean()) / sd
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +159,9 @@ def test_windows_at_rows_bitwise_equal_per_column_zscore(
     n = len(directions)
     values = np.random.default_rng(seed).normal(100.0, 1.0, (w + extra, n)) * 10.0**log_scale
     constant = sorted(c for c in constant if c < n)
-    # integer-valued, so the mean of the column is exact and its std is 0.0
-    values[:, constant] = np.round(values[0, constant])
+    # a stale quote: not integer-valued, so its mean is rounded and its std
+    # is not exactly 0.0
+    values[:, constant] = values[0, constant]
     panel = build_panel(values, directions=directions)
     t = w + extra - 1
     if constant:
