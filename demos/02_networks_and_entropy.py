@@ -24,7 +24,7 @@ from market_rewire import (
     graph_based_entropy,
     windows_at,
 )
-from market_rewire.cli import export_graph
+from market_rewire.export import export_graph
 
 panel = generate(
     SynthSpec(n_assets=9, n_days=80, seed=20, shocks=[Shock(45, 70, 0.95)])

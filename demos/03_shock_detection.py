@@ -11,7 +11,7 @@ CSV and SVG charts under demos/output/shock/.
 from pathlib import Path
 
 from market_rewire import PipelineConfig, Shock, SynthSpec, generate, run
-from market_rewire.cli import metrics_csv_text, write_charts
+from market_rewire.export import metrics_csv_text, write_charts
 
 panel = generate(
     SynthSpec(

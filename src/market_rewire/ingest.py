@@ -32,7 +32,7 @@ class AssetMeta:
                 f"asset {self.asset_id!r}: asset_class must be one of {ASSET_CLASSES}, "
                 f"got {self.asset_class!r}"
             )
-        if self.direction not in (1, -1):
+        if isinstance(self.direction, bool) or self.direction not in (1, -1):
             raise ValueError(
                 f"asset {self.asset_id!r}: direction must be +1 or -1, got {self.direction!r}"
             )
@@ -94,7 +94,7 @@ class PricePanel:
 
 
 def _load_meta(meta_path) -> dict[str, AssetMeta]:
-    with open(meta_path, encoding="utf-8") as fh:
+    with open(meta_path, encoding="utf-8-sig") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError(f"{meta_path}: metadata must be a JSON array of asset records")
@@ -105,16 +105,11 @@ def _load_meta(meta_path) -> dict[str, AssetMeta]:
         missing = [k for k in ("asset_id", "name", "asset_class", "direction") if k not in entry]
         if missing:
             raise ValueError(f"{meta_path}: entry {i} is missing keys {missing}")
-        direction = entry["direction"]
-        if isinstance(direction, bool) or direction not in (1, -1):
-            raise ValueError(
-                f"{meta_path}: entry {i} ({entry['asset_id']!r}): direction must be 1 or -1"
-            )
         meta = AssetMeta(
             asset_id=str(entry["asset_id"]),
             name=str(entry["name"]),
             asset_class=str(entry["asset_class"]),
-            direction=int(direction),
+            direction=entry["direction"],
         )
         if meta.asset_id in metas:
             raise ValueError(f"{meta_path}: duplicate asset_id {meta.asset_id!r}")
@@ -133,7 +128,7 @@ def load_panel(csv_path, meta_path) -> PricePanel:
     unparseable cells are hard errors naming the offending row.
     """
     metas = _load_meta(meta_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header or header[0].strip() != "date":

@@ -3,11 +3,11 @@
 import warnings
 from dataclasses import dataclass
 from datetime import date
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
-from .ingest import AssetMeta, PricePanel
+from .ingest import PricePanel
 
 
 @dataclass
@@ -19,16 +19,26 @@ class StandardizedWindow:
     values: np.ndarray
 
 
-def _zscore_rows(x: np.ndarray) -> np.ndarray:
+def _zscore_rows(
+    x: np.ndarray, where: Callable[[int], str] = lambda row: "the window"
+) -> np.ndarray:
     """Z-score each row of a 2-D float array by its own mean and sample std.
 
     Reducing along the last axis of a C-contiguous array sums each row with
     numpy's pairwise summation, exactly as the 1-D call does, so every row is
-    bitwise equal to z-scoring it alone; reducing along axis 0 is not.
+    bitwise equal to z-scoring it alone; reducing along axis 0 is not. A row
+    whose mean or std is not finite (a NaN, or magnitudes that overflow)
+    raises a ValueError naming `where(row)`.
     """
-    if not np.isfinite(x).all():
-        raise ValueError("window contains non-finite values")
-    sd = x.std(axis=1, ddof=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1, keepdims=True)
+        sd = x.std(axis=1, ddof=1, keepdims=True)
+    bad = ~(np.isfinite(mean) & np.isfinite(sd))[:, 0]
+    if bad.any():
+        raise ValueError(
+            f"non-finite mean or standard deviation in {where(int(np.argmax(bad)))} "
+            "(a missing value, or magnitudes that overflow)"
+        )
     # max == min is exact where a zero std is not: a repeated 100.37 has a
     # rounded mean and a tiny nonzero std. A std that underflows to zero
     # (spreads below about 1e-161) counts as constant too.
@@ -36,7 +46,7 @@ def _zscore_rows(x: np.ndarray) -> np.ndarray:
     if constant.any():
         warnings.warn("constant window: standardized values set to zero", stacklevel=3)
         sd[constant] = 1.0
-    z = (x - x.mean(axis=1, keepdims=True)) / sd
+    z = (x - mean) / sd
     z[constant] = 0.0
     return z
 
@@ -64,17 +74,10 @@ def apply_direction(window, direction: int) -> np.ndarray:
     return x * float(direction)
 
 
-def windows_at(
-    panel: PricePanel,
-    t: int,
-    w: int,
-    assets: Sequence[AssetMeta] | None = None,
-) -> list[StandardizedWindow]:
+def windows_at(panel: PricePanel, t: int, w: int) -> list[StandardizedWindow]:
     """Standardized, direction-corrected windows for every asset at date index `t`.
 
-    The window covers the w trailing observations at indices [t-w+1, t]. Pass
-    `assets` to override the panel's metadata (same ids, same order), e.g. to
-    flip a direction sign without rebuilding the panel.
+    The window covers the w trailing observations at indices [t-w+1, t].
     """
     if w < 2:
         raise ValueError(f"window width must be >= 2, got {w}")
@@ -85,18 +88,14 @@ def windows_at(
             f"insufficient history: window of width {w} ending at index {t} "
             f"needs t >= {w - 1}"
         )
-    if assets is None:
-        assets = panel.assets
-    else:
-        assets = list(assets)
-        if tuple(a.asset_id for a in assets) != panel.asset_ids:
-            raise ValueError("asset override must match the panel's ids and order")
 
     end = panel.dates[t]
     rows = np.ascontiguousarray(panel.values[t - w + 1 : t + 1, :].T, dtype=float)
-    z = _zscore_rows(rows)
-    z *= np.array([[float(a.direction)] for a in assets])
+    z = _zscore_rows(
+        rows, lambda row: f"the window of asset {panel.assets[row].asset_id!r} ending {end}"
+    )
+    z *= np.array([[float(a.direction)] for a in panel.assets])
     return [
         StandardizedWindow(asset_id=meta.asset_id, end_date=end, values=row)
-        for meta, row in zip(assets, z)
+        for meta, row in zip(panel.assets, z)
     ]

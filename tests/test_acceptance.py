@@ -26,7 +26,8 @@ from market_rewire import (
     run,
     windows_at,
 )
-from market_rewire.cli import main, metrics_csv_text
+from market_rewire.cli import main
+from market_rewire.export import metrics_csv_text
 
 from conftest import dtw_bruteforce
 
@@ -156,9 +157,10 @@ def test_criterion_5_scale_shift_direction_invariances():
         from market_rewire import AssetMeta
 
         flipped_meta[0] = AssetMeta(m0.asset_id, m0.name, m0.asset_class, -m0.direction)
+        flipped = PricePanel(dates=panel.dates, assets=flipped_meta, values=panel.values)
         for t in (19, 30, 49):
             dm = distance_matrix(windows_at(panel, t, 20))
-            dm_flipped = distance_matrix(windows_at(panel, t, 20, assets=flipped_meta))
+            dm_flipped = distance_matrix(windows_at(flipped, t, 20))
             assert np.array_equal(dm_flipped.d, dm_flipped.d.T)
             assert np.all(np.diag(dm_flipped.d) == 0.0)
             np.testing.assert_array_equal(dm_flipped.d[1:, 1:], dm.d[1:, 1:])

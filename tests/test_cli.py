@@ -6,7 +6,8 @@ import pytest
 
 from conftest import graph_json_reference
 from market_rewire import Graph, SignedGraph
-from market_rewire.cli import export_graph, main, metrics_csv_text
+from market_rewire.cli import main
+from market_rewire.export import export_graph, metrics_csv_text
 from market_rewire.networks import MetricsRow
 
 D0 = date(2020, 5, 4)
@@ -140,6 +141,25 @@ def test_first_row_blank_under_forward_fill_exits_2_naming_asset(tmp_path, capsy
     err = capsys.readouterr().err
     assert "error [pipeline]" in err
     assert "bnd01" in err
+
+
+def test_overflowing_window_exits_2_naming_asset_and_date(tmp_path, capsys):
+    # a sample std of prices alternating +-1e308 overflows to inf; such a
+    # window used to z-score to zeros and the run exited 0
+    src = tmp_path / "data"
+    src.mkdir()
+    lines = ["date,a,b,c"]
+    for i in range(8):
+        lines.append(f"2020-01-{i + 1:02d},{100 + i},{(-1) ** i * 1e308},{50 - i % 3}")
+    (src / "prices.csv").write_text("\n".join(lines) + "\n")
+    (src / "assets.json").write_text(json.dumps([
+        {"asset_id": a, "name": a, "asset_class": "stock", "direction": 1} for a in "abc"
+    ]))
+    assert main(run_args(src, tmp_path / "out", ["--window", "5"])) == 2
+    err = capsys.readouterr().err
+    assert "error [pipeline]" in err and "non-finite" in err
+    assert "'b'" in err and "2020-01-05" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unanalyzable_snapshot_date_exits_2(tmp_path, capsys):

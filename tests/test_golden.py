@@ -13,7 +13,7 @@ import pytest
 
 from conftest import graph_json_reference
 from market_rewire import PipelineConfig, Shock, SynthSpec, generate, run
-from market_rewire.cli import export_graph, metrics_csv_text, write_charts
+from market_rewire.export import export_graph, metrics_csv_text, write_charts
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_OUT = ROOT / "demos" / "output" / "shock"

@@ -124,10 +124,26 @@ def test_meta_validation(tmp_path):
     with pytest.raises(ValueError, match="duplicate asset_id"):
         load_panel(csv_path, bad)
 
-    entry = dict(META[0], direction=2)
-    bad.write_text(json.dumps([entry, META[1]]), encoding="utf-8")
-    with pytest.raises(ValueError, match="direction"):
-        load_panel(csv_path, bad)
+    for direction in (2, True):
+        entry = dict(META[0], direction=direction)
+        bad.write_text(json.dumps([entry, META[1]]), encoding="utf-8")
+        with pytest.raises(ValueError, match="direction"):
+            load_panel(csv_path, bad)
+
+
+def test_load_panel_accepts_utf8_byte_order_mark(tmp_path):
+    # Excel writes "UTF-8 CSV" with a byte-order mark before the header
+    text = "date,spx,jgb\n2007-01-01,100,200\n2007-01-02,101,\n"
+    plain = load_panel(*write_inputs(tmp_path, text))
+    bom_dir = tmp_path / "bom"
+    bom_dir.mkdir()
+    csv_path, meta_path = write_inputs(bom_dir, text)
+    for path in (csv_path, meta_path):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with_bom = load_panel(csv_path, meta_path)
+    assert with_bom.dates == plain.dates
+    assert with_bom.assets == plain.assets
+    np.testing.assert_array_equal(with_bom.values, plain.values)
 
 
 def test_fill_forward(panel_factory):
@@ -209,7 +225,8 @@ def test_panel_values_read_only(panel_factory):
 
 
 def test_asset_meta_validation():
-    with pytest.raises(ValueError, match="direction"):
-        AssetMeta("a", "A", "stock", 0)
+    for direction in (0, True, False):  # True == 1 must not pass as a sign
+        with pytest.raises(ValueError, match="direction"):
+            AssetMeta("a", "A", "stock", direction)
     with pytest.raises(ValueError, match="asset_class"):
         AssetMeta("a", "A", "crypto", 1)

@@ -128,15 +128,6 @@ def test_direction_flip_negates_windows(panel_factory):
     np.testing.assert_array_equal(plus[1].values, -minus[1].values)
 
 
-def test_windows_at_asset_override_must_match(panel_factory):
-    panel = panel_factory(np.random.default_rng(1).uniform(90, 110, (25, 2)))
-    from market_rewire import AssetMeta
-
-    wrong = [AssetMeta("zz", "Z", "stock", 1), AssetMeta("a01", "B", "stock", 1)]
-    with pytest.raises(ValueError, match="override"):
-        windows_at(panel, t=24, w=20, assets=wrong)
-
-
 def _zscore_1d(x):
     """The per-asset formula: mean and n-1 std of one 1-D column."""
     sd = x.std(ddof=1)
