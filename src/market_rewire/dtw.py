@@ -56,6 +56,11 @@ class DistanceMatrix:
         d.setflags(write=False)
         self.d = d
 
+    def __setstate__(self, state):
+        # pickling does not keep numpy's read-only flag
+        self.__dict__.update(state)
+        self.d.setflags(write=False)
+
     @property
     def n_assets(self) -> int:
         return len(self.asset_ids)

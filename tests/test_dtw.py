@@ -153,6 +153,19 @@ def test_distance_matrix_type_validation():
         )
 
 
+
+def test_distance_matrix_stays_read_only_after_pickling():
+    import pickle
+
+    dm = distance_matrix([StandardizedWindow(a, date(2020, 1, 1), np.array(v)) for a, v in
+                          (("a", [0.0, 1.0, -1.0]), ("b", [1.0, 0.0, -1.0]))])
+    back = pickle.loads(pickle.dumps(dm))
+    np.testing.assert_array_equal(back.d, dm.d)
+    assert back.asset_ids == dm.asset_ids and back.end_date == dm.end_date
+    with pytest.raises(ValueError):
+        back.d[0, 1] = 99.0
+
+
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 

@@ -131,6 +131,15 @@ def test_meta_validation(tmp_path):
             load_panel(csv_path, bad)
 
 
+
+def test_load_panel_stores_a_float_direction_as_int(tmp_path):
+    meta = [dict(META[0], direction=1.0), dict(META[1], direction=-1.0)]
+    csv_path, meta_path = write_inputs(tmp_path, "date,spx,jgb\n2007-01-01,100,200\n", meta)
+    directions = [a.direction for a in load_panel(csv_path, meta_path).assets]
+    assert directions == [1, -1]
+    assert all(type(d) is int for d in directions)
+
+
 def test_load_panel_accepts_utf8_byte_order_mark(tmp_path):
     # Excel writes "UTF-8 CSV" with a byte-order mark before the header
     text = "date,spx,jgb\n2007-01-01,100,200\n2007-01-02,101,\n"

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import warnings
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -13,6 +16,8 @@ from market_rewire import (
     generate,
     run,
 )
+from market_rewire import pipeline
+from market_rewire.pipeline import _worker_count
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,54 @@ def test_parallel_equals_sequential(shock_panel):
     par = run(shock_panel, cfg, threads=4)
     assert seq.metrics == par.metrics
     assert seq.snapshots == par.snapshots
+
+
+@pytest.mark.parametrize("action, count", [("always", 21), ("default", 1)])
+def test_workers_relay_the_serial_runs_warnings(panel_factory, action, count):
+    rng = np.random.default_rng(5)
+    values = rng.uniform(90, 110, (40, 6))
+    values[:, 3] = 100.37  # a stale quote: every window of asset 3 is constant
+    panel = panel_factory(values)
+    caught = {}
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter(action)
+            run(panel, threads=threads)
+        caught[threads] = [(w.category, str(w.message), w.filename, w.lineno) for w in log]
+    assert len(caught[1]) == count
+    assert caught[2] == caught[1]
+
+
+def test_worker_errors_name_the_serial_runs_asset_and_date(panel_factory):
+    values = np.array([[100.0 + i, (-1) ** i * 1e308, 50.0 - i % 3] for i in range(12)])
+    panel = panel_factory(values)
+    cfg = PipelineConfig(window_w=5)
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(ValueError, match="non-finite") as err:
+            run(panel, cfg, threads=threads)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "'a01'" in messages[0] and str(panel.dates[4]) in messages[0]
+
+
+def test_worker_count_caps_a_huge_request_without_forking(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("the resolver forked"))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+    monkeypatch.delenv("MARKET_REWIRE_THREADS", raising=False)
+    assert _worker_count(100_000, 41) == 8
+    assert _worker_count(100_000, 3) == 3
+    monkeypatch.setenv("MARKET_REWIRE_THREADS", "100000")
+    assert _worker_count(None, 41) == 8
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _worker_count(100_000, 41) == 1
+
+
+def test_run_without_fork_is_serial(shock_panel, monkeypatch):
+    serial = run(shock_panel, threads=1)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without the fork start method"))
+    assert run(shock_panel, threads=2).metrics == serial.metrics
 
 
 def test_env_var_caps_threads(shock_panel, monkeypatch):
