@@ -11,7 +11,7 @@ CSV and SVG charts under demos/output/shock/.
 from pathlib import Path
 
 from market_rewire import PipelineConfig, Shock, SynthSpec, generate, run
-from market_rewire.export import metrics_csv_text, write_charts
+from market_rewire.export import metrics_csv_text, write_charts, write_file
 
 panel = generate(
     SynthSpec(
@@ -41,6 +41,6 @@ print(f"closer-hub peak: {burst.n_closer_hubs} on {burst.end_date}")
 
 out = Path(__file__).parent / "output" / "shock"
 out.mkdir(parents=True, exist_ok=True)
-(out / "metrics.csv").write_text(metrics_csv_text(rows), encoding="utf-8", newline="")
+write_file(out / "metrics.csv", metrics_csv_text(rows))
 write_charts(result, out)
 print(f"\nwrote {out}/metrics.csv, gbe.svg, hubs.svg")

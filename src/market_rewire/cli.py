@@ -16,7 +16,14 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 # METRICS_COLUMNS is unused here; the benchmark reads it as cli.METRICS_COLUMNS
-from .export import GRAPH_FORMATS, METRICS_COLUMNS, export_graph, metrics_csv_text, write_charts
+from .export import (
+    GRAPH_FORMATS,
+    METRICS_COLUMNS,
+    export_graph,
+    metrics_csv_text,
+    write_charts,
+    write_file,
+)
 from .ingest import load_panel
 from .pipeline import THREAD_ENV_VAR, PipelineConfig, RunResult, run
 from .synth import Shock, SynthSpec, generate, write_panel
@@ -50,11 +57,15 @@ def write_export_bundle(
     Snapshots produce `<date>.cooc.<ext>` and `<date>.diff.<ext>` per
     requested format; the first analyzable date has no differential network,
     so it gets only the co-occurrence files.
+
+    Every file is written through `export.write_file`, so a file left by an
+    earlier run is rewritten in place and ends up with the same bytes as in
+    a fresh directory. Files this call does not produce, such as snapshots
+    of dates or formats no longer requested, are left as they were.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.csv"
-    metrics_path.write_text(metrics_csv_text(result.metrics), encoding="utf-8", newline="")
+    write_file(out_dir / "metrics.csv", metrics_csv_text(result.metrics))
 
     if result.snapshots:
         net_dir = out_dir / "networks"
@@ -67,7 +78,7 @@ def write_export_bundle(
                     graphs.append(("diff", snap.differential))
                 for tag, g in graphs:
                     path = net_dir / f"{d.isoformat()}.{tag}.{fmt}"
-                    path.write_text(export_graph(g, fmt, classes), encoding="utf-8", newline="")
+                    write_file(path, export_graph(g, fmt, classes))
 
     if charts:
         write_charts(result, out_dir)

@@ -1,11 +1,14 @@
+import csv
 import json
+import os
 import re
+import time
 from datetime import date
 
 import pytest
 
 from conftest import graph_json_reference
-from market_rewire import Graph, SignedGraph
+from market_rewire import Graph, PipelineConfig, SignedGraph, load_panel, run
 from market_rewire.cli import main
 from market_rewire.export import export_graph, metrics_csv_text
 from market_rewire.networks import MetricsRow
@@ -198,6 +201,42 @@ def test_run_outputs_byte_stable_across_runs_and_thread_caps(tmp_path, monkeypat
     assert (out1 / "gbe.svg").read_bytes() == (out2 / "gbe.svg").read_bytes()
 
 
+def output_files(out):
+    return {p.relative_to(out): p for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_rerun_rewrites_every_file_in_place(tmp_path):
+    src, fresh, rerun = tmp_path / "data", tmp_path / "fresh", tmp_path / "rerun"
+    main(gen_args(src, days=30, shock="15:25:0.9"))
+    extra = ["--snapshots", "all", "--charts"]
+    umask = os.umask(0o002)
+    try:
+        assert main(run_args(src, fresh, extra)) == 0
+    finally:
+        os.umask(umask)
+    expected = {rel: p.read_bytes() for rel, p in output_files(fresh).items()}
+    for rel in expected:
+        # a new file gets the mode open() gives it: 0o666 less the umask
+        assert (fresh / rel).stat().st_mode & 0o777 == 0o664, rel
+
+    # every target name already holds a file: longer junk, shorter junk or
+    # the exact bytes the run will write
+    for i, (rel, data) in enumerate(expected.items()):
+        (rerun / rel).parent.mkdir(parents=True, exist_ok=True)
+        (rerun / rel).write_bytes([b"#" * (len(data) + 37), b"#" * (len(data) // 2), data][i % 3])
+    started_ns = time.time_ns()
+    # file times come from a coarse clock; the pause keeps its tick from
+    # dating a write before the call's start
+    time.sleep(0.05)
+    assert main(run_args(src, rerun, extra)) == 0
+
+    written = output_files(rerun)
+    assert sorted(written) == sorted(expected)
+    for rel, path in written.items():
+        assert path.read_bytes() == expected[rel], rel
+        assert path.stat().st_mtime_ns > started_ns, rel
+
+
 def test_classes_ratio_flag(tmp_path):
     src = tmp_path / "data"
     assert main(gen_args(src, assets=8) + ["--classes", "2:1:1"]) == 0
@@ -299,6 +338,42 @@ def test_export_dot_escapes_quotes_and_backslashes():
         assert not re.search(r'["\\]', DOT_QUOTED.sub("", line)), line
     unescaped = {re.sub(r"\\(.)", r"\1", m) for m in DOT_QUOTED.findall(text)}
     assert set(ODD_IDS) | {'st"ock\\'} <= unescaped
+
+
+def test_export_files_are_the_utf8_of_the_rendered_text(tmp_path):
+    src, out = tmp_path / "data", tmp_path / "out"
+    main(gen_args(src, assets=len(ODD_IDS), days=30, shock="15:25:0.9"))
+    # rename the generated assets to ids that are not ASCII and that DOT and
+    # JSON must escape
+    with open(src / "prices.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[0][1:] = ODD_IDS
+    with open(src / "prices.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    meta = json.loads((src / "assets.json").read_text(encoding="utf-8"))
+    for m, asset_id in zip(meta, ODD_IDS):
+        m["asset_id"] = asset_id
+    (src / "assets.json").write_text(json.dumps(meta), encoding="utf-8")
+    assert main(run_args(src, out, ["--snapshots", "all"])) == 0
+
+    panel = load_panel(src / "prices.csv", src / "assets.json")
+    result = run(panel, PipelineConfig(snapshot_dates="all"))
+    classes = {m.asset_id: m.asset_class for m in panel.assets}
+    expected = {"metrics.csv": metrics_csv_text(result.metrics)}
+    for d, snap in result.snapshots.items():
+        for tag, g in (("cooc", snap.cooccurrence), ("diff", snap.differential)):
+            if g is None:
+                continue
+            for fmt in ("dot", "json"):
+                name = f"networks/{d.isoformat()}.{tag}.{fmt}"
+                expected[name] = export_graph(g, fmt, classes)
+
+    written = output_files(out)
+    assert sorted(rel.as_posix() for rel in written) == sorted(expected)
+    for rel, path in written.items():
+        data = path.read_bytes()
+        assert data == expected[rel.as_posix()].encode("utf-8"), rel
+        assert b"\r" not in data, rel
 
 
 def test_export_graph_format_validated():
