@@ -25,7 +25,7 @@ from .export import (
     write_file,
 )
 from .ingest import load_panel
-from .pipeline import THREAD_ENV_VAR, PipelineConfig, RunResult, run
+from .pipeline import PipelineConfig, RunResult, run
 from .synth import Shock, SynthSpec, generate, write_panel
 
 
@@ -242,9 +242,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--band", type=int, default=None,
                        help="optional warping band half-width (default: unconstrained)")
     p_run.add_argument("--threads", type=int, default=None,
-                       help=f"worker processes for distance matrices, forked where the "
-                            f"platform allows (default 1; capped by ${THREAD_ENV_VAR}, the "
-                            f"analyzable days and the usable CPUs)")
+                       help="worker processes for distance matrices, forked where the "
+                            "platform allows (default and 0: one; capped by the analyzable "
+                            "days and the usable CPUs)")
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-synthetic", help="write a seeded synthetic panel CSV + metadata")

@@ -26,6 +26,9 @@ METRICS_COLUMNS = ("date",) + _METRICS_FIELDS[1:]
 
 GRAPH_FORMATS = ("dot", "json")
 
+# size of each SVG chart in pixels
+CHART_WIDTH, CHART_HEIGHT = 960, 320
+
 
 # ---------------------------------------------------------------------------
 # graph export
@@ -139,12 +142,10 @@ def _svg_line_chart(
     title: str,
     dates: Sequence[date],
     series: Sequence[tuple[str, str, Sequence[float | None]]],
-    width: int = 960,
-    height: int = 320,
 ) -> str:
     """Minimal deterministic SVG line chart; gaps (None) break the line."""
     ml, mr, mt, mb = 60, 24, 34, 42
-    plot_w, plot_h = width - ml - mr, height - mt - mb
+    plot_w, plot_h = CHART_WIDTH - ml - mr, CHART_HEIGHT - mt - mb
     n = len(dates)
 
     present = [v for _, _, vals in series for v in vals if v is not None]
@@ -160,9 +161,9 @@ def _svg_line_chart(
         return mt + (hi - v) * plot_h / (hi - lo)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{CHART_WIDTH}" height="{CHART_HEIGHT}" '
+        f'viewBox="0 0 {CHART_WIDTH} {CHART_HEIGHT}">',
+        f'<rect width="{CHART_WIDTH}" height="{CHART_HEIGHT}" fill="white"/>',
         f'<text x="{ml}" y="20" font-family="sans-serif" font-size="14">{title}</text>',
     ]
     # frame and horizontal gridlines with y labels
@@ -170,7 +171,7 @@ def _svg_line_chart(
         v = lo + (hi - lo) * k / 4
         yy = y(v)
         parts.append(
-            f'<line x1="{ml}" y1="{yy:.2f}" x2="{width - mr}" y2="{yy:.2f}" '
+            f'<line x1="{ml}" y1="{yy:.2f}" x2="{CHART_WIDTH - mr}" y2="{yy:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
         parts.append(
@@ -181,7 +182,7 @@ def _svg_line_chart(
     for i in sorted({0, n // 2, n - 1}):
         if 0 <= i < n:
             parts.append(
-                f'<text x="{x(i):.2f}" y="{height - 14}" text-anchor="middle" '
+                f'<text x="{x(i):.2f}" y="{CHART_HEIGHT - 14}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11">{dates[i].isoformat()}</text>'
             )
     for si, (label, color, vals) in enumerate(series):
@@ -206,7 +207,7 @@ def _svg_line_chart(
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
         parts.append(
-            f'<text x="{width - mr}" y="{mt + 14 * si}" text-anchor="end" '
+            f'<text x="{CHART_WIDTH - mr}" y="{mt + 14 * si}" text-anchor="end" '
             f'font-family="sans-serif" font-size="12" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")

@@ -138,6 +138,8 @@ def load_panel(csv_path, meta_path) -> PricePanel:
         ids = [h.strip() for h in header[1:]]
         if not ids:
             raise ValueError(f"{csv_path}: no asset columns in header")
+        if "" in ids:
+            raise ValueError(f"{csv_path}: header column {ids.index('') + 2} has no asset id")
         if len(set(ids)) != len(ids):
             raise ValueError(f"{csv_path}: duplicate asset columns in header")
 

@@ -20,11 +20,12 @@ import numbers
 import os
 import warnings
 from collections import deque
+from collections.abc import Iterable
 # ThreadPoolExecutor is unused here; the benchmark's tracer reads it as pipeline.ThreadPoolExecutor
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -40,8 +41,6 @@ from .networks import (
     differential_network,
 )
 from .preprocess import windows_at
-
-THREAD_ENV_VAR = "MARKET_REWIRE_THREADS"
 
 
 @dataclass
@@ -79,7 +78,7 @@ class PipelineConfig:
             raise ValueError(f"fill_policy must be one of {FILL_POLICIES}")
         self.band_halfwidth = _validate_band(self.band_halfwidth)
         if self.snapshot_dates not in (None, "all"):
-            if isinstance(self.snapshot_dates, str):
+            if isinstance(self.snapshot_dates, str) or not isinstance(self.snapshot_dates, Iterable):
                 raise ValueError(
                     f"snapshot_dates must be 'all', None or dates, not {self.snapshot_dates!r}"
                 )
@@ -117,31 +116,21 @@ def _usable_cpus() -> int:
 
 
 def _worker_count(threads: int | None, days: int) -> int:
-    """Resolve the worker count: the explicit argument, else the env var,
-    else 1; capped by the env var, by the analyzable days and by the usable
-    CPUs, so no request forks more processes than can run at once. Without
-    the `fork` start method the run is serial."""
+    """Resolve the worker count: `threads`, or 1 for None or 0, capped by
+    the analyzable days and by the usable CPUs, so no request forks more
+    processes than can run at once. Without the `fork` start method the run
+    is serial."""
+    if threads is not None and not _is_integer(threads):
+        raise ValueError(f"threads must be an integer or None, got {threads!r}")
     if threads is not None and threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 or None for the default), got {threads}")
-    env = os.environ.get(THREAD_ENV_VAR, "").strip()
-    cap = 0
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{THREAD_ENV_VAR} must be an integer, got {env!r}") from None
-        if cap < 0:
-            raise ValueError(f"{THREAD_ENV_VAR} must be >= 0, got {cap}")
-    n = threads if threads is not None and threads > 0 else (cap if cap > 0 else 1)
-    if cap > 0:
-        n = min(n, cap)
-    n = min(n, days, _usable_cpus())
+        raise ValueError(f"threads must be >= 0 (0 or None for one worker), got {threads}")
+    n = min(int(threads or 1), days, _usable_cpus())
     if n > 1:
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
             return 1
-    return max(1, n)
+    return n
 
 
 def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | None = None) -> RunResult:
@@ -153,8 +142,8 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     one with a full trailing window. `threads` > 1 computes distance matrices
     for different days in that many forked worker processes, at most one per
     analyzable day and per usable CPU; the result, and every error and
-    warning, is that of the single-worker run. None or 0 threads takes the
-    default, and a negative count raises.
+    warning, is that of the single-worker run. None or 0 threads runs one
+    worker; a negative or non-integer count raises.
     """
     if config is None:
         config = PipelineConfig()

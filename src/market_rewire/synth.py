@@ -1,19 +1,20 @@
 """Seeded synthetic multi-asset panels with controllable co-movement shocks.
 
 Outside a shock every asset follows an independent Gaussian random walk in
-log-price, with a small asset-specific drift (alternating sign, magnitudes
-spread across `drift_min..drift_max`). The drifts give each asset a
-persistent trend, so its standardized window shape is stable from one day
-to the next: day-over-day distance changes then reflect genuine regime
-change rather than re-standardization churn.
+log-price from `START_PRICE`, with daily volatility `BASE_VOL` and a small
+asset-specific drift (alternating sign, magnitudes spread across
+`DRIFT_MIN..DRIFT_MAX`). The drifts give each asset a persistent trend, so
+its standardized window shape is stable from one day to the next:
+day-over-day distance changes then reflect genuine regime change rather
+than re-standardization churn.
 
 During a shock each affected asset's daily log-return mixes a common factor
 (scaled up to crisis-size moves, and signed by the asset's risk-on
 direction so bonds move against stocks before direction correction) with
 its own baseline dynamics:
 
-    r = loading * (factor_vol_scale * base_vol * g_t) * direction
-        + (1 - loading) * (drift_i + base_vol * e_it)
+    r = loading * (FACTOR_VOL_SCALE * BASE_VOL * g_t) * direction
+        + (1 - loading) * (drift_i + BASE_VOL * e_it)
 
 Generation is deterministic for a fixed seed: the pseudorandom source is
 NumPy's PCG64 via `numpy.random.default_rng`, and all noise is drawn up
@@ -22,6 +23,7 @@ share the identical underlying noise (loading 0 reproduces the no-shock
 panel exactly).
 """
 
+import csv
 import json
 from dataclasses import dataclass, field
 from datetime import date, timedelta
@@ -37,6 +39,13 @@ _CLASS_PREFIX = {"stock": "stk", "bond": "bnd", "fx": "fx", "other": "oth"}
 
 _START_DATE = date(2007, 1, 1)  # a Monday
 
+BASE_VOL = 0.004  # daily log-return volatility outside shocks
+DRIFT_MIN, DRIFT_MAX = 0.003, 0.006  # range of the per-asset daily log-drift magnitudes
+START_PRICE = 100.0
+FACTOR_VOL_SCALE = 4.0  # a shock's factor volatility, in units of BASE_VOL
+
+PRICES_CSV, ASSETS_JSON = "prices.csv", "assets.json"
+
 
 @dataclass(frozen=True)
 class Shock:
@@ -44,15 +53,14 @@ class Shock:
 
     `affected_assets` holds column indices, or None for all assets.
     `factor_loading` in [0, 1] blends the common factor against idiosyncratic
-    noise; `factor_vol_scale` inflates the factor's daily volatility relative
-    to the base volatility (event days are outsized moves).
+    noise. The factor's daily volatility is `FACTOR_VOL_SCALE` times the
+    base volatility (event days are outsized moves).
     """
 
     start_day: int
     end_day: int
     factor_loading: float
     affected_assets: tuple[int, ...] | None = None
-    factor_vol_scale: float = 4.0
 
 
 @dataclass
@@ -69,10 +77,6 @@ class SynthSpec:
     seed: int
     shocks: list[Shock] = field(default_factory=list)
     class_assignment: tuple[str, ...] | None = None
-    base_vol: float = 0.004
-    drift_min: float = 0.003
-    drift_max: float = 0.006
-    start_price: float = 100.0
 
 
 def _validate_spec(spec: SynthSpec) -> tuple[str, ...]:
@@ -80,12 +84,6 @@ def _validate_spec(spec: SynthSpec) -> tuple[str, ...]:
         raise ValueError(f"need at least 2 assets, got {spec.n_assets}")
     if spec.n_days < 2:
         raise ValueError(f"need at least 2 days, got {spec.n_days}")
-    if not spec.base_vol > 0:
-        raise ValueError("base_vol must be > 0")
-    if not 0 <= spec.drift_min <= spec.drift_max:
-        raise ValueError("need 0 <= drift_min <= drift_max")
-    if not spec.start_price > 0:
-        raise ValueError("start_price must be > 0")
     if spec.class_assignment is None:
         cycle = ("stock", "bond", "fx")
         classes = tuple(cycle[i % 3] for i in range(spec.n_assets))
@@ -107,8 +105,6 @@ def _validate_spec(spec: SynthSpec) -> tuple[str, ...]:
             )
         if not 0.0 <= s.factor_loading <= 1.0:
             raise ValueError(f"factor_loading must be in [0, 1], got {s.factor_loading}")
-        if not s.factor_vol_scale > 0:
-            raise ValueError("factor_vol_scale must be > 0")
         cols = range(spec.n_assets) if s.affected_assets is None else s.affected_assets
         for c in cols:
             if not 0 <= c < spec.n_assets:
@@ -145,9 +141,9 @@ def _weekdays(n: int) -> list[date]:
 
 
 def _drifts(spec: SynthSpec) -> np.ndarray:
-    """Per-asset daily log-drift: magnitudes spread over [drift_min, drift_max],
+    """Per-asset daily log-drift: magnitudes spread over [DRIFT_MIN, DRIFT_MAX],
     signs alternating by column."""
-    mags = np.linspace(spec.drift_min, spec.drift_max, spec.n_assets)
+    mags = np.linspace(DRIFT_MIN, DRIFT_MAX, spec.n_assets)
     signs = np.where(np.arange(spec.n_assets) % 2 == 0, 1.0, -1.0)
     return signs * mags
 
@@ -164,7 +160,7 @@ def generate(spec: SynthSpec) -> PricePanel:
     factor = rng.standard_normal(spec.n_days)
 
     drifts = _drifts(spec)
-    returns = drifts[None, :] + spec.base_vol * idio
+    returns = drifts[None, :] + BASE_VOL * idio
     for s in spec.shocks:
         cols = (
             np.arange(spec.n_assets)
@@ -174,38 +170,38 @@ def generate(spec: SynthSpec) -> PricePanel:
         days = np.arange(max(s.start_day, 1), s.end_day + 1)
         if days.size == 0:
             continue
-        common = s.factor_vol_scale * spec.base_vol * factor[days]
+        common = FACTOR_VOL_SCALE * BASE_VOL * factor[days]
         shared = s.factor_loading * common[:, None] * directions[cols][None, :]
         own = (1.0 - s.factor_loading) * (
-            drifts[cols][None, :] + spec.base_vol * idio[np.ix_(days, cols)]
+            drifts[cols][None, :] + BASE_VOL * idio[np.ix_(days, cols)]
         )
         returns[np.ix_(days, cols)] = shared + own
 
     returns[0, :] = 0.0
-    log_prices = np.log(spec.start_price) + np.cumsum(returns, axis=0)
+    log_prices = np.log(START_PRICE) + np.cumsum(returns, axis=0)
     values = np.exp(log_prices)
     return PricePanel(dates=_weekdays(spec.n_days), assets=metas, values=values)
 
 
-def write_panel(panel: PricePanel, out_dir, csv_name="prices.csv", meta_name="assets.json"):
-    """Write a panel as the price CSV + metadata JSON pair that `load_panel` reads.
+def write_panel(panel: PricePanel, out_dir):
+    """Write a panel as the `PRICES_CSV` + `ASSETS_JSON` pair that
+    `load_panel` reads.
 
     Values are formatted with shortest round-trip precision and a fixed
     newline convention, so identical panels always produce identical bytes.
-    Returns (csv_path, meta_path).
+    Asset ids that hold a comma, a quote or a newline are quoted in the CSV
+    header. Returns (csv_path, meta_path).
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / csv_name
-    meta_path = out_dir / meta_name
+    csv_path = out_dir / PRICES_CSV
+    meta_path = out_dir / ASSETS_JSON
 
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date," + ",".join(panel.asset_ids) + "\n")
-        for r, d in enumerate(panel.dates):
-            cells = [
-                "" if np.isnan(v) else repr(float(v)) for v in panel.values[r, :]
-            ]
-            fh.write(d.isoformat() + "," + ",".join(cells) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["date", *panel.asset_ids])
+        for d, row in zip(panel.dates, panel.values):
+            writer.writerow([d.isoformat()] + ["" if np.isnan(v) else repr(float(v)) for v in row])
 
     records = [
         {

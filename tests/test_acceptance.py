@@ -166,8 +166,8 @@ def test_criterion_5_scale_shift_direction_invariances():
             np.testing.assert_array_equal(dm_flipped.d[1:, 1:], dm.d[1:, 1:])
 
 
-def test_criterion_6_determinism_and_symmetry(tmp_path, monkeypatch):
-    with criterion(6, "byte-identical outputs across thread caps; symmetric matrices"):
+def test_criterion_6_determinism_and_symmetry(tmp_path):
+    with criterion(6, "byte-identical outputs across worker counts; symmetric matrices"):
         src = tmp_path / "data"
         assert main([
             "gen-synthetic", "--assets", "12", "--days", "45", "--seed", "6",
@@ -175,15 +175,13 @@ def test_criterion_6_determinism_and_symmetry(tmp_path, monkeypatch):
         ]) == 0
 
         outs = []
-        for name, cap in (("o1", "1"), ("o2", "4")):
-            out = tmp_path / name
-            monkeypatch.setenv("MARKET_REWIRE_THREADS", cap)
+        for threads in ("1", "4"):
+            out = tmp_path / f"o{threads}"
             assert main([
                 "run", "--input", str(src / "prices.csv"), "--meta", str(src / "assets.json"),
-                "--out", str(out), "--snapshots", "all", "--threads", "4",
+                "--out", str(out), "--snapshots", "all", "--threads", threads,
             ]) == 0
             outs.append(out)
-        monkeypatch.delenv("MARKET_REWIRE_THREADS")
 
         a, b = outs
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()

@@ -182,14 +182,12 @@ def test_gen_deterministic_bytes(tmp_path):
     assert (a / "assets.json").read_bytes() == (b / "assets.json").read_bytes()
 
 
-def test_run_outputs_byte_stable_across_runs_and_thread_caps(tmp_path, monkeypatch):
+def test_run_outputs_byte_stable_across_runs_and_thread_caps(tmp_path):
     src = tmp_path / "data"
     main(gen_args(src, days=35, shock="22:32:0.9"))
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
 
-    monkeypatch.setenv("MARKET_REWIRE_THREADS", "1")
-    assert main(run_args(src, out1, ["--snapshots", "all", "--charts"])) == 0
-    monkeypatch.setenv("MARKET_REWIRE_THREADS", "4")
+    assert main(run_args(src, out1, ["--snapshots", "all", "--charts", "--threads", "1"])) == 0
     assert main(run_args(src, out2, ["--snapshots", "all", "--charts", "--threads", "4"])) == 0
 
     assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()

@@ -42,6 +42,13 @@ def test_load_panel_missing_meta_names_asset(tmp_path):
         load_panel(csv_path, meta_path)
 
 
+def test_load_panel_empty_header_column_names_its_position(tmp_path):
+    # used to fail as "no metadata for asset(s): ", which names no asset
+    csv_path, meta_path = write_inputs(tmp_path, "date,spx, ,jgb\n2007-01-01,100,1,200\n")
+    with pytest.raises(ValueError, match="header column 3 has no asset id$"):
+        load_panel(csv_path, meta_path)
+
+
 def test_load_panel_sorts_rows_by_date(tmp_path):
     csv_path, meta_path = write_inputs(
         tmp_path,

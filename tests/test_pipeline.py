@@ -143,11 +143,9 @@ def test_worker_errors_name_the_serial_runs_asset_and_date(panel_factory):
 def test_worker_count_caps_a_huge_request_without_forking(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("the resolver forked"))
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
-    monkeypatch.delenv("MARKET_REWIRE_THREADS", raising=False)
     assert _worker_count(100_000, 41) == 8
     assert _worker_count(100_000, 3) == 3
-    monkeypatch.setenv("MARKET_REWIRE_THREADS", "100000")
-    assert _worker_count(None, 41) == 8
+    assert _worker_count(np.int64(3), 41) == 3
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert _worker_count(100_000, 41) == 1
 
@@ -159,24 +157,17 @@ def test_run_without_fork_is_serial(shock_panel, monkeypatch):
     assert run(shock_panel, threads=2).metrics == serial.metrics
 
 
-def test_env_var_caps_threads(shock_panel, monkeypatch):
-    monkeypatch.setenv("MARKET_REWIRE_THREADS", "2")
-    capped = run(shock_panel, threads=8)
-    monkeypatch.delenv("MARKET_REWIRE_THREADS")
-    plain = run(shock_panel)
-    assert capped.metrics == plain.metrics
-
-
 def test_negative_threads_rejected(shock_panel):
     with pytest.raises(ValueError, match="threads must be >= 0"):
         run(shock_panel, threads=-5)
     assert run(shock_panel, threads=0).metrics == run(shock_panel, threads=None).metrics
 
 
-def test_env_var_validated(shock_panel, monkeypatch):
-    monkeypatch.setenv("MARKET_REWIRE_THREADS", "lots")
-    with pytest.raises(ValueError, match="MARKET_REWIRE_THREADS"):
-        run(shock_panel)
+@pytest.mark.parametrize("threads", [2.5, True, "2", np.float64(2.0)])
+def test_non_integer_threads_rejected(shock_panel, threads):
+    # 2.5 used to run two workers, True one, and "2" raised a bare TypeError
+    with pytest.raises(ValueError, match="^threads must be an integer or None, got "):
+        run(shock_panel, threads=threads)
 
 
 def test_snapshots_all_list_and_none(shock_panel):
@@ -218,6 +209,9 @@ def test_unanalyzable_snapshot_dates_are_named(shock_panel):
 def test_snapshot_dates_string_rejected():
     with pytest.raises(ValueError, match="snapshot_dates"):
         PipelineConfig(snapshot_dates="2020-01-02")
+    # a non-iterable used to raise a bare TypeError
+    with pytest.raises(ValueError, match="^snapshot_dates must be 'all', None or dates, not 5$"):
+        PipelineConfig(snapshot_dates=5)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from market_rewire import (
+    AssetMeta,
     PipelineConfig,
+    PricePanel,
     Shock,
     SynthSpec,
     cooccurrence_network,
@@ -115,3 +117,14 @@ def test_write_panel_byte_deterministic(tmp_path):
     c2, m2 = write_panel(panel, tmp_path / "two")
     assert c1.read_bytes() == c2.read_bytes()
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_write_panel_round_trips_ids_that_need_quoting(tmp_path):
+    # "a,b" used to be written unquoted and read back as two columns
+    panel = generate(SynthSpec(n_assets=4, n_days=5, seed=3))
+    ids = ("a,b", 'say "hi"', "\u00e9t\u00e9", "x\ny")
+    metas = [AssetMeta(i, f"asset {k}", "stock", 1) for k, i in enumerate(ids)]
+    odd = PricePanel(dates=panel.dates, assets=metas, values=panel.values)
+    loaded = load_panel(*write_panel(odd, tmp_path))
+    assert loaded.asset_ids == ids
+    np.testing.assert_array_equal(loaded.values, odd.values)
