@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 import argparse
+import dataclasses
 import sys
 from datetime import date
 from pathlib import Path
@@ -24,7 +25,7 @@ from .export import (
     write_charts,
     write_file,
 )
-from .ingest import load_panel
+from .ingest import FILL_POLICIES, _check_int, load_panel
 from .pipeline import PipelineConfig, RunResult, run
 from .synth import Shock, SynthSpec, generate, write_panel
 
@@ -111,18 +112,11 @@ def _parse_snapshots(text: str):
 def _cmd_run(args) -> int:
     try:
         config = PipelineConfig(
-            window_w=args.window,
-            cooc_threshold=args.cooc_threshold,
-            diff_threshold=args.diff_threshold,
-            hub_min_degree=args.hub_degree,
-            fill_policy=args.fill,
-            band_halfwidth=args.band,
-            snapshot_dates=_parse_snapshots(args.snapshots),
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)}
         )
+        _check_int(args.threads, "--threads", 0, none_ok=True)
     except ValueError as e:
         raise _UsageError(str(e)) from None
-    if args.threads is not None and args.threads < 0:
-        raise _UsageError(f"--threads must be >= 0, got {args.threads}")
 
     try:
         panel = load_panel(args.input, args.meta)
@@ -224,28 +218,31 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--input", required=True, help="price CSV (header: date,<asset_id>,...)")
     p_run.add_argument("--meta", required=True, help="asset metadata JSON")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--window", type=int, default=20, help="trailing window width in days")
-    p_run.add_argument("--cooc-threshold", type=float, default=2.0,
-                       help="co-occurrence edge if distance < this")
-    p_run.add_argument("--diff-threshold", type=float, default=1.0,
+    # a PipelineConfig field's flag stores under the field's name, and the
+    # set_defaults call below gives it the field's default
+    p_run.add_argument("--window", dest="window_w", metavar="WINDOW", type=int,
+                       help="trailing window width in days")
+    p_run.add_argument("--cooc-threshold", type=float, help="co-occurrence edge if distance < this")
+    p_run.add_argument("--diff-threshold", type=float,
                        help="differential edge if |distance change| > this")
-    p_run.add_argument("--hub-degree", type=int, default=3,
+    p_run.add_argument("--hub-degree", dest="hub_min_degree", metavar="HUB_DEGREE", type=int,
                        help="minimum per-color degree for a hub")
-    p_run.add_argument("--fill", choices=["forward_fill", "drop_date"], default="forward_fill",
+    p_run.add_argument("--fill", dest="fill_policy", choices=FILL_POLICIES,
                        help="missing-data policy (forward_fill keeps rows across "
                             "mismatched holiday calendars; drop_date removes them)")
-    p_run.add_argument("--snapshots", default="none",
+    p_run.add_argument("--snapshots", dest="snapshot_dates", metavar="SNAPSHOTS",
+                       type=_parse_snapshots,
                        help="'all', 'none', or comma-separated ISO dates to export")
-    p_run.add_argument("--graph-format", choices=["dot", "json", "both"], default="both",
+    p_run.add_argument("--graph-format", choices=[*GRAPH_FORMATS, "both"], default="both",
                        help="snapshot serialization format(s)")
     p_run.add_argument("--charts", action="store_true", help="write gbe.svg and hubs.svg")
-    p_run.add_argument("--band", type=int, default=None,
+    p_run.add_argument("--band", dest="band_halfwidth", metavar="BAND", type=int,
                        help="optional warping band half-width (default: unconstrained)")
     p_run.add_argument("--threads", type=int, default=None,
                        help="worker processes for distance matrices, forked where the "
                             "platform allows (default and 0: one; capped by the analyzable "
                             "days and the usable CPUs)")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, **dataclasses.asdict(PipelineConfig()))
 
     p_gen = sub.add_parser("gen-synthetic", help="write a seeded synthetic panel CSV + metadata")
     p_gen.add_argument("--assets", type=int, required=True, help="number of assets (>= 2)")

@@ -18,13 +18,13 @@ assets holds the n x n matrix and two O(n^2) pair-index arrays: one
 500-asset, w = 20 day peaked at 7.3 MB under tracemalloc.
 """
 
-import numbers
 from dataclasses import dataclass
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 
+from .ingest import _check_int
 from .preprocess import StandardizedWindow
 
 # Pairs per kernel call. At w = 20 one call's buffers and operands take about
@@ -66,21 +66,6 @@ class DistanceMatrix:
         return len(self.asset_ids)
 
 
-def _is_integer(value) -> bool:
-    """True for ints and numpy integers, False for bools and everything else."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _validate_band(band) -> int | None:
-    if band is None:
-        return None
-    if not _is_integer(band):
-        raise ValueError(f"band half-width must be an integer or None, got {band!r}")
-    if band < 0:
-        raise ValueError(f"band half-width must be >= 0, got {band}")
-    return int(band)
-
-
 def dtw_distance(p, q, band: int | None = None) -> float:
     """DTW distance between two sequences under the recurrence above.
 
@@ -89,7 +74,7 @@ def dtw_distance(p, q, band: int | None = None) -> float:
     the alignment absorb cross-market timing lags. Raises if the sequences
     are empty, non-finite, or if the band admits no complete path.
     """
-    band = _validate_band(band)
+    band = _check_int(band, "band half-width", 0, none_ok=True)
     P = np.asarray(p, dtype=float)
     Q = np.asarray(q, dtype=float)
     if P.ndim != 1 or Q.ndim != 1:
@@ -164,7 +149,7 @@ def distance_matrix(
     is evaluated exactly once and mirrored, so the result is symmetric with a
     zero diagonal by construction, independent of evaluation order.
     """
-    band = _validate_band(band)
+    band = _check_int(band, "band half-width", 0, none_ok=True)
     windows = list(windows)
     if not windows:
         raise ValueError("need at least one window")

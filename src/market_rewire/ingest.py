@@ -2,6 +2,7 @@
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from datetime import date, datetime
 
@@ -9,6 +10,45 @@ import numpy as np
 
 ASSET_CLASSES = ("stock", "bond", "fx", "other")
 FILL_POLICIES = ("forward_fill", "drop_date")
+META_KEYS = ("asset_id", "name", "asset_class", "direction")
+
+# The setting checks every public entry point shares. Bools are not numbers
+# here, although Python counts True as 1; numpy integers and reals are.
+
+
+def _check_int(value, name: str, minimum: int | None = None, none_ok: bool = False) -> int | None:
+    """`value` as an int if it is an integer of at least `minimum`; None
+    passes through where `none_ok`."""
+    if value is None and none_ok:
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer{' or None' if none_ok else ''}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_real(value, name: str, at_most: float | None = None) -> None:
+    """Raise unless `value` is a real number > 0, or one in [0, at_most]
+    where `at_most` is given. NaN fails either test."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if at_most is None and not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+    if at_most is not None and not 0 <= value <= at_most:
+        raise ValueError(f"{name} must be in [0, {at_most:g}], got {value!r}")
+
+
+def _check_date(value, name: str) -> None:
+    if isinstance(value, datetime) or not isinstance(value, date):
+        raise ValueError(f"{name} must be calendar dates, got {value!r}")
+
+
+def _check_direction(value, name: str) -> int:
+    """+1 or -1 for any value equal to it, such as a JSON 1.0, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value not in (1, -1):
+        raise ValueError(f"{name} must be +1 or -1, got {value!r}")
+    return 1 if value == 1 else -1
 
 
 @dataclass(frozen=True)
@@ -25,19 +65,18 @@ class AssetMeta:
     direction: int
 
     def __post_init__(self):
-        if not self.asset_id:
+        if not isinstance(self.asset_id, str) or not self.asset_id:
             raise ValueError("asset_id must be a non-empty string")
+        # the panel CSV strips header ids, and an unquoted \r ends its header row
+        if self.asset_id != self.asset_id.strip() or "\r" in self.asset_id:
+            raise ValueError(f"asset_id {self.asset_id!r} must not have surrounding whitespace or a \\r")
         if self.asset_class not in ASSET_CLASSES:
             raise ValueError(
                 f"asset {self.asset_id!r}: asset_class must be one of {ASSET_CLASSES}, "
                 f"got {self.asset_class!r}"
             )
-        if isinstance(self.direction, bool) or self.direction not in (1, -1):
-            raise ValueError(
-                f"asset {self.asset_id!r}: direction must be +1 or -1, got {self.direction!r}"
-            )
-        # keep an int for any value equal to +-1, such as a JSON 1.0
-        object.__setattr__(self, "direction", 1 if self.direction == 1 else -1)
+        direction = _check_direction(self.direction, f"asset {self.asset_id!r}: direction")
+        object.__setattr__(self, "direction", direction)
 
 
 @dataclass
@@ -58,8 +97,7 @@ class PricePanel:
         self.dates = list(self.dates)
         self.assets = list(self.assets)
         for d in self.dates:
-            if isinstance(d, datetime) or not isinstance(d, date):
-                raise ValueError(f"panel dates must be calendar dates, got {d!r}")
+            _check_date(d, "panel dates")
         for a, b in zip(self.dates, self.dates[1:]):
             if not a < b:
                 raise ValueError(f"panel dates must be strictly increasing ({a} !< {b})")
@@ -104,15 +142,11 @@ def _load_meta(meta_path) -> dict[str, AssetMeta]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ValueError(f"{meta_path}: entry {i} is not an object")
-        missing = [k for k in ("asset_id", "name", "asset_class", "direction") if k not in entry]
+        missing = [k for k in META_KEYS if k not in entry]
         if missing:
             raise ValueError(f"{meta_path}: entry {i} is missing keys {missing}")
-        meta = AssetMeta(
-            asset_id=str(entry["asset_id"]),
-            name=str(entry["name"]),
-            asset_class=str(entry["asset_class"]),
-            direction=entry["direction"],
-        )
+        asset_id, name, asset_class, direction = (entry[k] for k in META_KEYS)
+        meta = AssetMeta(str(asset_id), str(name), str(asset_class), direction)
         if meta.asset_id in metas:
             raise ValueError(f"{meta_path}: duplicate asset_id {meta.asset_id!r}")
         metas[meta.asset_id] = meta

@@ -20,6 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dtw import DistanceMatrix
+from .ingest import _check_int, _check_real
 
 
 def _canonical_edges(edges, nodes: set[str], kind: str) -> frozenset[tuple[str, str]]:
@@ -106,8 +107,7 @@ def _upper_edges(mask: np.ndarray, ids: tuple[str, ...]) -> list[tuple[str, str]
 
 def cooccurrence_network(dm: DistanceMatrix, theta: float) -> Graph:
     """Graph with an edge wherever the pairwise distance is strictly below `theta`."""
-    if not theta > 0:
-        raise ValueError(f"co-occurrence threshold must be > 0, got {theta}")
+    _check_real(theta, "co-occurrence threshold")
     edges = _upper_edges(dm.d < theta, dm.asset_ids)
     return Graph(end_date=dm.end_date, nodes=dm.asset_ids, edges=edges)
 
@@ -208,8 +208,7 @@ def differential_network(
     edge a pair whose distance shrank by more than `delta`. Entries equal to
     +/-delta produce no edge.
     """
-    if not delta > 0:
-        raise ValueError(f"differential threshold must be > 0, got {delta}")
+    _check_real(delta, "differential threshold")
     D = np.asarray(diff, dtype=float)
     ids = tuple(asset_ids)
     n = len(ids)
@@ -227,8 +226,7 @@ def count_hubs(sg: SignedGraph, k: int) -> HubCounts:
     """Count closer and farther hubs: nodes whose blue-edge (respectively
     red-edge) degree is at least `k`. Degrees are counted per color, so a
     node needs k edges of a single color to qualify, and may be both kinds."""
-    if k < 1:
-        raise ValueError(f"hub degree threshold must be >= 1, got {k}")
+    _check_int(k, "hub degree threshold", 1)
     blue_deg: dict[str, int] = {}
     red_deg: dict[str, int] = {}
     for a, b in sg.blue_edges:

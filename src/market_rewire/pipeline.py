@@ -16,7 +16,6 @@ errors and warnings are those of the serial run.
 """
 
 import itertools
-import numbers
 import os
 import warnings
 from collections import deque
@@ -24,13 +23,13 @@ from collections.abc import Iterable
 # ThreadPoolExecutor is unused here; the benchmark's tracer reads it as pipeline.ThreadPoolExecutor
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
 from typing import Literal
 
 import numpy as np
 
-from .dtw import DistanceMatrix, _is_integer, _validate_band, distance_matrix
-from .ingest import FILL_POLICIES, PricePanel, fill_missing
+from .dtw import DistanceMatrix, distance_matrix
+from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_int, _check_real, fill_missing
 from .networks import (
     Graph,
     MetricsRow,
@@ -58,25 +57,13 @@ class PipelineConfig:
     snapshot_dates: Literal["all"] | Iterable[date] | None = None
 
     def __post_init__(self):
-        for name in ("window_w", "hub_min_degree"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("cooc_threshold", "diff_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if self.window_w < 2:
-            raise ValueError(f"window_w must be >= 2, got {self.window_w}")
-        if not self.cooc_threshold > 0:
-            raise ValueError("cooc_threshold must be > 0")
-        if not self.diff_threshold > 0:
-            raise ValueError("diff_threshold must be > 0")
-        if self.hub_min_degree < 1:
-            raise ValueError("hub_min_degree must be >= 1")
+        _check_int(self.window_w, "window_w", 2)
+        _check_real(self.cooc_threshold, "cooc_threshold")
+        _check_real(self.diff_threshold, "diff_threshold")
+        _check_int(self.hub_min_degree, "hub_min_degree", 1)
         if self.fill_policy not in FILL_POLICIES:
             raise ValueError(f"fill_policy must be one of {FILL_POLICIES}")
-        self.band_halfwidth = _validate_band(self.band_halfwidth)
+        self.band_halfwidth = _check_int(self.band_halfwidth, "band half-width", 0, none_ok=True)
         if self.snapshot_dates not in (None, "all"):
             if isinstance(self.snapshot_dates, str) or not isinstance(self.snapshot_dates, Iterable):
                 raise ValueError(
@@ -84,8 +71,7 @@ class PipelineConfig:
                 )
             dates = tuple(self.snapshot_dates)
             for d in dates:
-                if not isinstance(d, date) or isinstance(d, datetime):
-                    raise ValueError(f"snapshot_dates entries must be datetime.date, got {d!r}")
+                _check_date(d, "snapshot_dates")
             self.snapshot_dates = frozenset(dates)
 
     def wants_snapshot(self, d: date) -> bool:
@@ -120,11 +106,7 @@ def _worker_count(threads: int | None, days: int) -> int:
     the analyzable days and by the usable CPUs, so no request forks more
     processes than can run at once. Without the `fork` start method the run
     is serial."""
-    if threads is not None and not _is_integer(threads):
-        raise ValueError(f"threads must be an integer or None, got {threads!r}")
-    if threads is not None and threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 or None for one worker), got {threads}")
-    n = min(int(threads or 1), days, _usable_cpus())
+    n = min(_check_int(threads, "threads", 0, none_ok=True) or 1, days, _usable_cpus())
     if n > 1:
         import multiprocessing
 

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ingest import PricePanel
+from .ingest import PricePanel, _check_direction, _check_int
 
 
 @dataclass
@@ -68,10 +68,8 @@ def window_zscore(raw_window) -> np.ndarray:
 
 def apply_direction(window, direction: int) -> np.ndarray:
     """Multiply a window elementwise by its risk-on direction sign (+1 or -1)."""
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction!r}")
     x = np.asarray(window, dtype=float)
-    return x * float(direction)
+    return x * float(_check_direction(direction, "direction"))
 
 
 def windows_at(panel: PricePanel, t: int, w: int) -> list[StandardizedWindow]:
@@ -79,9 +77,8 @@ def windows_at(panel: PricePanel, t: int, w: int) -> list[StandardizedWindow]:
 
     The window covers the w trailing observations at indices [t-w+1, t].
     """
-    if w < 2:
-        raise ValueError(f"window width must be >= 2, got {w}")
-    if not 0 <= t < panel.n_dates:
+    _check_int(w, "window width", 2)
+    if not 0 <= _check_int(t, "date index") < panel.n_dates:
         raise ValueError(f"date index {t} out of range for panel with {panel.n_dates} dates")
     if t < w - 1:
         raise ValueError(

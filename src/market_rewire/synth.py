@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import ASSET_CLASSES, AssetMeta, PricePanel
+from .ingest import ASSET_CLASSES, META_KEYS, AssetMeta, PricePanel, _check_int, _check_real
 
 DIRECTION_DEFAULTS = {"stock": 1, "bond": -1, "fx": -1, "other": 1}
 
@@ -80,6 +80,9 @@ class SynthSpec:
 
 
 def _validate_spec(spec: SynthSpec) -> tuple[str, ...]:
+    _check_int(spec.n_assets, "n_assets")
+    _check_int(spec.n_days, "n_days")
+    _check_int(spec.seed, "seed", 0)
     if spec.n_assets < 2:
         raise ValueError(f"need at least 2 assets, got {spec.n_assets}")
     if spec.n_days < 2:
@@ -99,15 +102,16 @@ def _validate_spec(spec: SynthSpec) -> tuple[str, ...]:
 
     claimed = np.zeros((spec.n_days, spec.n_assets), dtype=bool)
     for s in spec.shocks:
+        _check_int(s.start_day, "start_day")
+        _check_int(s.end_day, "end_day")
         if not 0 <= s.start_day <= s.end_day < spec.n_days:
             raise ValueError(
                 f"shock interval [{s.start_day}, {s.end_day}] outside [0, {spec.n_days})"
             )
-        if not 0.0 <= s.factor_loading <= 1.0:
-            raise ValueError(f"factor_loading must be in [0, 1], got {s.factor_loading}")
+        _check_real(s.factor_loading, "factor_loading", at_most=1.0)
         cols = range(spec.n_assets) if s.affected_assets is None else s.affected_assets
         for c in cols:
-            if not 0 <= c < spec.n_assets:
+            if not 0 <= _check_int(c, "affected_assets entry") < spec.n_assets:
                 raise ValueError(f"affected asset index {c} out of range")
             if claimed[s.start_day : s.end_day + 1, c].any():
                 raise ValueError("overlapping shocks on the same asset are not supported")
@@ -203,15 +207,7 @@ def write_panel(panel: PricePanel, out_dir):
         for d, row in zip(panel.dates, panel.values):
             writer.writerow([d.isoformat()] + ["" if np.isnan(v) else repr(float(v)) for v in row])
 
-    records = [
-        {
-            "asset_id": m.asset_id,
-            "name": m.name,
-            "asset_class": m.asset_class,
-            "direction": m.direction,
-        }
-        for m in panel.assets
-    ]
+    records = [{key: getattr(m, key) for key in META_KEYS} for m in panel.assets]
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:
         json.dump(records, fh, indent=2)
         fh.write("\n")

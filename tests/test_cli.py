@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -9,8 +10,9 @@ import pytest
 
 from conftest import graph_json_reference
 from market_rewire import Graph, PipelineConfig, SignedGraph, load_panel, run
-from market_rewire.cli import main
-from market_rewire.export import export_graph, metrics_csv_text
+from market_rewire.cli import _build_parser, main
+from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
+from market_rewire.ingest import FILL_POLICIES
 from market_rewire.networks import MetricsRow
 
 D0 = date(2020, 5, 4)
@@ -113,6 +115,36 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  "--threads", "-3"]) == 1
     err = capsys.readouterr().err
     assert "error [usage]" in err
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        ([], PipelineConfig()),
+        (["--window", "10", "--cooc-threshold", "1.5", "--diff-threshold", "0.5",
+          "--hub-degree", "2", "--fill", "drop_date", "--band", "3", "--snapshots", "all"],
+         PipelineConfig(10, 1.5, 0.5, 2, "drop_date", 3, "all")),
+    ],
+)
+def test_run_flags_build_the_pipeline_config(tmp_path, monkeypatch, flags, config):
+    # the CLI takes its defaults from PipelineConfig, so they cannot drift
+    seen = []
+
+    def fake_run(panel, config, threads):
+        seen.append((config, threads))
+        raise ValueError("stop once the config is built")
+
+    monkeypatch.setattr("market_rewire.cli.load_panel", lambda csv_path, meta_path: None)
+    monkeypatch.setattr("market_rewire.cli.run", fake_run)
+    assert main(["run", "--input", "x", "--meta", "y", "--out", str(tmp_path), *flags]) == 2
+    assert seen == [(config, None)]
+
+
+def test_run_choices_are_the_library_lists():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices["run"]._actions}
+    assert tuple(actions["fill_policy"].choices) == FILL_POLICIES
+    assert tuple(actions["graph_format"].choices) == (*GRAPH_FORMATS, "both")
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):

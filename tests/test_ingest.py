@@ -4,7 +4,22 @@ from datetime import date, datetime
 import numpy as np
 import pytest
 
-from market_rewire import AssetMeta, PricePanel, fill_missing, load_panel
+from market_rewire import (
+    AssetMeta,
+    DistanceMatrix,
+    PricePanel,
+    Shock,
+    SignedGraph,
+    SynthSpec,
+    apply_direction,
+    cooccurrence_network,
+    count_hubs,
+    differential_network,
+    fill_missing,
+    generate,
+    load_panel,
+    windows_at,
+)
 
 META = [
     {"asset_id": "spx", "name": "US equities", "asset_class": "stock", "direction": 1},
@@ -246,3 +261,41 @@ def test_asset_meta_validation():
             AssetMeta("a", "A", "stock", direction)
     with pytest.raises(ValueError, match="asset_class"):
         AssetMeta("a", "A", "crypto", 1)
+
+
+_PANEL = generate(SynthSpec(n_assets=3, n_days=30, seed=0))
+_DM = DistanceMatrix(date(2020, 1, 1), ("a", "b"), [[0.0, 1.0], [1.0, 0.0]])
+_SG = SignedGraph(date(2020, 1, 1), ("a", "b"), frozenset(), frozenset())
+
+
+def _shocked(shock):
+    return generate(SynthSpec(n_assets=3, n_days=30, seed=0, shocks=[shock]))
+
+
+@pytest.mark.parametrize(
+    "call, setting",
+    [
+        (lambda: generate(SynthSpec(n_assets=3.0, n_days=30, seed=0)), "n_assets"),
+        (lambda: generate(SynthSpec(n_assets=3, n_days=30.5, seed=0)), "n_days"),
+        (lambda: generate(SynthSpec(n_assets=3, n_days=30, seed=1.5)), "seed"),
+        (lambda: _shocked(Shock(1.5, 5, 0.5)), "start_day"),
+        (lambda: _shocked(Shock(True, 5, 0.5)), "start_day"),
+        (lambda: _shocked(Shock(1, 5.0, 0.5)), "end_day"),
+        (lambda: _shocked(Shock(1, 5, True)), "factor_loading"),
+        (lambda: _shocked(Shock(1, 5, "0.5")), "factor_loading"),
+        (lambda: _shocked(Shock(1, 5, 0.5, (0.5,))), "affected_assets"),
+        (lambda: cooccurrence_network(_DM, True), "co-occurrence threshold"),
+        (lambda: differential_network(np.zeros((2, 2)), True, ("a", "b"), date(2020, 1, 1)),
+         "differential threshold"),
+        (lambda: count_hubs(_SG, 2.5), "hub degree threshold"),
+        (lambda: count_hubs(_SG, True), "hub degree threshold"),
+        (lambda: windows_at(_PANEL, 25.0, 20), "date index"),
+        (lambda: windows_at(_PANEL, 25, 20.0), "window width"),
+        (lambda: apply_direction([1.0], True), "direction"),
+    ],
+)
+def test_entry_points_reject_settings_of_the_wrong_type(call, setting):
+    # each case used to raise TypeError or IndexError, or to run with the
+    # value rounded or read as 1 (count_hubs(sg, 2.5) counted degree >= 3)
+    with pytest.raises(ValueError, match=f"^{setting} .*must be"):
+        call()

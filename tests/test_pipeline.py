@@ -226,7 +226,7 @@ def test_snapshot_dates_string_rejected():
 def test_snapshot_dates_entries_must_be_dates(entries, bad):
     # a string entry used to fail later as "not among the analyzable dates",
     # and ["x", 3] with a bare TypeError from sorting
-    with pytest.raises(ValueError, match="^snapshot_dates entries must be datetime.date, got ") as exc:
+    with pytest.raises(ValueError, match="^snapshot_dates must be calendar dates, got ") as exc:
         PipelineConfig(snapshot_dates=entries)
     assert str(exc.value).endswith(bad)
 

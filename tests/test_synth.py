@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,19 @@ def test_write_panel_round_trips_ids_that_need_quoting(tmp_path):
     loaded = load_panel(*write_panel(odd, tmp_path))
     assert loaded.asset_ids == ids
     np.testing.assert_array_equal(loaded.values, odd.values)
+
+
+@pytest.mark.parametrize("asset_id", ["a\rb", " x", "x ", "x\n"])
+def test_ids_the_panel_csv_cannot_carry_are_rejected(tmp_path, asset_id):
+    # "a\rb" was written unquoted and split the header row; " x" and "x "
+    # were written as given but read back stripped, so no metadata matched
+    with pytest.raises(ValueError, match=r"^asset_id .* must not have surrounding whitespace") as exc:
+        AssetMeta(asset_id, "odd", "stock", 1)
+    assert repr(asset_id) in str(exc.value)
+    panel = generate(SynthSpec(n_assets=2, n_days=5, seed=3))
+    csv_path, meta_path = write_panel(panel, tmp_path)
+    records = json.loads(meta_path.read_text(encoding="utf-8"))
+    records[0]["asset_id"] = asset_id
+    meta_path.write_text(json.dumps(records), encoding="utf-8")
+    with pytest.raises(ValueError, match="surrounding whitespace"):
+        load_panel(csv_path, meta_path)
