@@ -9,7 +9,9 @@ import json
 import os
 from dataclasses import fields
 from datetime import date
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .networks import Graph, MetricsRow, SignedGraph
@@ -50,6 +52,30 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
+@lru_cache(maxsize=16)
+def _node_block(
+    fmt: str, nodes: tuple[str, ...], node_classes: tuple[str, ...]
+) -> tuple[Mapping[str, str], str]:
+    """The escaped id of each of the sorted `nodes`, as a read-only mapping,
+    and the text of their node list in `fmt`, for nodes of the given
+    classes."""
+    if fmt == "json":
+        # json.dumps of each string keeps the C encoder's escaping
+        ids = {n: json.dumps(n) for n in nodes}
+        items = [
+            f'    {{\n      "id": {ids[n]},\n      "class": {json.dumps(cls)}\n    }}'
+            for n, cls in zip(nodes, node_classes)
+        ]
+        return MappingProxyType(ids), _json_list(items)
+    ids = {n: _dot_escape(n) for n in nodes}
+    colors = [CLASS_COLORS.get(cls, CLASS_COLORS["other"]) for cls in node_classes]
+    block = "".join(
+        f'  "{ids[n]}" [class="{_dot_escape(cls)}", fillcolor="{color}"];\n'
+        for n, cls, color in zip(nodes, node_classes, colors)
+    )
+    return MappingProxyType(ids), block
+
+
 def export_graph(
     g: Graph | SignedGraph,
     fmt: str = "dot",
@@ -60,24 +86,24 @@ def export_graph(
     `classes` maps node id to asset class for node coloring; unmapped nodes
     are treated as class "other". Node and edge lists are sorted, so the
     same graph always serializes to identical bytes.
+
+    The escaped node ids and the rendered node list depend only on the
+    format, the sorted nodes and their classes, which stay the same from one
+    date of a run to the next. They are memoized per (format, nodes,
+    classes) for the 16 most recently used keys, so a run that renders every
+    date's graphs escapes each id and renders the node list once per format.
     """
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"graph format must be one of {GRAPH_FORMATS}, got {fmt!r}")
     classes = classes or {}
-    nodes = sorted(g.nodes)
+    nodes = tuple(sorted(g.nodes))
+    ids, node_block = _node_block(fmt, nodes, tuple([classes.get(n, "other") for n in nodes]))
     signed = isinstance(g, SignedGraph)
     edges = _sorted_signed_edges(g) if signed else sorted(g.edges)
 
     if fmt == "json":
         # the same text as json.dumps(payload, indent=2) + "\n", built here
-        # because an indent makes json run its pure-Python encoder;
-        # json.dumps of each string keeps the C encoder's escaping
-        ids = {n: json.dumps(n) for n in nodes}
-        node_items = [
-            f'    {{\n      "id": {ids[n]},\n'
-            f'      "class": {json.dumps(classes.get(n, "other"))}\n    }}'
-            for n in nodes
-        ]
+        # because an indent makes json run its pure-Python encoder
         edge_items = [
             f'    {{\n      "a": {ids[e[0]]},\n      "b": {ids[e[1]]}'
             + (f',\n      "color": "{e[2]}"\n    }}' if signed else "\n    }")
@@ -85,26 +111,21 @@ def export_graph(
         ]
         return (
             f'{{\n  "date": "{g.end_date.isoformat()}",\n'
-            f'  "nodes": {_json_list(node_items)},\n'
+            f'  "nodes": {node_block},\n'
             f'  "edges": {_json_list(edge_items)}\n}}\n'
         )
 
-    ids = {n: _dot_escape(n) for n in nodes}
-    lines = [f"graph {'differential' if signed else 'cooccurrence'} {{"]
-    lines.append(f'  label="{g.end_date.isoformat()}";')
-    lines.append("  node [style=filled];")
-    for n in nodes:
-        cls = classes.get(n, "other")
-        color = CLASS_COLORS.get(cls, CLASS_COLORS["other"])
-        lines.append(f'  "{ids[n]}" [class="{_dot_escape(cls)}", fillcolor="{color}"];')
     if signed:
-        for a, b, c in edges:
-            lines.append(f'  "{ids[a]}" -- "{ids[b]}" [color="{c}"];')
+        edge_lines = [f'  "{ids[a]}" -- "{ids[b]}" [color="{c}"];\n' for a, b, c in edges]
     else:
-        for a, b in edges:
-            lines.append(f'  "{ids[a]}" -- "{ids[b]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        edge_lines = [f'  "{ids[a]}" -- "{ids[b]}";\n' for a, b in edges]
+    return (
+        f"graph {'differential' if signed else 'cooccurrence'} {{\n"
+        f'  label="{g.end_date.isoformat()}";\n  node [style=filled];\n'
+        + node_block
+        + "".join(edge_lines)
+        + "}\n"
+    )
 
 
 # ---------------------------------------------------------------------------

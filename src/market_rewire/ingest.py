@@ -145,8 +145,17 @@ def _load_meta(meta_path) -> dict[str, AssetMeta]:
         missing = [k for k in META_KEYS if k not in entry]
         if missing:
             raise ValueError(f"{meta_path}: entry {i} is missing keys {missing}")
-        asset_id, name, asset_class, direction = (entry[k] for k in META_KEYS)
-        meta = AssetMeta(str(asset_id), str(name), str(asset_class), direction)
+        texts = []
+        for key in META_KEYS[:3]:
+            value = entry[key]
+            # a numeric ticker such as 7203 loads as text, but str() would also
+            # make an id such as 'None' of a null, a bool, a float or a list
+            if isinstance(value, bool) or not isinstance(value, (str, int)):
+                raise ValueError(
+                    f"{meta_path}: entry {i}: {key} must be a string or an integer, got {value!r}"
+                )
+            texts.append(str(value))
+        meta = AssetMeta(*texts, entry["direction"])
         if meta.asset_id in metas:
             raise ValueError(f"{meta_path}: duplicate asset_id {meta.asset_id!r}")
         metas[meta.asset_id] = meta

@@ -28,7 +28,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dtw import DistanceMatrix, distance_matrix
+from .dtw import DistanceMatrix, _pair_indices, distance_matrix
 from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_int, _check_real, fill_missing
 from .networks import (
     Graph,
@@ -149,7 +149,7 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     indices = range(w - 1, panel.n_dates)
     workers = _worker_count(threads, len(indices))
     n = panel.n_assets
-    pairs = np.triu_indices(n, k=1)
+    pairs = _pair_indices(n)
     flat = pairs[0] * n + pairs[1]
     band = config.band_halfwidth
 

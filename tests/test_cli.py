@@ -11,6 +11,7 @@ import pytest
 from conftest import graph_json_reference
 from market_rewire import Graph, PipelineConfig, SignedGraph, load_panel, run
 from market_rewire.cli import _build_parser, main
+from market_rewire import export
 from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
 from market_rewire.ingest import FILL_POLICIES
 from market_rewire.networks import MetricsRow
@@ -347,6 +348,43 @@ ODD_IDS = ('a"b', "c\\", "\u00e9t\u00e9", "x\x01y", "plain")
 def test_export_json_equals_json_dumps(g, classes):
     # nodes missing from `classes` take "other"; every id needs JSON escaping
     assert export_graph(g, "json", classes) == graph_json_reference(g, classes)
+
+
+def test_export_memo_never_serves_another_graphs_nodes_or_classes():
+    """More (nodes, classes) keys than the node-block memo holds, and each
+    node set rendered again with other classes: every text is its own."""
+    limit = export._node_block.cache_info().maxsize
+    fill = {"stock": "red", "bond": "orange", "fx": "greenyellow", "other": "black", "nonesuch": "black"}
+    palettes = [("stock", "bond"), ("fx", "other"), ("bond", "nonesuch")]
+    for rnd in range(3):
+        for m in range(limit + 2):
+            a, q, z = f"a{m}", f'q"{m}', f"z{m}"
+            first, second = palettes[(m + rnd) % len(palettes)]
+            classes = {z: first, q: second}  # a is unmapped: class "other"
+            g = Graph(end_date=D0, nodes=(z, q, a), edges={(z, a)})
+            sg = SignedGraph(end_date=D0, nodes=(z, q, a), red_edges={(q, a)}, blue_edges={(z, q)})
+            assert export_graph(g, "json", classes) == graph_json_reference(g, classes)
+            assert export_graph(sg, "json", classes) == graph_json_reference(sg, classes)
+            node_lines = [
+                f'  "a{m}" [class="other", fillcolor="black"];',
+                f'  "q\\"{m}" [class="{second}", fillcolor="{fill[second]}"];',
+                f'  "z{m}" [class="{first}", fillcolor="{fill[first]}"];',
+            ]
+            body = ['  label="2020-05-04";', "  node [style=filled];", *node_lines]
+            assert export_graph(g, "dot", classes) == "\n".join([
+                "graph cooccurrence {",
+                *body,
+                f'  "a{m}" -- "z{m}";',
+                "}\n",
+            ])
+            assert export_graph(sg, "dot", classes) == "\n".join([
+                "graph differential {",
+                *body,
+                f'  "a{m}" -- "q\\"{m}" [color="red"];',
+                f'  "q\\"{m}" -- "z{m}" [color="blue"];',
+                "}\n",
+            ])
+    assert export._node_block.cache_info().currsize == limit
 
 
 DOT_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')

@@ -207,6 +207,31 @@ def test_matrix_equals_scalar_across_the_real_block_edge():
         assert dm.d[i, j] == dm.d[j, i] == dtw_distance(arrays[i], arrays[j])
 
 
+def test_matrix_equals_scalar_as_the_diagonal_plan_key_changes():
+    """Twelve (w, band) keys, more than the plan cache holds, each used twice
+    with other keys between: every matrix is the scalar DTW's."""
+    keys = [(w, band) for band in (None, 0, 1, "w+1") for w in (2, 3, 20)]
+    assert len(keys) > dtw._diagonal_plan.cache_info().maxsize
+    rng = np.random.default_rng(12)
+    for w, band in keys + keys[::-1]:
+        band = w + 1 if band == "w+1" else band
+        arrays = rng.normal(size=(4, w))
+        dm = distance_matrix(_windows(arrays), band=band)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert dm.d[i, j] == dm.d[j, i] == dtw_distance(arrays[i], arrays[j], band=band)
+
+
+def test_pair_indices_are_cached_and_read_only():
+    ii, jj = dtw._pair_indices(6)
+    np.testing.assert_array_equal(ii, np.triu_indices(6, k=1)[0])
+    np.testing.assert_array_equal(jj, np.triu_indices(6, k=1)[1])
+    assert dtw._pair_indices(6)[0] is ii
+    for a in (ii, jj):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5
+
+
 def test_one_day_peak_memory_stays_bounded():
     """One day over 400 assets: all 79,800 pairs in one batch peaked at 93 MB;
     fixed pair blocks keep the peak near 5 MB."""

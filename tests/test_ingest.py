@@ -154,6 +154,23 @@ def test_meta_validation(tmp_path):
 
 
 
+@pytest.mark.parametrize("key", ["asset_id", "name", "asset_class"])
+@pytest.mark.parametrize("value", [None, True, 1.5, ["spx"], {"id": "spx"}])
+def test_meta_text_field_of_another_json_type_names_entry_and_key(tmp_path, key, value):
+    # str() would load these as 'None', 'True', "['spx']" and so on
+    meta = [META[0], dict(META[1], **{key: value})]
+    csv_path, meta_path = write_inputs(tmp_path, "date,spx,jgb\n2007-01-01,100,200\n", meta)
+    with pytest.raises(ValueError, match=f"entry 1: {key} must be a string or an integer"):
+        load_panel(csv_path, meta_path)
+
+
+def test_meta_numeric_ticker_loads_as_text(tmp_path):
+    meta = [dict(META[0], asset_id=7203, name=7203), META[1]]
+    csv_path, meta_path = write_inputs(tmp_path, "date,7203,jgb\n2007-01-01,100,200\n", meta)
+    asset = load_panel(csv_path, meta_path).assets[0]
+    assert (asset.asset_id, asset.name) == ("7203", "7203")
+
+
 def test_load_panel_stores_a_float_direction_as_int(tmp_path):
     meta = [dict(META[0], direction=1.0), dict(META[1], direction=-1.0)]
     csv_path, meta_path = write_inputs(tmp_path, "date,spx,jgb\n2007-01-01,100,200\n", meta)
