@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 
 import argparse
 import dataclasses
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -20,8 +21,8 @@ from typing import Mapping, Sequence
 from .export import (
     GRAPH_FORMATS,
     METRICS_COLUMNS,
-    export_graph,
     metrics_csv_text,
+    snapshot_files,
     write_charts,
     write_file,
 )
@@ -71,15 +72,10 @@ def write_export_bundle(
     if result.snapshots:
         net_dir = out_dir / "networks"
         net_dir.mkdir(exist_ok=True)
+        prefix = os.path.join(net_dir, "")
         for d in sorted(result.snapshots):
-            snap = result.snapshots[d]
-            for fmt in graph_formats:
-                graphs = [("cooc", snap.cooccurrence)]
-                if snap.differential is not None:
-                    graphs.append(("diff", snap.differential))
-                for tag, g in graphs:
-                    path = net_dir / f"{d.isoformat()}.{tag}.{fmt}"
-                    write_file(path, export_graph(g, fmt, classes))
+            for name, text in snapshot_files(result.snapshots[d], graph_formats, classes):
+                write_file(prefix + name, text)
 
     if charts:
         write_charts(result, out_dir)

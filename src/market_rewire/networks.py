@@ -206,7 +206,8 @@ def differential_network(
 
     A red edge marks a pair whose distance grew by more than `delta`; a blue
     edge a pair whose distance shrank by more than `delta`. Entries equal to
-    +/-delta produce no edge.
+    +/-delta produce no edge. The matrix must be finite and symmetric, as
+    the difference of two distance matrices is.
     """
     _check_real(delta, "differential threshold")
     D = np.asarray(diff, dtype=float)
@@ -214,6 +215,10 @@ def differential_network(
     n = len(ids)
     if D.shape != (n, n):
         raise ValueError(f"difference matrix shape {D.shape} does not match {n} assets")
+    if not np.isfinite(D).all():
+        raise ValueError("difference matrix entries must be finite")
+    if not np.array_equal(D, D.T):
+        raise ValueError("difference matrix must be symmetric")
     return SignedGraph(
         end_date=end_date,
         nodes=ids,

@@ -5,10 +5,11 @@ each asset's trailing window and computes the pairwise DTW distance matrix.
 It then reads the date's metrics straight off the upper triangle of that
 matrix and, from the second analyzable date on, of its change from the
 previous day's: co-occurrence edges, components and graph-based entropy,
-red and blue edges and hub counts (`networks.day_metrics`). `Graph` and
-`SignedGraph` objects are built only for the dates in
-`PipelineConfig.snapshot_dates`. A serial run holds two consecutive distance
-matrices at a time. Day-level parallelism is allowed because each matrix
+red and blue edges and hub counts (`networks.day_metrics`). On the dates in
+`PipelineConfig.snapshot_dates` it also keeps the positions of the date's
+co-occurrence, red and blue pairs in that upper triangle (`DaySnapshot`);
+no graph is built unless a caller reads one. A serial run holds two
+consecutive distance matrices at a time. Day-level parallelism is allowed because each matrix
 depends only on its own window: with more than one worker, forked worker
 processes compute the matrices, at most two days per worker ahead, and the
 calling process turns them into rows in date order, so the rows, snapshots,
@@ -30,15 +31,7 @@ import numpy as np
 
 from .dtw import DistanceMatrix, _pair_indices, distance_matrix
 from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_int, _check_real, fill_missing
-from .networks import (
-    Graph,
-    MetricsRow,
-    SignedGraph,
-    cooccurrence_network,
-    day_metrics,
-    difference_matrix,
-    differential_network,
-)
+from .networks import Graph, MetricsRow, SignedGraph, day_metrics
 from .preprocess import windows_at
 
 
@@ -80,13 +73,54 @@ class PipelineConfig:
         return self.snapshot_dates == "all" or d in self.snapshot_dates
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, slots=True)
 class DaySnapshot:
-    """Per-date network snapshot. `differential` is None on the first
-    analyzable date, where no previous distance matrix exists."""
+    """Per-date network snapshot, kept as the positions of the date's edges in
+    the upper triangle of its distance matrix: with
+    `ii, jj = np.triu_indices(len(asset_ids), 1)`, position p is the pair
+    `(asset_ids[ii[p]], asset_ids[jj[p]])`. `cooc_pairs` holds the
+    co-occurrence edges, `red_pairs` and `blue_pairs` the differential ones;
+    both are None on the first analyzable date, where no previous distance
+    matrix exists. A run's snapshots hold read-only arrays, 8 bytes per
+    edge, and share one `asset_ids` tuple.
 
-    cooccurrence: Graph
-    differential: SignedGraph | None
+    `cooccurrence` and `differential` build the `Graph` and `SignedGraph`
+    on each read and keep neither; `differential` is None on the first
+    analyzable date. Two snapshots are equal when their date, ids and edge
+    positions are.
+    """
+
+    end_date: date
+    asset_ids: tuple[str, ...]
+    cooc_pairs: np.ndarray
+    red_pairs: np.ndarray | None = None
+    blue_pairs: np.ndarray | None = None
+
+    def _edges(self, positions: np.ndarray) -> list[tuple[str, str]]:
+        ii, jj = _pair_indices(len(self.asset_ids))
+        ids = self.asset_ids
+        return [(ids[i], ids[j]) for i, j in zip(ii[positions].tolist(), jj[positions].tolist())]
+
+    @property
+    def cooccurrence(self) -> Graph:
+        return Graph(self.end_date, self.asset_ids, self._edges(self.cooc_pairs))
+
+    @property
+    def differential(self) -> SignedGraph | None:
+        if self.red_pairs is None:
+            return None
+        return SignedGraph(
+            self.end_date, self.asset_ids, self._edges(self.red_pairs), self._edges(self.blue_pairs)
+        )
+
+    def _key(self):
+        positions = (self.cooc_pairs, self.red_pairs, self.blue_pairs)
+        return self.end_date, self.asset_ids, [None if p is None else p.tolist() for p in positions]
+
+    def __eq__(self, other):
+        if not isinstance(other, DaySnapshot):
+            return NotImplemented
+        return self._key() == other._key()
 
 
 @dataclass
@@ -154,10 +188,11 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     band = config.band_halfwidth
 
     result = RunResult()
+    ids = panel.asset_ids
     prev: DistanceMatrix | None = None
     if workers <= 1:
         for t in indices:
-            prev = _process_day(_day_matrix(panel, w, band, t), prev, pairs, flat, config, result)
+            prev = _process_day(_day_matrix(panel, w, band, t), prev, pairs, flat, ids, config, result)
         return result
 
     import multiprocessing
@@ -177,7 +212,7 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
             t = next(days, None)
             if t is not None:
                 pending.append(pool.submit(_worker_day, t))
-            prev = _process_day(dm, prev, pairs, flat, config, result)
+            prev = _process_day(dm, prev, pairs, flat, ids, config, result)
     finally:
         pool.shutdown(cancel_futures=True)
     return result
@@ -218,13 +253,15 @@ def _process_day(
     prev: DistanceMatrix | None,
     pairs: tuple[np.ndarray, np.ndarray],
     flat: np.ndarray,
+    ids: tuple[str, ...],
     config: PipelineConfig,
     result: RunResult,
 ) -> DistanceMatrix:
     """Append the date's metrics row, computed from the upper triangles of the
     distance matrices (`pairs` as row and column indices, `flat` as
-    row-major ones), and build the date's graphs only if it is a snapshot
-    date."""
+    row-major ones), and, on a snapshot date, the positions of its edges in
+    them. `ids` is the panel's asset-id tuple, which every snapshot of the
+    run shares."""
     upper = dm.d.take(flat)
     change = None if prev is None else upper - prev.d.take(flat)
     row = day_metrics(
@@ -239,10 +276,11 @@ def _process_day(
     )
     result.metrics.append(row)
     if config.wants_snapshot(dm.end_date):
-        g = cooccurrence_network(dm, config.cooc_threshold)
-        sg = None
-        if prev is not None:
-            diff = difference_matrix(dm, prev)
-            sg = differential_network(diff, config.diff_threshold, dm.asset_ids, dm.end_date)
-        result.snapshots[dm.end_date] = DaySnapshot(cooccurrence=g, differential=sg)
+        masks = [upper < config.cooc_threshold]
+        if change is not None:
+            masks += [change > config.diff_threshold, change < -config.diff_threshold]
+        positions = [np.flatnonzero(mask) for mask in masks]
+        for p in positions:
+            p.setflags(write=False)
+        result.snapshots[dm.end_date] = DaySnapshot(dm.end_date, ids, *positions)
     return dm

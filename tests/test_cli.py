@@ -6,10 +6,12 @@ import re
 import time
 from datetime import date
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import graph_json_reference
-from market_rewire import Graph, PipelineConfig, SignedGraph, load_panel, run
+from market_rewire import DaySnapshot, Graph, PipelineConfig, SignedGraph, load_panel, run
 from market_rewire.cli import _build_parser, main
 from market_rewire import export
 from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
@@ -385,6 +387,52 @@ def test_export_memo_never_serves_another_graphs_nodes_or_classes():
                 "}\n",
             ])
     assert export._node_block.cache_info().currsize == limit
+
+
+# id characters: ones DOT or JSON must escape, a space, a comma, a control
+# character and non-ASCII ones, so random ids also sort unlike column order
+ID_CHARS = st.sampled_from(["a", "B", "z", "0", " ", '"', "\\", ",", "\x01", "\u00e9", "\u4e2d", "\U0001f600"])
+
+
+@st.composite
+def snapshot_edges(draw):
+    """Asset ids in column order, a co-occurrence mask over their pairs, a
+    sign per pair (+1 red, -1 blue) or None for the first date, and classes."""
+    ids = tuple(draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=4), min_size=2, max_size=9, unique=True)))
+    pairs = len(ids) * (len(ids) - 1) // 2
+    near = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    signs = draw(st.none() | st.lists(st.sampled_from([-1, 0, 1]), min_size=pairs, max_size=pairs))
+    classes = draw(st.dictionaries(st.sampled_from(ids), st.sampled_from(["stock", "fx", 'we"ird\\'])))
+    return ids, np.array(near, dtype=bool), None if signs is None else np.array(signs), classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(snapshot_edges())
+@example((ODD_IDS, np.ones(10, dtype=bool), np.array([1, -1, 0] * 3 + [1]), {ODD_IDS[1]: "bond"}))
+def test_snapshot_files_equal_export_graph_of_the_same_edges(case):
+    ids, near, signs, classes = case
+    ii, jj = np.triu_indices(len(ids), 1)
+
+    def edges(mask):
+        return {(ids[i], ids[j]) for i, j in zip(ii[mask].tolist(), jj[mask].tolist())}
+
+    graphs = {"cooc": Graph(D0, ids, edges(near))}
+    positions = [np.flatnonzero(near)]
+    if signs is not None:
+        graphs["diff"] = SignedGraph(D0, ids, edges(signs > 0), edges(signs < 0))
+        positions += [np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)]
+    snap = DaySnapshot(D0, ids, *positions)
+    assert snap.cooccurrence == graphs["cooc"]
+    assert snap.differential == graphs.get("diff")
+
+    files = dict(export.snapshot_files(snap, GRAPH_FORMATS, classes))
+    assert files == {
+        f"{D0.isoformat()}.{tag}.{fmt}": export_graph(g, fmt, classes)
+        for fmt in GRAPH_FORMATS
+        for tag, g in graphs.items()
+    }
+    for tag, g in graphs.items():
+        assert files[f"{D0.isoformat()}.{tag}.json"] == graph_json_reference(g, classes)
 
 
 DOT_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')

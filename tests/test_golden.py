@@ -2,18 +2,21 @@
 
 The metrics CSV and the two SVG charts are the committed demo output; the
 DOT and JSON snapshots of the first analyzable date and of the shock-onset
-date live in tests/golden/. Every test checks the run through one worker
-and through a pool of two, which is serial on a one-CPU machine.
+date live in tests/golden/, with the SHA-256 of the CLI's whole output tree
+for the same year (`cli_tree.sha256`). Every test checks the run through one
+worker and through a pool of two, which is serial on a one-CPU machine.
 Any change to the numerics (DTW, z-scoring, thresholds) that moves a single
 edge or a single bit of entropy fails here.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from conftest import graph_json_reference
 from market_rewire import PipelineConfig, Shock, SynthSpec, generate, run
+from market_rewire.cli import main
 from market_rewire.export import export_graph, metrics_csv_text, write_charts
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,3 +79,30 @@ def test_charts_match_committed_demo_output(shock_year, tmp_path):
     for threads, result in zip(THREADS, results):
         for path in write_charts(result, tmp_path):
             assert path.read_bytes() == (DEMO_OUT / path.name).read_bytes(), (threads, path.name)
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over every file under `root`, in sorted order of relative
+    path: the path's UTF-8, a NUL, the file's bytes, a NUL."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def test_cli_output_tree_matches_golden_digest(tmp_path):
+    """Every byte the CLI writes for the shock year: metrics.csv, both charts
+    and the DOT and JSON snapshots of all 241 dates."""
+    data = tmp_path / "data"
+    gen = ["gen-synthetic", "--assets", "20", "--days", "260", "--seed", "42",
+           "--shock", f"{SHOCK_START}:190:0.95", "--out", str(data)]
+    assert main(gen) == 0
+    expected = (GOLDEN / "cli_tree.sha256").read_text(encoding="ascii").strip()
+    for threads in THREADS:
+        out = tmp_path / f"out{threads}"
+        argv = ["run", "--input", str(data / "prices.csv"), "--meta", str(data / "assets.json"),
+                "--out", str(out), "--snapshots", "all", "--charts", "--threads", str(threads)]
+        assert main(argv) == 0
+        assert sum(1 for p in out.rglob("*") if p.is_file()) == 4 * 241 + 1
+        assert tree_digest(out) == expected, threads

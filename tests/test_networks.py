@@ -154,6 +154,22 @@ def test_differential_network_strict_thresholds():
     assert sg.blue_edges == {("a", "c")}
 
 
+# unchecked, a NaN change compares false both ways and gives no edge, and an
+# infinite one gives a red or blue edge
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_differential_network_rejects_non_finite_changes(bad):
+    diff = np.zeros((3, 3))
+    diff[0, 1] = diff[1, 0] = bad
+    with pytest.raises(ValueError, match="difference matrix entries must be finite"):
+        differential_network(diff, 1.0, ("a", "b", "c"), D0)
+
+
+def test_differential_network_rejects_an_asymmetric_matrix():
+    # read from its upper triangle alone, this would give one red edge
+    with pytest.raises(ValueError, match="difference matrix must be symmetric"):
+        differential_network(np.array([[0.0, 5.0], [-5.0, 0.0]]), 1.0, ("a", "b"), D0)
+
+
 def test_differential_swap_exchanges_colors():
     rng = np.random.default_rng(13)
     raw = rng.uniform(0, 6, (8, 8))

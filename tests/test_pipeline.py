@@ -1,5 +1,7 @@
+import gc
 import multiprocessing
 import os
+import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
 
@@ -8,11 +10,13 @@ import pytest
 
 from conftest import graph_metrics_row
 from market_rewire import (
+    DaySnapshot,
     Graph,
     PipelineConfig,
     SignedGraph,
     Shock,
     SynthSpec,
+    count_hubs,
     generate,
     run,
 )
@@ -244,12 +248,77 @@ def test_graphs_are_built_only_for_snapshot_dates(shock_panel, monkeypatch):
     built = []
     for cls in (Graph, SignedGraph):
         init = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__", lambda self, init=init: (built.append(self.end_date), init(self)))
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda self, init=init: (built.append((type(self), self.end_date)), init(self))
+        )
     run(shock_panel)
-    assert built == []
     chosen = [shock_panel.dates[25], shock_panel.dates[40]]
-    run(shock_panel, PipelineConfig(snapshot_dates=chosen), threads=2)
-    assert sorted(built) == sorted(chosen * 2)
+    result = run(shock_panel, PipelineConfig(snapshot_dates=chosen), threads=2)
+    assert built == []
+    snap = result.snapshots[chosen[1]]
+    g, sg = snap.cooccurrence, snap.differential
+    assert built == [(Graph, chosen[1]), (SignedGraph, chosen[1])]
+    assert (g.end_date, g.nodes) == (sg.end_date, sg.nodes) == (chosen[1], shock_panel.asset_ids)
+
+
+def test_snapshots_are_equal_only_with_the_same_edges(shock_panel):
+    day = shock_panel.dates[40]
+    snap = run(shock_panel, PipelineConfig(snapshot_dates=[day])).snapshots[day]
+    wider = run(shock_panel, PipelineConfig(snapshot_dates=[day], diff_threshold=0.5)).snapshots[day]
+    assert len(wider.red_pairs) + len(wider.blue_pairs) > len(snap.red_pairs) + len(snap.blue_pairs)
+    assert snap != wider
+    copies = [p.copy() for p in (snap.cooc_pairs, snap.red_pairs, snap.blue_pairs)]
+    assert snap == DaySnapshot(day, shock_panel.asset_ids, *copies)
+    assert snap != DaySnapshot(day, shock_panel.asset_ids, snap.cooc_pairs)
+    with pytest.raises(ValueError):
+        snap.cooc_pairs[:1] = 0
+
+
+def _retained_bytes(panel, config):
+    """Bytes still allocated after `run` returns, while its result is held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run(panel, config)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_snapshots_retain_at_most_16_bytes_per_edge():
+    """A snapshot keeps its edges as positions in the upper triangle. Held as
+    `Graph` and `SignedGraph` objects, the same run retained 103 bytes per
+    edge."""
+    panel = generate(SynthSpec(n_assets=100, n_days=60, seed=5, shocks=[Shock(30, 50, 0.9)]))
+    run(panel, PipelineConfig(snapshot_dates="all"))  # fill the per-run caches first
+    without, _ = _retained_bytes(panel, PipelineConfig())
+    with_all, result = _retained_bytes(panel, PipelineConfig(snapshot_dates="all"))
+    rows = result.metrics
+    edges = sum(r.n_cooc_edges + (r.n_red_edges or 0) + (r.n_blue_edges or 0) for r in rows)
+    assert edges > 1000 * len(rows)
+    assert with_all - without <= 16 * edges + 2048 * len(rows)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closer_hubs_name_the_shocked_assets(seed):
+    """Around the onset of a shock that drives the even-indexed assets, those
+    assets are closer hubs on more days than the others."""
+    affected = tuple(range(0, 20, 2))
+    panel = generate(
+        SynthSpec(n_assets=20, n_days=260, seed=seed, shocks=[Shock(150, 190, 0.95, affected_assets=affected)])
+    )
+    days = panel.dates[148:166]
+    result = run(panel, PipelineConfig(snapshot_dates=days))
+    hub_days = dict.fromkeys(panel.asset_ids, 0)
+    for d in days:
+        for asset in count_hubs(result.snapshots[d].differential, 3).closer_hub_ids:
+            hub_days[asset] += 1
+    counts = [hub_days[a] for a in panel.asset_ids]
+    hit = [counts[i] for i in affected]
+    missed = [c for i, c in enumerate(counts) if i not in affected]
+    assert np.mean(hit) > np.mean(missed)
 
 
 def test_run_fills_missing_per_policy(panel_factory):
