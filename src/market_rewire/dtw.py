@@ -12,10 +12,18 @@ pair-batched version of the same dynamic program; both code paths perform
 identical elementary float operations, so their results agree bitwise.
 The batched version keeps pairs on the last axis and sweeps the table by
 anti-diagonals, holding three of them. It takes the pairs in blocks of
-_PAIR_BLOCK, so one call's working memory is O(_PAIR_BLOCK * w) floats,
-about 2 MB at w = 20, whatever the asset count. Beyond that, a day over n
-assets holds the n x n matrix and two O(n^2) pair-index arrays: one
+_PAIR_BLOCK, so one block's working memory, (6w + 3) * k * 8 bytes for k
+pairs, is about 2 MB at w = 20 whatever the asset count. Beyond that, a day
+over n assets holds the n x n matrix and two O(n^2) pair-index arrays: one
 500-asset, w = 20 day peaked at 7.3 MB under tracemalloc.
+
+The block buffers stay allocated between calls for the two most recently
+used block shapes, a day's full blocks and its short last block, so up to
+two sets (about 4 MB at w = 20) stay held after a call. Allocated for every
+block, they came as fresh pages from the allocator: on a 2-core Xeon VM a
+200-asset, w = 20 day took about 4,150 minor page faults and 6.8 ms of
+system time. Kept, the kernel takes no faults, and the day 0.3 ms of system
+time, for its n x n matrices.
 
 What a day computes the same way as every other day of the run is computed
 once. The diagonal plan, the bounds and band clipping of each of the 2w - 1
@@ -28,6 +36,7 @@ are cached for the two most recent asset counts (2 MB at 500 assets), and
 the pipeline takes the same arrays.
 """
 
+import math
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
@@ -38,17 +47,26 @@ import numpy as np
 from .ingest import _check_int
 from .preprocess import StandardizedWindow
 
-# Pairs per kernel call. At w = 20 one call's buffers and operands take about
-# 2 MB, one core's L2 on the 2-core Xeon it was tuned on. Over 200 assets x 60
-# days, 2048 ran fastest at 1 thread and on par with 4096 and 8192 at 2
-# threads; 512 took twice as long at 2 threads, because every numpy call holds
-# the GIL for its Python overhead and smaller blocks make more calls.
+# Pairs per kernel call. At w = 20 one call's buffers take about 2 MB, one
+# core's L2 on the 2-core Xeon VM it was tuned on. With the buffers kept
+# between calls, the fastest of 40 200-asset days, in four processes per size,
+# took 19.3-21.2 ms at 2048, 19.7-23.9 at 1024, 26.8-34.9 at 512 (more numpy
+# calls) and 26.9-30.9 at 4096 (past L2); `run(threads=2)` over 200 assets x
+# 60 days took 0.85-0.90 s at 2048, 0.89-0.95 at 1024 and 1.07-1.16 at 512
+# and 4096, fastest of 6 in two processes per size.
 _PAIR_BLOCK = 2048
+
+# `_batched_dtw`'s work buffers P, Q, c and the three diagonals, kept between
+# calls by block shape (w, k) for the _SPARE_SHAPES most recently used shapes:
+# a day's full blocks and its short last block.
+_SPARE_SHAPES = 2
+_PAGE = 512  # float64s in a 4096-byte page
+_spares: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric matrix of pairwise DTW distances for one end date."""
+    """Symmetric, zero-diagonal matrix of pairwise DTW distances for one end date."""
 
     end_date: date
     asset_ids: tuple[str, ...]
@@ -64,6 +82,10 @@ class DistanceMatrix:
             raise ValueError(f"distance matrix shape {d.shape} does not match {n} assets")
         if not np.isfinite(d).all():
             raise ValueError("distance matrix entries must be finite")
+        if not np.array_equal(d, d.T):
+            raise ValueError("distance matrix must be symmetric")
+        if d.diagonal().any():
+            raise ValueError("distance matrix diagonal must be zero")
         d.setflags(write=False)
         self.d = d
 
@@ -146,18 +168,52 @@ def _diagonal_plan(w: int, band: int | None) -> tuple[tuple, ...]:
     return tuple(plan)
 
 
-def _batched_dtw(P: np.ndarray, Q: np.ndarray, band: int | None) -> np.ndarray:
-    """DTW over many equal-length pairs at once; columns of P align with columns of Q.
+def _new_buffers(w: int, k: int) -> tuple[np.ndarray, ...]:
+    """`_batched_dtw`'s P, Q, three diagonals and cost buffer c for blocks of
+    k pairs, each starting on a page boundary of one allocation.
+
+    malloc aligns to 16 bytes only. Kept buffers allocated one by one made
+    days slower than fresh ones at 20 and 30 assets; page-aligned, they made
+    them faster. Fastest day in each of five processes on a 2-core AVX-512
+    Xeon VM, fresh / kept one by one / kept page-aligned: 320-327 / 333-336
+    / 309-313 us at 20 assets, 517-527 / 538-542 / 478-489 us at 30 and
+    24.7-25.7 / 18.7-20.0 / 16.2-17.1 ms at 200.
+    """
+    shapes = (w, k), (w, k), (3, w + 1, k), (w, k)
+    spans = [-(-math.prod(shape) // _PAGE) * _PAGE for shape in shapes]  # whole pages
+    arena = np.empty(sum(spans) + _PAGE)
+    start = -arena.ctypes.data % (8 * _PAGE) // 8
+    bufs = []
+    for shape, span in zip(shapes, spans):
+        bufs.append(arena[start : start + math.prod(shape)].reshape(shape))
+        start += span
+    return tuple(bufs)
+
+
+def _batched_dtw(
+    Z: np.ndarray, ii: np.ndarray, jj: np.ndarray, band: int | None, out: np.ndarray
+) -> None:
+    """DTW of column ii[p] of Z against column jj[p], for every p, into out[p].
 
     The table is padded with a +inf border and a 0 corner, so every cell takes
     the same update. It is swept one anti-diagonal s = i + j at a time: a
     diagonal needs only the two before it, so all its cells are one vectorised
     step. The three rolling diagonals are indexed by i; the band is a range of i.
     """
-    w, k = P.shape
+    w, k = Z.shape[0], ii.size
+    # Taken out of the spare set, not looked up, so concurrent callers never
+    # share one. Every buffer is overwritten before it is read.
+    bufs = _spares.pop((w, k), None)
+    if bufs is None:
+        bufs = _new_buffers(w, k)
+    P, Q, D, c = bufs
+    # the indices are in range, so "clip" changes nothing; "raise" would copy
+    # through a temporary
+    Z.take(ii, axis=1, out=P, mode="clip")
+    Z.take(jj, axis=1, out=Q, mode="clip")
     R = Q[::-1]  # cell (i, s - i) costs |P[i - 1] - R[w - s + i]|
-    d2, d1, d0 = np.full((3, w + 1, k), np.inf)
-    c = np.empty((w, k))
+    D.fill(np.inf)
+    d2, d1, d0 = D
     d2[0] = 0.0
     for cost, rows, rev, cells, edge in _diagonal_plan(w, band):
         cn = c[cost]
@@ -173,7 +229,10 @@ def _batched_dtw(P: np.ndarray, Q: np.ndarray, band: int | None) -> np.ndarray:
         # every three diagonals (or stops at w, and then it is not read).
         d0[edge] = np.inf
         d2, d1, d0 = d1, d0, d2
-    return d1[w]
+    out[...] = d1[w]
+    _spares[w, k] = bufs
+    for key in list(_spares)[:-_SPARE_SHAPES]:
+        _spares.pop(key, None)
 
 
 def distance_matrix(
@@ -211,7 +270,7 @@ def distance_matrix(
         vals = np.empty(ii.size)
         for start in range(0, ii.size, _PAIR_BLOCK):
             block = slice(start, start + _PAIR_BLOCK)
-            vals[block] = _batched_dtw(Z.take(ii[block], axis=1), Z.take(jj[block], axis=1), band)
+            _batched_dtw(Z, ii[block], jj[block], band, vals[block])
         d[ii, jj] = vals
         d[jj, ii] = vals
     return DistanceMatrix(end_date=end, asset_ids=tuple(ids), d=d)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -217,7 +218,7 @@ def load_panel(csv_path, meta_path) -> PricePanel:
                     raise ValueError(
                         f"{csv_path}: row {lineno}: unparseable value {cell!r} for {col!r}"
                     ) from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise ValueError(
                         f"{csv_path}: row {lineno}: non-finite value {cell!r} for {col!r}"
                     )

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from conftest import dtw_bruteforce
 from hypothesis import given, strategies as st
 
-from market_rewire import StandardizedWindow, distance_matrix, dtw, dtw_distance
+from market_rewire import DistanceMatrix, StandardizedWindow, distance_matrix, dtw, dtw_distance
 
 sequences = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=8
@@ -153,6 +155,16 @@ def test_distance_matrix_type_validation():
         )
 
 
+def test_distance_matrix_rejects_an_asymmetric_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        DistanceMatrix(date(2020, 1, 1), ("a", "b"), [[0.0, 5.0], [1.0, 0.0]])
+
+
+def test_distance_matrix_rejects_a_nonzero_diagonal():
+    with pytest.raises(ValueError, match="diagonal must be zero"):
+        DistanceMatrix(date(2020, 1, 1), ("a", "b"), [[0.0, 1.0], [1.0, 0.5]])
+
+
 
 def test_distance_matrix_stays_read_only_after_pickling():
     import pickle
@@ -244,6 +256,86 @@ def test_one_day_peak_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_kernel_buffers_are_reused_across_days():
+    """After a warm call, a second 100-asset day allocates no block buffers:
+    its traced peak stays below one set of them (2 MB at w = 20)."""
+    rng = np.random.default_rng(100)
+    first, second = (_windows(rng.normal(size=(100, 20))) for _ in range(2))
+    distance_matrix(first)
+    tracemalloc.start()
+    try:
+        distance_matrix(second)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # P, Q, c and three diagonals of w + 1 cells, over a full block
+    assert peak < (6 * 20 + 3) * dtw._PAIR_BLOCK * 8
+
+
+def test_matrix_equals_scalar_as_block_shapes_alternate():
+    """Days whose block shapes alternate, with short last blocks, a band
+    change on a kept shape and w changes: each matrix is the scalar DTW's."""
+    rng = np.random.default_rng(13)
+    # (n, w, band); with 7-pair blocks 8 assets make 4 full blocks, 9 assets
+    # 5 and a 1-pair block, 6 assets 2 and a 1-pair block
+    days = [(9, 12, None), (8, 12, None), (9, 12, 2), (6, 5, None), (9, 12, None),
+            (8, 5, 1), (9, 5, None), (8, 12, 0), (9, 12, None)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw, "_PAIR_BLOCK", 7)
+        for n, w, band in days:
+            arrays = rng.normal(size=(n, w))
+            dm = distance_matrix(_windows(arrays), band=band)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    assert dm.d[i, j] == dtw_distance(arrays[i], arrays[j], band=band)
+
+
+def test_at_most_two_block_shapes_stay_allocated():
+    rng = np.random.default_rng(14)
+    shapes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw, "_PAIR_BLOCK", 10)
+        for n, w in [(5, 3), (6, 4), (7, 3), (8, 6), (4, 4), (9, 3), (6, 6)]:
+            distance_matrix(_windows(rng.normal(size=(n, w))))
+            pairs = n * (n - 1) // 2
+            shapes += [(w, min(pairs, 10)), (w, pairs % 10 or 10)]
+    recent = list(dict.fromkeys(reversed(shapes)))[:2]
+    assert sorted(dtw._spares) == sorted(recent)
+
+
+def test_kept_buffers_are_page_aligned_and_disjoint():
+    distance_matrix(_windows(np.random.default_rng(16).normal(size=(9, 7))))
+    bufs = dtw._spares[7, 36]  # w = 7, 36 pairs
+    assert [b.shape for b in bufs] == [(7, 36), (7, 36), (3, 8, 36), (7, 36)]
+    assert all(b.ctypes.data % 4096 == 0 for b in bufs)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(bufs) for b in bufs[i + 1:])
+
+
+def test_concurrent_days_equal_serial_days_bitwise():
+    """Four threads computing days of mixed (n, w, band) at once, many
+    sharing a block shape, get exactly the serial results."""
+    rng = np.random.default_rng(15)
+    cases = [(n, w, band) for n in (20, 30) for w in (8, 20) for band in (None, 2)]
+    days = [(rng.normal(size=(n, w)), band) for n, w, band in cases]
+
+    def matrix(i):
+        arrays, band = days[i % len(days)]
+        return distance_matrix(_windows(arrays), band=band).d
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dtw, "_PAIR_BLOCK", 50)
+        serial = [matrix(i).tobytes() for i in range(len(days))]
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(matrix, range(40 * len(days)), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+    mismatches = [i for i, d in enumerate(got) if d.tobytes() != serial[i % len(days)]]
+    assert mismatches == []
 
 
 @given(
