@@ -1,33 +1,24 @@
-"""Command-line entry point and the layout of its output directory.
+"""Command-line entry point.
 
 Two subcommands: `run` executes the full analysis over a price CSV +
 metadata JSON and writes a metrics CSV, optional per-day network snapshots
-(DOT and/or JSON), and optional SVG line charts, rendered by
-`market_rewire.export`; `gen-synthetic` writes a seeded synthetic panel in
-the same input formats.
+(DOT and/or JSON), and optional SVG line charts into an output directory
+laid out by `market_rewire.export.write_export_bundle`; `gen-synthetic`
+writes a seeded synthetic panel in the same input formats.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 import argparse
 import dataclasses
-import os
 import sys
 from datetime import date
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 # METRICS_COLUMNS is unused here; the benchmark reads it as cli.METRICS_COLUMNS
-from .export import (
-    GRAPH_FORMATS,
-    METRICS_COLUMNS,
-    metrics_csv_text,
-    snapshot_files,
-    write_charts,
-    write_file,
-)
+from .export import GRAPH_FORMATS, METRICS_COLUMNS, write_export_bundle  # noqa: F401
 from .ingest import FILL_POLICIES, _check_int, load_panel
-from .pipeline import PipelineConfig, RunResult, run
+from .pipeline import PipelineConfig, run
 from .synth import Shock, SynthSpec, generate, write_panel
 
 
@@ -40,50 +31,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-# ---------------------------------------------------------------------------
-# export bundle
-# ---------------------------------------------------------------------------
-
-
-def write_export_bundle(
-    result: RunResult,
-    out_dir,
-    classes: Mapping[str, str] | None = None,
-    graph_formats: Sequence[str] = GRAPH_FORMATS,
-    charts: bool = False,
-) -> None:
-    """Write metrics.csv, network snapshots, and optional charts under `out_dir`.
-
-    Snapshots produce `<date>.cooc.<ext>` and `<date>.diff.<ext>` per
-    requested format; the first analyzable date has no differential network,
-    so it gets only the co-occurrence files.
-
-    Every file is written through `export.write_file`, so a file left by an
-    earlier run is rewritten in place and ends up with the same bytes as in
-    a fresh directory. Files this call does not produce, such as snapshots
-    of dates or formats no longer requested, are left as they were.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_file(out_dir / "metrics.csv", metrics_csv_text(result.metrics))
-
-    if result.snapshots:
-        net_dir = out_dir / "networks"
-        net_dir.mkdir(exist_ok=True)
-        prefix = os.path.join(net_dir, "")
-        for d in sorted(result.snapshots):
-            for name, text in snapshot_files(result.snapshots[d], graph_formats, classes):
-                write_file(prefix + name, text)
-
-    if charts:
-        write_charts(result, out_dir)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
 
 
 def _parse_snapshots(text: str):
@@ -235,9 +182,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--band", dest="band_halfwidth", metavar="BAND", type=int,
                        help="optional warping band half-width (default: unconstrained)")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker processes for distance matrices, forked where the "
-                            "platform allows (default and 0: one; capped by the analyzable "
-                            "days and the usable CPUs)")
+                       help="worker processes, each running one range of dates, forked "
+                            "where the platform allows (default and 0: one; capped by the "
+                            "analyzable days and the usable CPUs)")
     p_run.set_defaults(func=_cmd_run, **dataclasses.asdict(PipelineConfig()))
 
     p_gen = sub.add_parser("gen-synthetic", help="write a seeded synthetic panel CSV + metadata")

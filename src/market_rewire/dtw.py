@@ -19,21 +19,15 @@ over n assets holds the n x n matrix and two O(n^2) pair-index arrays: one
 
 The block buffers stay allocated between calls for the two most recently
 used block shapes, a day's full blocks and its short last block, so up to
-two sets (about 4 MB at w = 20) stay held after a call. Allocated for every
-block, they came as fresh pages from the allocator: on a 2-core Xeon VM a
-200-asset, w = 20 day took about 4,150 minor page faults and 6.8 ms of
-system time. Kept, the kernel takes no faults, and the day 0.3 ms of system
-time, for its n x n matrices.
+two sets (about 4 MB at w = 20) stay held after a call, and later blocks
+take no page faults for fresh pages from the allocator.
 
 What a day computes the same way as every other day of the run is computed
 once. The diagonal plan, the bounds and band clipping of each of the 2w - 1
 anti-diagonals as ready-made slices, is cached per (w, band) for the eight
 most recent keys, so a block's sweep is its numpy calls and little else.
-On a 2-core Xeon VM that took the kernel's fastest call on a 20-asset day
-(190 pairs) from 402 to 324 us; a 2048-pair block, whose time is the numpy
-calls, did not change (2065 and 2021 us). The read-only pair-index arrays
-are cached for the two most recent asset counts (2 MB at 500 assets), and
-the pipeline takes the same arrays.
+The read-only pair-index arrays are cached for the two most recent asset
+counts (2 MB at 500 assets), and the pipeline takes the same arrays.
 """
 
 import math

@@ -1,4 +1,5 @@
-"""Output formats: the metrics CSV, DOT/JSON network snapshots and SVG charts.
+"""Output formats: the metrics CSV, DOT/JSON network snapshots and SVG
+charts, and the layout of the output directory they are written to.
 
 Every renderer is deterministic: lists are sorted and numbers are formatted
 the same way every time, so one run's outputs are identical bytes whatever
@@ -335,8 +336,43 @@ def write_charts(result: RunResult, out_dir: Path) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# file writer
+# output directory
 # ---------------------------------------------------------------------------
+
+
+def write_export_bundle(
+    result: RunResult,
+    out_dir,
+    classes: Mapping[str, str] | None = None,
+    graph_formats: Sequence[str] = GRAPH_FORMATS,
+    charts: bool = False,
+) -> None:
+    """Write `metrics.csv`, the snapshots under `networks/` and, with
+    `charts`, `gbe.svg` and `hubs.svg` into `out_dir`.
+
+    Snapshots produce `<date>.cooc.<ext>` and `<date>.diff.<ext>` per
+    requested format; the first analyzable date has no differential network,
+    so it gets only the co-occurrence files.
+
+    Every file is written through `write_file`, so a file left by an
+    earlier run is rewritten in place and ends up with the same bytes as in
+    a fresh directory. Files this call does not produce, such as snapshots
+    of dates or formats no longer requested, are left as they were.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_file(out_dir / "metrics.csv", metrics_csv_text(result.metrics))
+
+    if result.snapshots:
+        net_dir = out_dir / "networks"
+        net_dir.mkdir(exist_ok=True)
+        prefix = os.path.join(net_dir, "")
+        for d in sorted(result.snapshots):
+            for name, text in snapshot_files(result.snapshots[d], graph_formats, classes):
+                write_file(prefix + name, text)
+
+    if charts:
+        write_charts(result, out_dir)
 
 
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)

@@ -8,8 +8,9 @@ moved apart by strictly more than a threshold get a red edge, pairs that
 moved closer a blue edge. Hubs are counted per edge color.
 
 `day_metrics` gives the same counts and entropy straight from the upper
-triangle of the distance matrices, without building a graph; the pipeline
-uses it on every date and builds graphs only for snapshots.
+triangle of the distance matrices, without building a graph, and hands
+back its edge masks; the pipeline uses it on every date and keeps the
+masked positions of snapshot dates.
 """
 
 import math
@@ -34,6 +35,15 @@ def _canonical_edges(edges, nodes: set[str], kind: str) -> frozenset[tuple[str, 
     return frozenset(out)
 
 
+def _node_set(graph) -> set[str]:
+    """Store the graph's nodes as a tuple; return them as a set, without duplicates."""
+    object.__setattr__(graph, "nodes", tuple(graph.nodes))
+    node_set = set(graph.nodes)
+    if len(node_set) != len(graph.nodes):
+        raise ValueError("duplicate node ids")
+    return node_set
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected co-occurrence network; isolated nodes are kept."""
@@ -43,11 +53,7 @@ class Graph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise ValueError("duplicate node ids")
-        object.__setattr__(self, "edges", _canonical_edges(self.edges, node_set, "graph"))
+        object.__setattr__(self, "edges", _canonical_edges(self.edges, _node_set(self), "graph"))
 
 
 @dataclass(frozen=True)
@@ -60,10 +66,7 @@ class SignedGraph:
     blue_edges: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise ValueError("duplicate node ids")
+        node_set = _node_set(self)
         red = _canonical_edges(self.red_edges, node_set, "signed graph (red)")
         blue = _canonical_edges(self.blue_edges, node_set, "signed graph (blue)")
         if red & blue:
@@ -260,20 +263,22 @@ def day_metrics(
     theta: float,
     delta: float,
     k: int,
-) -> MetricsRow:
-    """One date's metrics straight from the upper triangle of its matrices.
+) -> tuple[MetricsRow, tuple[np.ndarray, ...]]:
+    """One date's metrics row straight from the upper triangle of its
+    matrices, and the edge masks it was counted from.
 
     Entry p of `dist` is the distance between assets pairs[0][p] and
     pairs[1][p] of n, and entry p of `change` that distance minus the
     previous date's (None on the first analyzable date). The row equals the
     one read off `cooccurrence_network`, `connected_components`,
     `graph_based_entropy`, `differential_network` and `count_hubs` with the
-    same thresholds, without building a graph.
+    same thresholds, without building a graph. The masks are the
+    co-occurrence one and, given `change`, the red and the blue one.
     """
     ii, jj = pairs
     near = dist < theta
     sizes = _component_sizes(n, ii[near], jj[near])
-    differential = {}
+    differential, masks = {}, (near,)
     if change is not None:
         red = change > delta
         blue = change < -delta
@@ -283,10 +288,11 @@ def day_metrics(
             n_farther_hubs=_hub_count(n, ii[red], jj[red], k),
             n_closer_hubs=_hub_count(n, ii[blue], jj[blue], k),
         )
+        masks = (near, red, blue)
     return MetricsRow(
         end_date=end_date,
         gbe=_size_entropy(sizes),
         n_components=len(sizes),
         n_cooc_edges=int(np.count_nonzero(near)),
         **differential,
-    )
+    ), masks

@@ -8,18 +8,21 @@ previous day's: co-occurrence edges, components and graph-based entropy,
 red and blue edges and hub counts (`networks.day_metrics`). On the dates in
 `PipelineConfig.snapshot_dates` it also keeps the positions of the date's
 co-occurrence, red and blue pairs in that upper triangle (`DaySnapshot`);
-no graph is built unless a caller reads one. A serial run holds two
-consecutive distance matrices at a time. Day-level parallelism is allowed because each matrix
-depends only on its own window: with more than one worker, forked worker
-processes compute the matrices, at most two days per worker ahead, and the
-calling process turns them into rows in date order, so the rows, snapshots,
-errors and warnings are those of the serial run.
+no graph is built unless a caller reads one.
+
+`_run_days` is the one day loop: it runs a range of dates and holds two
+upper triangles at a time. A serial run is one range of every analyzable
+date. With more than one worker, each forked worker process runs one
+contiguous range and sends back its rows, snapshots and warnings and the
+upper triangles of its first and last dates, not a matrix per day. A
+range's first row has no differential; the calling process remakes it, and
+its snapshot, from that range's first upper triangle and the previous
+range's last, so the rows, snapshots, errors and warnings are those of the
+serial run.
 """
 
-import itertools
 import os
 import warnings
-from collections import deque
 from collections.abc import Iterable
 # ThreadPoolExecutor is unused here; the benchmark's tracer reads it as pipeline.ThreadPoolExecutor
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -29,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dtw import DistanceMatrix, _pair_indices, distance_matrix
+from .dtw import _pair_indices, distance_matrix
 from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_int, _check_real, fill_missing
 from .networks import Graph, MetricsRow, SignedGraph, day_metrics
 from .preprocess import windows_at
@@ -155,11 +158,11 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     The panel needs at least window_w + 1 dates so that one differential step
     exists. Panels with missing cells are resolved with `config.fill_policy`
     first. Every date in `config.snapshot_dates` must be an analyzable date,
-    one with a full trailing window. `threads` > 1 computes distance matrices
-    for different days in that many forked worker processes, at most one per
-    analyzable day and per usable CPU; the result, and every error and
-    warning, is that of the single-worker run. None or 0 threads runs one
-    worker; a negative or non-integer count raises.
+    one with a full trailing window. `threads` > 1 splits the analyzable
+    dates into that many contiguous ranges, each run by a forked worker
+    process, at most one per analyzable day and per usable CPU; the result,
+    and every error and warning, is that of the single-worker run. None or 0
+    threads runs one worker; a negative or non-integer count raises.
     """
     if config is None:
         config = PipelineConfig()
@@ -180,107 +183,117 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
                 f"analyzable dates {panel.dates[w - 1]} .. {panel.dates[-1]}"
             )
 
-    indices = range(w - 1, panel.n_dates)
-    workers = _worker_count(threads, len(indices))
-    n = panel.n_assets
-    pairs = _pair_indices(n)
-    flat = pairs[0] * n + pairs[1]
-    band = config.band_halfwidth
-
-    result = RunResult()
+    start, stop = w - 1, panel.n_dates
+    workers = _worker_count(threads, stop - start)
+    if workers > 1:
+        rows, kept = _run_forked(panel, config, start, stop, workers)
+    else:
+        rows, kept, _, _ = _run_days(panel, config, start, stop)
+    # every snapshot takes the run's one id tuple, also where its positions
+    # came back pickled from a worker
     ids = panel.asset_ids
-    prev: DistanceMatrix | None = None
-    if workers <= 1:
-        for t in indices:
-            prev = _process_day(_day_matrix(panel, w, band, t), prev, pairs, flat, ids, config, result)
-        return result
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, so the workers get the panel without pickling it and call the
-    # module's functions as they are at the time of the call
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker, (panel, w, band))
-    try:
-        # two days in flight per worker keep the workers busy while the
-        # parent holds a bounded number of matrices
-        days = iter(indices)
-        pending = deque(pool.submit(_worker_day, t) for t in itertools.islice(days, 2 * workers))
-        while pending:
-            dm, caught = pending.popleft().result()
-            _reissue(caught)
-            t = next(days, None)
-            if t is not None:
-                pending.append(pool.submit(_worker_day, t))
-            prev = _process_day(dm, prev, pairs, flat, ids, config, result)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    result = RunResult(rows)
+    for d, positions in kept.items():
+        for p in positions:
+            p.setflags(write=False)
+        result.snapshots[d] = DaySnapshot(d, ids, *positions)
     return result
 
 
-def _day_matrix(panel: PricePanel, w: int, band: int | None, t: int) -> DistanceMatrix:
-    return distance_matrix(windows_at(panel, t, w), band=band)
+def _run_days(
+    panel: PricePanel, config: PipelineConfig, start: int, stop: int
+) -> tuple[list[MetricsRow], dict[date, list[np.ndarray]], np.ndarray, np.ndarray]:
+    """The rows of date indices start .. stop-1, the snapshot dates' edge
+    positions, and the upper triangles of the first and the last date's
+    distance matrices. Each date's differential is taken against the date
+    before it in the range, so the range's first row has none."""
+    n = panel.n_assets
+    ii, jj = _pair_indices(n)
+    flat = ii * n + jj
+    rows, kept = [], {}
+    first = prev = None
+    for t in range(start, stop):
+        dm = distance_matrix(windows_at(panel, t, config.window_w), band=config.band_halfwidth)
+        upper = dm.d.take(flat)
+        row, positions = _day(dm.end_date, upper, prev, n, config)
+        rows.append(row)
+        if positions is not None:
+            kept[row.end_date] = positions
+        first = upper if t == start else first
+        prev = upper
+    return rows, kept, first, prev
 
 
-# set in each worker process by the pool's initializer, never in the caller
-_worker_args: tuple[PricePanel, int, int | None] | None = None
+def _day(
+    end_date: date, upper: np.ndarray, prev: np.ndarray | None, n: int, config: PipelineConfig
+) -> tuple[MetricsRow, list[np.ndarray] | None]:
+    """One date's metrics row over n assets, from the upper triangle of its
+    distance matrix and of the previous date's (None for no differential),
+    and, on a snapshot date, its edge positions in that triangle, in the
+    order of `DaySnapshot`'s fields, else None."""
+    change = None if prev is None else upper - prev
+    row, masks = day_metrics(
+        end_date, n, _pair_indices(n), upper, change,
+        config.cooc_threshold, config.diff_threshold, config.hub_min_degree,
+    )
+    return row, [np.flatnonzero(m) for m in masks] if config.wants_snapshot(end_date) else None
 
 
-def _init_worker(panel: PricePanel, w: int, band: int | None) -> None:
-    global _worker_args
-    _worker_args = (panel, w, band)
+def _run_forked(
+    panel: PricePanel, config: PipelineConfig, start: int, stop: int, workers: int
+) -> tuple[list[MetricsRow], dict[date, list[np.ndarray]]]:
+    """The rows and snapshot positions of the serial run of date indices
+    start .. stop-1, from `_run_days` over one contiguous range of them in
+    each of `workers` forked worker processes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [start + (stop - start) * k // workers for k in range(workers + 1)]
+    rows, kept, last = [], {}, None
+    # fork, so the workers call the module's functions as they are at the
+    # time of the call; leaving the block waits for the ranges still
+    # running, also after an error
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        for future in [pool.submit(_worker_range, panel, config, a, b) for a, b in zip(bounds, bounds[1:])]:
+            try:
+                (part, part_kept, first, part_last), caught = future.result()
+            except Exception as error:
+                _reissue(error.__dict__.pop("_caught", ()))
+                raise
+            _reissue(caught)
+            if last is not None:
+                # remake the range's first row with its differential
+                part[0], positions = _day(part[0].end_date, first, last, panel.n_assets, config)
+                if positions is not None:
+                    part_kept[part[0].end_date] = positions
+            rows += part
+            kept.update(part_kept)
+            last = part_last
+    return rows, kept
 
 
-def _worker_day(t: int) -> tuple[DistanceMatrix, list[tuple]]:
-    """Date index t's matrix, computed in a worker, and the warnings issued
-    while computing it, which the worker's caller does not see."""
+def _worker_range(
+    panel: PricePanel, config: PipelineConfig, start: int, stop: int
+) -> tuple[tuple, list[tuple]]:
+    """`_run_days` over date indices start .. stop-1 in a worker, and the
+    warnings it issued, which the worker's caller does not see. An error
+    that ends the range carries the warnings issued before it, as `_caught`."""
     with warnings.catch_warnings(record=True) as caught:
-        dm = _day_matrix(*_worker_args, t)
-    return dm, [(m.message, m.category, m.filename, m.lineno) for m in caught]
+        try:
+            return _run_days(panel, config, start, stop), _records(caught)
+        except Exception as error:
+            error._caught = _records(caught)
+            raise
+
+
+def _records(caught: list[warnings.WarningMessage]) -> list[tuple]:
+    return [(m.message, m.category, m.filename, m.lineno) for m in caught]
 
 
 def _reissue(caught: list[tuple]) -> None:
     """Re-issue a worker's warnings in this process. They were issued from
-    `_day_matrix`, as in the serial run, so they take this module's name and
+    `_run_days`, as in the serial run, so they take this module's name and
     warning registry: the caller's filters see and deduplicate them alike."""
     registry = globals().setdefault("__warningregistry__", {})
     for message, category, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno, __name__, registry)
-
-
-def _process_day(
-    dm: DistanceMatrix,
-    prev: DistanceMatrix | None,
-    pairs: tuple[np.ndarray, np.ndarray],
-    flat: np.ndarray,
-    ids: tuple[str, ...],
-    config: PipelineConfig,
-    result: RunResult,
-) -> DistanceMatrix:
-    """Append the date's metrics row, computed from the upper triangles of the
-    distance matrices (`pairs` as row and column indices, `flat` as
-    row-major ones), and, on a snapshot date, the positions of its edges in
-    them. `ids` is the panel's asset-id tuple, which every snapshot of the
-    run shares."""
-    upper = dm.d.take(flat)
-    change = None if prev is None else upper - prev.d.take(flat)
-    row = day_metrics(
-        dm.end_date,
-        dm.n_assets,
-        pairs,
-        upper,
-        change,
-        config.cooc_threshold,
-        config.diff_threshold,
-        config.hub_min_degree,
-    )
-    result.metrics.append(row)
-    if config.wants_snapshot(dm.end_date):
-        masks = [upper < config.cooc_threshold]
-        if change is not None:
-            masks += [change > config.diff_threshold, change < -config.diff_threshold]
-        positions = [np.flatnonzero(mask) for mask in masks]
-        for p in positions:
-            p.setflags(write=False)
-        result.snapshots[dm.end_date] = DaySnapshot(dm.end_date, ids, *positions)
-    return dm

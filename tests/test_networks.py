@@ -333,7 +333,7 @@ def test_day_metrics_equal_the_graph_path(case):
     upper = cur[pairs]
     g = cooccurrence_network(dm, 2.0)
     sg = differential_network(difference_matrix(dm, before), 1.0, ids, D0)
-    first = day_metrics(D0, n, pairs, upper, None, 2.0, 1.0, k)
+    first, _ = day_metrics(D0, n, pairs, upper, None, 2.0, 1.0, k)
     assert first == graph_metrics_row(g, None, k)
-    later = day_metrics(D0, n, pairs, upper, upper - prev[pairs], 2.0, 1.0, k)
+    later, _ = day_metrics(D0, n, pairs, upper, upper - prev[pairs], 2.0, 1.0, k)
     assert later == graph_metrics_row(g, sg, k)

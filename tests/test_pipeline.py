@@ -144,6 +144,45 @@ def test_worker_errors_name_the_serial_runs_asset_and_date(panel_factory):
     assert "'a01'" in messages[0] and str(panel.dates[4]) in messages[0]
 
 
+def test_a_failing_range_relays_the_warnings_issued_before_its_error(panel_factory):
+    rng = np.random.default_rng(8)
+    values = rng.uniform(90, 110, (20, 3))
+    values[:, 2] = 100.37  # a constant window on every date
+    values[14:, 1] = [(-1) ** i * 1e308 for i in range(6)]  # the window ending at index 14 overflows
+    panel = panel_factory(values)
+    cfg = PipelineConfig(window_w=5)
+    seen = []
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as log, pytest.raises(ValueError, match="non-finite") as err:
+            warnings.simplefilter("always")
+            run(panel, cfg, threads=threads)
+        seen.append((str(err.value), [(w.category, str(w.message), w.filename, w.lineno) for w in log]))
+    # two workers split dates 4..19 at 12, so the error ends the second range
+    assert len(seen[0][1]) == 10
+    assert seen[1] == seen[0]
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4, 8])
+def test_every_range_boundary_row_equals_the_serial_row(threads, monkeypatch):
+    # 23 dates at w = 20 leave 4 analyzable dates, so at 4 or more workers
+    # every range is one date long and every later row is remade in the caller
+    panel = generate(SynthSpec(n_assets=8, n_days=23, seed=3))
+    cfg = PipelineConfig(snapshot_dates="all", diff_threshold=0.5)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
+    serial = run(panel, cfg, threads=1)
+    assert len(serial.metrics) == 4 and sum(r.n_red_edges or 0 for r in serial.metrics) > 0
+    forked = run(panel, cfg, threads=threads)
+    assert forked.metrics == serial.metrics
+    assert forked.snapshots == serial.snapshots
+    # one id tuple for the run, and read-only positions, also where they
+    # came back from a worker
+    first, *rest = forked.snapshots.values()
+    assert first.asset_ids == panel.asset_ids
+    assert all(s.asset_ids is first.asset_ids for s in rest)
+    with pytest.raises(ValueError):
+        rest[-1].red_pairs[:1] = 0
+
+
 def test_worker_count_caps_a_huge_request_without_forking(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("the resolver forked"))
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
