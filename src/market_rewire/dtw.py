@@ -7,30 +7,46 @@ difference local cost:
 
 with f(0, 0) = |p_0 - q_0| and out-of-grid predecessors treated as +inf.
 There is no path-length normalization and, by default, no global warping
-band. `distance_matrix` evaluates all unordered pairs through a
-pair-batched version of the same dynamic program; both code paths perform
-identical elementary float operations, so their results agree bitwise.
-The batched version keeps pairs on the last axis and sweeps the table by
+band. `dtw_distance` is the scalar loop over one pair. `distance_matrix`
+evaluates all unordered pairs of a day in one call of `_pair_distances`,
+which runs one of two batched versions of the same dynamic program. Every
+version performs the scalar loop's elementary float operations on the same
+values, |p - q|, two mins and one add per cell, so all results agree bitwise.
+
+The compiled kernel (`_dtw.c`, `KERNEL == "c"`) sweeps the table row by row
+for groups of pairs laid out pair-minor, so its innermost loop runs across
+pairs and vectorises. It is built on first import with the machine's `cc`
+into this package's __pycache__ and loaded with ctypes; later imports load
+it from there. Its scratch, (4w + 2) doubles per pair of a group, is a numpy
+array that each call allocates. Where no library can be built or loaded (no
+compiler, a directory that cannot be written, a toolchain that rejects the
+source), `KERNEL` reads "numpy" and the numpy wavefront runs instead.
+
+The numpy wavefront keeps pairs on the last axis and sweeps the table by
 anti-diagonals, holding three of them. It takes the pairs in blocks of
 _PAIR_BLOCK, so one block's working memory, (6w + 3) * k * 8 bytes for k
-pairs, is about 2 MB at w = 20 whatever the asset count. Beyond that, a day
-over n assets holds the n x n matrix and two O(n^2) pair-index arrays: one
-500-asset, w = 20 day peaked at 7.3 MB under tracemalloc.
+pairs, is about 2 MB at w = 20 whatever the asset count. The block buffers
+stay allocated between calls for the two most recently used block shapes, a
+day's full blocks and its short last block, so up to two sets (about 4 MB at
+w = 20) stay held after a call, and later blocks take no page faults for
+fresh pages from the allocator. The diagonal plan, the bounds and band
+clipping of each of the 2w - 1 anti-diagonals as ready-made slices, is
+cached per (w, band) for the eight most recent keys.
 
-The block buffers stay allocated between calls for the two most recently
-used block shapes, a day's full blocks and its short last block, so up to
-two sets (about 4 MB at w = 20) stay held after a call, and later blocks
-take no page faults for fresh pages from the allocator.
-
-What a day computes the same way as every other day of the run is computed
-once. The diagonal plan, the bounds and band clipping of each of the 2w - 1
-anti-diagonals as ready-made slices, is cached per (w, band) for the eight
-most recent keys, so a block's sweep is its numpy calls and little else.
+Beyond the kernel, a day over n assets holds the n x n matrix and two
+O(n^2) pair-index arrays: one 500-asset, w = 20 day peaked at 5.4 MB under
+tracemalloc with the compiled kernel and 7.3 MB on the numpy wavefront. The
+matrix is built once and handed to `DistanceMatrix` without a second copy.
 The read-only pair-index arrays are cached for the two most recent asset
 counts (2 MB at 500 assets), and the pipeline takes the same arrays.
 """
 
+import ctypes
 import math
+import os
+import platform
+import sys
+import zlib
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
@@ -50,6 +66,90 @@ from .preprocess import StandardizedWindow
 # and 4096, fastest of 6 in two processes per size.
 _PAIR_BLOCK = 2048
 
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_dtw.c")
+# No -ffast-math, which lets the compiler reorder and contract float operations
+# and so break the bitwise contract, and no -march=native, which would tie a
+# checkout's library to the CPU that built it; the source's target_clones pick
+# AVX-512, AVX2 or baseline code when the library loads.
+_CFLAGS = ("-O3", "-shared", "-fPIC")
+
+
+def _load_kernel() -> tuple | None:
+    """`_dtw.c`'s `dtw_pairs` and its pair group size, or None where the
+    library cannot be built or loaded.
+
+    The library is built on first use with the machine's `cc` into this
+    package's __pycache__, and named by the CRC-32 of the source, the flags,
+    the interpreter's cache tag and the machine, so a changed source is
+    rebuilt and a current one is reused, as bytecode is.
+    """
+    try:
+        with open(_SOURCE, "rb") as f:
+            source = f.read()
+    except OSError:
+        return None
+    key = [" ".join(_CFLAGS), str(sys.implementation.cache_tag), platform.machine()]
+    crc = zlib.crc32("\n".join(key).encode(), zlib.crc32(source))
+    path = os.path.join(os.path.dirname(_SOURCE), "__pycache__", f"_dtw.{crc:08x}.so")
+    if not _complete(path) and not _build(path):
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+        dtw_pairs = lib.dtw_pairs
+        group = ctypes.c_int64.in_dll(lib, "dtw_group").value
+    except (OSError, AttributeError, ValueError):
+        return None
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    dtw_pairs.argtypes = (pointer, count, count, pointer, pointer, count, count, pointer, pointer)
+    dtw_pairs.restype = ctypes.c_int
+    return dtw_pairs, group
+
+
+def _complete(path: str) -> bool:
+    """Whether the file exists and, if it is ELF, is as long as its header
+    says: loading a truncated library faults instead of failing. The linker
+    puts the section header table last."""
+    try:
+        with open(path, "rb") as f:
+            head, size = f.read(64), os.fstat(f.fileno()).st_size
+    except OSError:
+        return False
+    if len(head) < 64:
+        return False
+    if head[:4] != b"\x7fELF":
+        return True  # another format, as on macOS: nothing to check it against
+    order = "little" if head[5] == 1 else "big"
+    # e_shoff, e_shentsize and e_shnum of a 64-bit or 32-bit header
+    at = (0x28, 8, 0x3A, 0x3C) if head[4] == 2 else (0x20, 4, 0x2E, 0x30)
+    shoff = int.from_bytes(head[at[0] : at[0] + at[1]], order)
+    entry, count = (int.from_bytes(head[i : i + 2], order) for i in at[2:])
+    return shoff + entry * count <= size
+
+
+def _build(path: str) -> bool:
+    """Compile `_dtw.c` into `path` through a temporary file in its directory,
+    so no process ever loads a partly written library; False where it fails."""
+    import subprocess
+
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SOURCE], check=True, capture_output=True, timeout=300)
+        os.replace(tmp, path)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
+_kernel = _load_kernel()
+# "c" where the compiled kernel loaded, else "numpy"
+KERNEL = "numpy" if _kernel is None else "c"
+
 # `_batched_dtw`'s work buffers P, Q, c and the three diagonals, kept between
 # calls by block shape (w, k) for the _SPARE_SHAPES most recently used shapes:
 # a day's full blocks and its short last block.
@@ -67,10 +167,22 @@ class DistanceMatrix:
     d: np.ndarray
 
     def __post_init__(self):
+        self._keep(np.array(self.d, dtype=float, copy=True))
+
+    @classmethod
+    def _adopt(cls, end_date: date, asset_ids: Sequence[str], d: np.ndarray) -> "DistanceMatrix":
+        """A matrix over `d`, a float array that no one else holds, without
+        the public constructor's copy; the same checks run."""
+        dm = cls.__new__(cls)
+        dm.end_date, dm.asset_ids = end_date, asset_ids
+        dm._keep(d)
+        return dm
+
+    def _keep(self, d: np.ndarray) -> None:
+        """Check `d` against the asset ids, make it read-only and keep it."""
         self.asset_ids = tuple(self.asset_ids)
         if len(set(self.asset_ids)) != len(self.asset_ids):
             raise ValueError("asset_ids must be unique")
-        d = np.array(self.d, dtype=float, copy=True)
         n = len(self.asset_ids)
         if d.shape != (n, n):
             raise ValueError(f"distance matrix shape {d.shape} does not match {n} assets")
@@ -184,6 +296,36 @@ def _new_buffers(w: int, k: int) -> tuple[np.ndarray, ...]:
     return tuple(bufs)
 
 
+def _pair_distances(
+    Z: np.ndarray, ii: np.ndarray, jj: np.ndarray, band: int | None, out: np.ndarray
+) -> None:
+    """DTW of column ii[p] of the (w, n) array Z against column jj[p], into
+    out[p], for every p: in one call of the compiled kernel where it loaded,
+    else by the numpy wavefront in blocks of _PAIR_BLOCK pairs."""
+    if _kernel is None:
+        for start in range(0, ii.size, _PAIR_BLOCK):
+            block = slice(start, start + _PAIR_BLOCK)
+            _batched_dtw(Z, ii[block], jj[block], band, out[block])
+        return
+    dtw_pairs, group = _kernel
+    (w, n), k = Z.shape, ii.size
+    # what the kernel reads and writes through raw pointers
+    if not (
+        Z.dtype == out.dtype == np.float64
+        and ii.dtype == jj.dtype == np.int64
+        and ii.shape == jj.shape == out.shape == (k,)
+        and all(a.flags.c_contiguous for a in (Z, ii, jj, out))
+        and out.flags.writeable
+    ):
+        raise ValueError("the DTW kernel takes C-contiguous float64 Z and out and int64 indices")
+    work = np.empty((4 * w + 2) * group)
+    band = w if band is None else min(band, w)
+    if dtw_pairs(
+        Z.ctypes.data, w, n, ii.ctypes.data, jj.ctypes.data, k, band, work.ctypes.data, out.ctypes.data
+    ):
+        raise IndexError(f"a pair index is outside 0 .. {n - 1}")
+
+
 def _batched_dtw(
     Z: np.ndarray, ii: np.ndarray, jj: np.ndarray, band: int | None, out: np.ndarray
 ) -> None:
@@ -262,9 +404,7 @@ def distance_matrix(
             raise ValueError("windows contain non-finite values")
         ii, jj = _pair_indices(n)
         vals = np.empty(ii.size)
-        for start in range(0, ii.size, _PAIR_BLOCK):
-            block = slice(start, start + _PAIR_BLOCK)
-            _batched_dtw(Z, ii[block], jj[block], band, vals[block])
+        _pair_distances(Z, ii, jj, band, vals)
         d[ii, jj] = vals
         d[jj, ii] = vals
-    return DistanceMatrix(end_date=end, asset_ids=tuple(ids), d=d)
+    return DistanceMatrix._adopt(end, ids, d)

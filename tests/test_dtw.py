@@ -10,6 +10,21 @@ from hypothesis import given, strategies as st
 
 from market_rewire import DistanceMatrix, StandardizedWindow, distance_matrix, dtw, dtw_distance
 
+
+@pytest.fixture
+def c_kernel():
+    """The compiled kernel, which `distance_matrix` takes wherever it loaded."""
+    if dtw.KERNEL != "c":
+        pytest.skip("the compiled DTW kernel did not build or load here")
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """The numpy wavefront, which `distance_matrix` takes where the compiled
+    kernel did not load."""
+    monkeypatch.setattr(dtw, "_kernel", None)
+
+
 sequences = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=8
 )
@@ -102,11 +117,13 @@ def _windows(arrays, end=date(2020, 6, 1)):
     ]
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_matrix_of_identical_windows_is_zero():
     dm = distance_matrix(_windows([[0.1, -0.5, 1.0], [0.1, -0.5, 1.0]]))
     np.testing.assert_array_equal(dm.d, np.zeros((2, 2)))
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_matrix_matches_scalar_dtw_bitwise():
     rng = np.random.default_rng(99)
     arrays = rng.normal(size=(7, 20))
@@ -120,6 +137,7 @@ def test_matrix_matches_scalar_dtw_bitwise():
             assert dm.d[j, i] == expected
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_matrix_with_band_matches_scalar():
     rng = np.random.default_rng(17)
     arrays = rng.normal(size=(4, 12))
@@ -191,6 +209,7 @@ def day_with_band(draw):
     return np.array(rows), band
 
 
+@pytest.mark.usefixtures("c_kernel")
 @given(day_with_band())
 def test_matrix_equals_scalar_bitwise_for_any_shape_and_band(case):
     arrays, band = case
@@ -207,6 +226,7 @@ def test_matrix_equals_scalar_bitwise_for_any_shape_and_band(case):
             assert dm.d[j, i] == expected
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_matrix_equals_scalar_across_the_real_block_edge():
     n = 70  # 2415 pairs: one full block and a partial one
     assert n * (n - 1) // 2 > dtw._PAIR_BLOCK
@@ -219,6 +239,7 @@ def test_matrix_equals_scalar_across_the_real_block_edge():
         assert dm.d[i, j] == dm.d[j, i] == dtw_distance(arrays[i], arrays[j])
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_matrix_equals_scalar_as_the_diagonal_plan_key_changes():
     """Twelve (w, band) keys, more than the plan cache holds, each used twice
     with other keys between: every matrix is the scalar DTW's."""
@@ -244,6 +265,7 @@ def test_pair_indices_are_cached_and_read_only():
             a[0] = 5
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_one_day_peak_memory_stays_bounded():
     """One day over 400 assets: all 79,800 pairs in one batch peaked at 93 MB;
     fixed pair blocks keep the peak near 5 MB."""
@@ -258,6 +280,7 @@ def test_one_day_peak_memory_stays_bounded():
     assert peak < 16e6
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_kernel_buffers_are_reused_across_days():
     """After a warm call, a second 100-asset day allocates no block buffers:
     its traced peak stays below one set of them (2 MB at w = 20)."""
@@ -274,6 +297,7 @@ def test_kernel_buffers_are_reused_across_days():
     assert peak < (6 * 20 + 3) * dtw._PAIR_BLOCK * 8
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_matrix_equals_scalar_as_block_shapes_alternate():
     """Days whose block shapes alternate, with short last blocks, a band
     change on a kept shape and w changes: each matrix is the scalar DTW's."""
@@ -292,6 +316,7 @@ def test_matrix_equals_scalar_as_block_shapes_alternate():
                     assert dm.d[i, j] == dtw_distance(arrays[i], arrays[j], band=band)
 
 
+@pytest.mark.usefixtures("numpy_kernel")
 def test_at_most_two_block_shapes_stay_allocated():
     rng = np.random.default_rng(14)
     shapes = []
@@ -305,6 +330,7 @@ def test_at_most_two_block_shapes_stay_allocated():
     assert sorted(dtw._spares) == sorted(recent)
 
 
+@pytest.mark.usefixtures("numpy_kernel")
 def test_kept_buffers_are_page_aligned_and_disjoint():
     distance_matrix(_windows(np.random.default_rng(16).normal(size=(9, 7))))
     bufs = dtw._spares[7, 36]  # w = 7, 36 pairs
@@ -313,6 +339,7 @@ def test_kept_buffers_are_page_aligned_and_disjoint():
     assert not any(np.shares_memory(a, b) for i, a in enumerate(bufs) for b in bufs[i + 1:])
 
 
+@pytest.mark.usefixtures("c_kernel")
 def test_concurrent_days_equal_serial_days_bitwise():
     """Four threads computing days of mixed (n, w, band) at once, many
     sharing a block shape, get exactly the serial results."""
@@ -336,6 +363,68 @@ def test_concurrent_days_equal_serial_days_bitwise():
             sys.setswitchinterval(interval)
     mismatches = [i for i, d in enumerate(got) if d.tobytes() != serial[i % len(days)]]
     assert mismatches == []
+
+
+# The matrix-level tests above run on the compiled kernel; these run them again
+# on the numpy wavefront. Both must give the scalar DTW's bits.
+BOTH_KERNELS = [
+    test_matrix_of_identical_windows_is_zero,
+    test_matrix_matches_scalar_dtw_bitwise,
+    test_matrix_with_band_matches_scalar,
+    test_matrix_equals_scalar_bitwise_for_any_shape_and_band,
+    test_matrix_equals_scalar_across_the_real_block_edge,
+    test_matrix_equals_scalar_as_the_diagonal_plan_key_changes,
+    test_one_day_peak_memory_stays_bounded,
+    test_kernel_buffers_are_reused_across_days,
+    test_matrix_equals_scalar_as_block_shapes_alternate,
+    test_concurrent_days_equal_serial_days_bitwise,
+]
+
+
+@pytest.mark.parametrize("test", BOTH_KERNELS, ids=lambda test: test.__name__)
+def test_on_the_numpy_wavefront(test, numpy_kernel):
+    test()
+
+
+@pytest.mark.usefixtures("c_kernel")
+@pytest.mark.parametrize(
+    "groups, extra, w, band",
+    [
+        (0, 1, 20, None),  # one pair
+        (0, 5, 20, None),  # fewer pairs than one group
+        (2, 5, 13, None),  # a short last group after full ones, odd w
+        (1, 3, 1, None),  # w = 1
+        (2, 5, 9, 0),  # band 0
+        (1, 0, 7, 7),  # band w, whole groups only
+        (2, 7, 7, 30),  # band past w
+    ],
+)
+def test_compiled_kernel_equals_scalar_at_pair_group_edges(groups, extra, w, band):
+    """Any pairs, an asset with itself among them, in one call of the kernel."""
+    k = groups * dtw._kernel[1] + extra
+    rng = np.random.default_rng(31 * k + w)
+    Z = rng.normal(size=(w, 12))
+    ii, jj = rng.integers(0, 12, size=(2, k))
+    out = np.full(k, np.nan)
+    dtw._pair_distances(Z, ii, jj, band, out)
+    assert out.tolist() == [dtw_distance(Z[:, i], Z[:, j], band=band) for i, j in zip(ii, jj)]
+
+
+@pytest.mark.usefixtures("c_kernel")
+def test_compiled_kernel_call_checks_its_arrays():
+    Z = np.random.default_rng(3).normal(size=(5, 4))
+    ii, jj, out = np.array([0, 1]), np.array([2, 3]), np.empty(2)
+    for args in [
+        (Z.astype(np.float32), ii, jj, out),
+        (np.asfortranarray(Z), ii, jj, out),
+        (Z, ii.astype(np.int32), jj, out),
+        (Z, ii, jj[:1], out),
+        (Z, ii, jj, np.empty(4)[::2]),
+    ]:
+        with pytest.raises(ValueError, match="kernel takes"):
+            dtw._pair_distances(*args[:3], None, args[3])
+    with pytest.raises(IndexError, match="outside 0 .. 3"):
+        dtw._pair_distances(Z, ii, np.array([2, 4]), None, out)
 
 
 @given(
