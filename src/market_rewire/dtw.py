@@ -54,7 +54,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import _check_int
+from .ingest import _check_date, _check_ids, _check_int
 from .preprocess import StandardizedWindow
 
 # Pairs per kernel call. At w = 20 one call's buffers take about 2 MB, one
@@ -179,8 +179,9 @@ class DistanceMatrix:
         return dm
 
     def _keep(self, d: np.ndarray) -> None:
-        """Check `d` against the asset ids, make it read-only and keep it."""
-        self.asset_ids = tuple(self.asset_ids)
+        """Check `d` against the date and asset ids, make it read-only and keep it."""
+        _check_date(self.end_date, "end_date")
+        self.asset_ids = _check_ids(self.asset_ids, "asset_ids")
         if len(set(self.asset_ids)) != len(self.asset_ids):
             raise ValueError("asset_ids must be unique")
         n = len(self.asset_ids)

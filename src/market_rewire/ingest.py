@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date, datetime
 
@@ -43,6 +44,13 @@ def _check_real(value, name: str, at_most: float | None = None) -> None:
 def _check_date(value, name: str) -> None:
     if isinstance(value, datetime) or not isinstance(value, date):
         raise ValueError(f"{name} must be calendar dates, got {value!r}")
+
+
+def _check_ids(value, name: str) -> tuple:
+    """`value` as a tuple of ids; a string is one id, not a sequence of them."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ValueError(f"{name} must be a sequence of ids, got {value!r}")
+    return tuple(value)
 
 
 def _check_direction(value, name: str) -> int:

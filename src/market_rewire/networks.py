@@ -7,10 +7,11 @@ differential network compares two consecutive distance matrices: pairs that
 moved apart by strictly more than a threshold get a red edge, pairs that
 moved closer a blue edge. Hubs are counted per edge color.
 
-`day_metrics` gives the same counts and entropy straight from the upper
+`day_metrics` gives the counts and entropy straight from the upper
 triangle of the distance matrices, without building a graph, and hands
 back its edge masks; the pipeline uses it on every date and keeps the
-masked positions of snapshot dates.
+masked positions of snapshot dates. The graph functions map ids to their
+places in the node tuple and call the same array code.
 """
 
 import math
@@ -20,8 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dtw import DistanceMatrix
-from .ingest import _check_int, _check_real
+from .dtw import DistanceMatrix, _pair_indices
+from .ingest import _check_date, _check_ids, _check_int, _check_real
 
 
 def _canonical_edges(edges, nodes: set[str], kind: str) -> frozenset[tuple[str, str]]:
@@ -36,8 +37,9 @@ def _canonical_edges(edges, nodes: set[str], kind: str) -> frozenset[tuple[str, 
 
 
 def _node_set(graph) -> set[str]:
-    """Store the graph's nodes as a tuple; return them as a set, without duplicates."""
-    object.__setattr__(graph, "nodes", tuple(graph.nodes))
+    """Check the date, store the nodes as a tuple; return them as a set, without duplicates."""
+    _check_date(graph.end_date, "end_date")
+    object.__setattr__(graph, "nodes", _check_ids(graph.nodes, "nodes"))
     node_set = set(graph.nodes)
     if len(node_set) != len(graph.nodes):
         raise ValueError("duplicate node ids")
@@ -101,17 +103,24 @@ class HubCounts(NamedTuple):
     farther_hub_ids: frozenset[str]
 
 
-def _upper_edges(mask: np.ndarray, ids: tuple[str, ...]) -> list[tuple[str, str]]:
-    """(ids[i], ids[j]) for every True mask[i, j] above the diagonal."""
-    ii, jj = np.nonzero(mask)
-    upper = ii < jj
-    return [(ids[i], ids[j]) for i, j in zip(ii[upper].tolist(), jj[upper].tolist())]
+def _pair_edges(ids: tuple[str, ...], positions: np.ndarray) -> list[tuple[str, str]]:
+    """(ids[i], ids[j]) for the pairs at `positions` (indices or a mask) of
+    the upper triangle over the ids, in `_pair_indices` order."""
+    ii, jj = _pair_indices(len(ids))
+    return [(ids[i], ids[j]) for i, j in zip(ii[positions].tolist(), jj[positions].tolist())]
+
+
+def _places(nodes: tuple[str, ...], edges) -> tuple[np.ndarray, np.ndarray]:
+    """The places in `nodes` of the two ends of each edge."""
+    place = {node: i for i, node in enumerate(nodes)}
+    ends = np.fromiter([place[x] for edge in edges for x in edge], np.intp, 2 * len(edges))
+    return ends[0::2], ends[1::2]
 
 
 def cooccurrence_network(dm: DistanceMatrix, theta: float) -> Graph:
     """Graph with an edge wherever the pairwise distance is strictly below `theta`."""
     _check_real(theta, "co-occurrence threshold")
-    edges = _upper_edges(dm.d < theta, dm.asset_ids)
+    edges = _pair_edges(dm.asset_ids, dm.d[_pair_indices(dm.n_assets)] < theta)
     return Graph(end_date=dm.end_date, nodes=dm.asset_ids, edges=edges)
 
 
@@ -121,52 +130,36 @@ def connected_components(g: Graph) -> list[set[str]]:
     Components are returned in order of their first node's position in
     `g.nodes`, so the output is deterministic for a given graph.
     """
-    adj: dict[str, list[str]] = {node: [] for node in g.nodes}
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in g.nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nb in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        components.append(comp)
-    return components
+    labels = _component_labels(len(g.nodes), *_places(g.nodes, g.edges))
+    components: dict[int, set[str]] = {}
+    for node, label in zip(g.nodes, labels.tolist()):
+        components.setdefault(label, set()).add(node)
+    return list(components.values())
 
 
-def _component_sizes(n: int, a: np.ndarray, b: np.ndarray) -> list[int]:
-    """Node counts of the connected components of the graph on nodes 0..n-1
-    with edges (a[e], b[e]).
+def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each node of the graph on nodes 0..n-1 with edges (a[e], b[e]),
+    the lowest node of its connected component.
 
     Every node carries the label of a node in its own component, no larger
     than itself. Each round hooks the larger label of every edge whose ends
     disagree under the smaller one and then lets every node take its label's
     label, so some label shrinks each round. Once the ends of every edge
-    agree, each component carries one label of its own.
+    agree, each component carries one label of its own: its lowest node.
     """
     label = np.arange(n)
     while True:
         la, lb = label[a], label[b]
         if (la == lb).all():
-            return [s for s in np.bincount(label, minlength=n).tolist() if s]
+            return label
         np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
         label = label[label]
 
 
 def _size_entropy(sizes: Sequence[int]) -> float:
     """Shannon entropy, in bits, of cluster sizes taken as frequencies."""
-    # summed largest first whatever order the clusters come in, so the graph
-    # and array paths give the same bits
+    # summed largest first, so `graph_based_entropy` gives the same bits
+    # whatever order the clusters come in
     sizes = sorted((s for s in sizes if s > 0), reverse=True)
     total = sum(sizes)
     if total == 0:
@@ -214,7 +207,7 @@ def differential_network(
     """
     _check_real(delta, "differential threshold")
     D = np.asarray(diff, dtype=float)
-    ids = tuple(asset_ids)
+    ids = _check_ids(asset_ids, "asset_ids")
     n = len(ids)
     if D.shape != (n, n):
         raise ValueError(f"difference matrix shape {D.shape} does not match {n} assets")
@@ -222,11 +215,12 @@ def differential_network(
         raise ValueError("difference matrix entries must be finite")
     if not np.array_equal(D, D.T):
         raise ValueError("difference matrix must be symmetric")
+    upper = D[_pair_indices(n)]
     return SignedGraph(
         end_date=end_date,
         nodes=ids,
-        red_edges=_upper_edges(D > delta, ids),
-        blue_edges=_upper_edges(D < -delta, ids),
+        red_edges=_pair_edges(ids, upper > delta),
+        blue_edges=_pair_edges(ids, upper < -delta),
     )
 
 
@@ -235,23 +229,18 @@ def count_hubs(sg: SignedGraph, k: int) -> HubCounts:
     red-edge) degree is at least `k`. Degrees are counted per color, so a
     node needs k edges of a single color to qualify, and may be both kinds."""
     _check_int(k, "hub degree threshold", 1)
-    blue_deg: dict[str, int] = {}
-    red_deg: dict[str, int] = {}
-    for a, b in sg.blue_edges:
-        blue_deg[a] = blue_deg.get(a, 0) + 1
-        blue_deg[b] = blue_deg.get(b, 0) + 1
-    for a, b in sg.red_edges:
-        red_deg[a] = red_deg.get(a, 0) + 1
-        red_deg[b] = red_deg.get(b, 0) + 1
-    closer = frozenset(n for n, deg in blue_deg.items() if deg >= k)
-    farther = frozenset(n for n, deg in red_deg.items() if deg >= k)
+    nodes = sg.nodes
+    closer, farther = (
+        frozenset(nodes[p] for p in _hubs(len(nodes), *_places(nodes, edges), k).tolist())
+        for edges in (sg.blue_edges, sg.red_edges)
+    )
     return HubCounts(len(closer), len(farther), closer, farther)
 
 
-def _hub_count(n: int, a: np.ndarray, b: np.ndarray, k: int) -> int:
+def _hubs(n: int, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Nodes of 0..n-1 that are an end of at least `k` of the edges (a[e], b[e])."""
     degree = np.bincount(np.concatenate((a, b)), minlength=n)
-    return int(np.count_nonzero(degree >= k))
+    return np.flatnonzero(degree >= k)
 
 
 def day_metrics(
@@ -277,7 +266,8 @@ def day_metrics(
     """
     ii, jj = pairs
     near = dist < theta
-    sizes = _component_sizes(n, ii[near], jj[near])
+    labels = _component_labels(n, ii[near], jj[near])
+    sizes = [s for s in np.bincount(labels, minlength=n).tolist() if s]
     differential, masks = {}, (near,)
     if change is not None:
         red = change > delta
@@ -285,8 +275,8 @@ def day_metrics(
         differential = dict(
             n_red_edges=int(np.count_nonzero(red)),
             n_blue_edges=int(np.count_nonzero(blue)),
-            n_farther_hubs=_hub_count(n, ii[red], jj[red], k),
-            n_closer_hubs=_hub_count(n, ii[blue], jj[blue], k),
+            n_farther_hubs=_hubs(n, ii[red], jj[red], k).size,
+            n_closer_hubs=_hubs(n, ii[blue], jj[blue], k).size,
         )
         masks = (near, red, blue)
     return MetricsRow(

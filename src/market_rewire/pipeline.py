@@ -34,7 +34,7 @@ import numpy as np
 
 from .dtw import _pair_indices, distance_matrix
 from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_int, _check_real, fill_missing
-from .networks import Graph, MetricsRow, SignedGraph, day_metrics
+from .networks import Graph, MetricsRow, SignedGraph, _pair_edges, day_metrics
 from .preprocess import windows_at
 
 
@@ -99,22 +99,16 @@ class DaySnapshot:
     red_pairs: np.ndarray | None = None
     blue_pairs: np.ndarray | None = None
 
-    def _edges(self, positions: np.ndarray) -> list[tuple[str, str]]:
-        ii, jj = _pair_indices(len(self.asset_ids))
-        ids = self.asset_ids
-        return [(ids[i], ids[j]) for i, j in zip(ii[positions].tolist(), jj[positions].tolist())]
-
     @property
     def cooccurrence(self) -> Graph:
-        return Graph(self.end_date, self.asset_ids, self._edges(self.cooc_pairs))
+        return Graph(self.end_date, self.asset_ids, _pair_edges(self.asset_ids, self.cooc_pairs))
 
     @property
     def differential(self) -> SignedGraph | None:
         if self.red_pairs is None:
             return None
-        return SignedGraph(
-            self.end_date, self.asset_ids, self._edges(self.red_pairs), self._edges(self.blue_pairs)
-        )
+        red, blue = (_pair_edges(self.asset_ids, p) for p in (self.red_pairs, self.blue_pairs))
+        return SignedGraph(self.end_date, self.asset_ids, red, blue)
 
     def _key(self):
         positions = (self.cooc_pairs, self.red_pairs, self.blue_pairs)

@@ -100,6 +100,9 @@ def _validate_spec(spec: SynthSpec) -> tuple[str, ...]:
             if c not in ASSET_CLASSES:
                 raise ValueError(f"unknown asset class {c!r}")
 
+    shocks = spec.shocks
+    if not isinstance(shocks, (list, tuple)) or not all(isinstance(s, Shock) for s in shocks):
+        raise ValueError(f"shocks must be a list or tuple of Shock, got {shocks!r}")
     claimed = np.zeros((spec.n_days, spec.n_assets), dtype=bool)
     for s in spec.shocks:
         _check_int(s.start_day, "start_day")

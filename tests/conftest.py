@@ -1,17 +1,11 @@
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from market_rewire import (
-    AssetMeta,
-    MetricsRow,
-    PricePanel,
-    SignedGraph,
-    connected_components,
-    count_hubs,
-    graph_based_entropy,
-)
+from market_rewire import AssetMeta, MetricsRow, PricePanel, SignedGraph
 
 
 def dtw_bruteforce(p, q):
@@ -66,19 +60,50 @@ def dtw_oracle():
     return dtw_bruteforce
 
 
+def component_sizes_reference(g):
+    """Node counts of the graph's connected components, largest first, from a
+    plain union-find over its id edges."""
+    root = {node: node for node in g.nodes}
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b in g.edges:
+        root[find(a)] = find(b)
+    return sorted(Counter(find(node) for node in g.nodes).values(), reverse=True)
+
+
+def hub_ids_reference(sg, k):
+    """(closer, farther) hub ids: the nodes with at least `k` blue, resp. red,
+    edges, from plain degree counts."""
+    return tuple(
+        {node for node, degree in Counter(x for edge in edges for x in edge).items() if degree >= k}
+        for edges in (sg.blue_edges, sg.red_edges)
+    )
+
+
 def graph_metrics_row(g, sg, k):
     """A date's metrics read off its co-occurrence graph and, when there is
-    one, its differential graph with hub degree `k`: the reference that the
-    pipeline's array metrics must equal."""
-    comps = connected_components(g)
-    row = {"gbe": graph_based_entropy(comps), "n_components": len(comps), "n_cooc_edges": len(g.edges)}
+    one, its differential graph with hub degree `k`, without the library's
+    network code: the reference that the pipeline's array metrics must
+    equal. The entropy is summed largest cluster first, as documented, in a
+    plain loop: `sum` compensates its rounding from Python 3.12 on."""
+    sizes = component_sizes_reference(g)
+    n = len(g.nodes)
+    gbe = 0.0
+    for s in sizes:
+        gbe -= s / n * math.log2(s / n)
+    row = {"gbe": gbe + 0.0, "n_components": len(sizes), "n_cooc_edges": len(g.edges)}
     if sg is not None:
-        hubs = count_hubs(sg, k)
+        closer, farther = hub_ids_reference(sg, k)
         row.update(
             n_red_edges=len(sg.red_edges),
             n_blue_edges=len(sg.blue_edges),
-            n_farther_hubs=hubs.n_farther_hubs,
-            n_closer_hubs=hubs.n_closer_hubs,
+            n_farther_hubs=len(farther),
+            n_closer_hubs=len(closer),
         )
     return MetricsRow(end_date=g.end_date, **row)
 

@@ -7,6 +7,7 @@ import pytest
 from market_rewire import (
     AssetMeta,
     DistanceMatrix,
+    Graph,
     PricePanel,
     Shock,
     SignedGraph,
@@ -280,9 +281,10 @@ def test_asset_meta_validation():
         AssetMeta("a", "A", "crypto", 1)
 
 
+_D0 = date(2020, 1, 1)
 _PANEL = generate(SynthSpec(n_assets=3, n_days=30, seed=0))
-_DM = DistanceMatrix(date(2020, 1, 1), ("a", "b"), [[0.0, 1.0], [1.0, 0.0]])
-_SG = SignedGraph(date(2020, 1, 1), ("a", "b"), frozenset(), frozenset())
+_DM = DistanceMatrix(_D0, ("a", "b"), [[0.0, 1.0], [1.0, 0.0]])
+_SG = SignedGraph(_D0, ("a", "b"), frozenset(), frozenset())
 
 
 def _shocked(shock):
@@ -309,10 +311,22 @@ def _shocked(shock):
         (lambda: windows_at(_PANEL, 25.0, 20), "date index"),
         (lambda: windows_at(_PANEL, 25, 20.0), "window width"),
         (lambda: apply_direction([1.0], True), "direction"),
+        (lambda: generate(SynthSpec(3, 30, 0, shocks=None)), "shocks"),
+        (lambda: generate(SynthSpec(3, 30, 0, shocks=Shock(1, 5, 0.5))), "shocks"),
+        (lambda: Graph(_D0, "ab", ()), "nodes"),
+        (lambda: Graph("2020-01-01", ("a", "b"), ()), "end_date"),
+        (lambda: SignedGraph(_D0, "ab", (), ()), "nodes"),
+        (lambda: SignedGraph("2020-01-01", ("a", "b"), (), ()), "end_date"),
+        (lambda: DistanceMatrix(_D0, "ab", np.zeros((2, 2))), "asset_ids"),
+        (lambda: DistanceMatrix("2020-01-01", ("a", "b"), np.zeros((2, 2))), "end_date"),
+        (lambda: differential_network(np.zeros((2, 2)), 1.0, "ab", _D0), "asset_ids"),
+        (lambda: differential_network(np.zeros((2, 2)), 1.0, ("a", "b"), "2020-01-01"), "end_date"),
     ],
 )
 def test_entry_points_reject_settings_of_the_wrong_type(call, setting):
     # each case used to raise TypeError or IndexError, or to run with the
-    # value rounded or read as 1 (count_hubs(sg, 2.5) counted degree >= 3)
+    # value rounded or read as 1 (count_hubs(sg, 2.5) counted degree >= 3);
+    # a string of ids passed as its characters, and a string end_date
+    # passed until export_graph called its isoformat
     with pytest.raises(ValueError, match=f"^{setting} .*must be"):
         call()

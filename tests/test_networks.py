@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import graph_metrics_row
+from conftest import graph_metrics_row, hub_ids_reference
 from market_rewire import (
     DistanceMatrix,
     Graph,
@@ -337,3 +337,27 @@ def test_day_metrics_equal_the_graph_path(case):
     assert first == graph_metrics_row(g, None, k)
     later, _ = day_metrics(D0, n, pairs, upper, upper - prev[pairs], 2.0, 1.0, k)
     assert later == graph_metrics_row(g, sg, k)
+
+
+@st.composite
+def signed_graphs(draw):
+    """A signed graph over up to 30 ids in unsorted order, some of them
+    isolated, with a color drawn for each edge, and a hub degree."""
+    n = draw(st.integers(1, 30))
+    ids = tuple(f"n{p}" for p in draw(st.permutations(range(n))))
+    isolated = draw(st.sets(st.integers(0, n - 1)))
+    ends = st.integers(0, n - 1)
+    red = {}
+    for a, b, is_red in draw(st.lists(st.tuples(ends, ends, st.booleans()), max_size=3 * n)):
+        if a != b and not {a, b} & isolated:
+            red[min(ids[a], ids[b]), max(ids[a], ids[b])] = is_red
+    return SignedGraph(
+        D0, ids, {e for e, r in red.items() if r}, {e for e, r in red.items() if not r}
+    ), draw(st.integers(1, 4))
+
+
+@given(signed_graphs())
+def test_count_hubs_ids_equal_plain_degree_counts(case):
+    sg, k = case
+    closer, farther = hub_ids_reference(sg, k)
+    assert count_hubs(sg, k) == (len(closer), len(farther), closer, farther)
