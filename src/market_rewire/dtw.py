@@ -319,7 +319,9 @@ def _pair_distances(
         and out.flags.writeable
     ):
         raise ValueError("the DTW kernel takes C-contiguous float64 Z and out and int64 indices")
-    work = np.empty((4 * w + 2) * group)
+    # 64-byte aligned: at np.empty's 16 bytes the kernel ran up to a third slower
+    raw = np.empty((4 * w + 2) * group + 7)
+    work = raw[(-raw.ctypes.data) % 64 // 8 :]
     band = w if band is None else min(band, w)
     if dtw_pairs(
         Z.ctypes.data, w, n, ii.ctypes.data, jj.ctypes.data, k, band, work.ctypes.data, out.ctypes.data

@@ -427,6 +427,28 @@ def test_compiled_kernel_call_checks_its_arrays():
         dtw._pair_distances(Z, ii, np.array([2, 4]), None, out)
 
 
+@pytest.mark.usefixtures("c_kernel")
+def test_compiled_kernel_work_buffer_is_cache_line_aligned(monkeypatch):
+    call, group = dtw._kernel
+    works = []
+
+    def record(*args):
+        works.append(args[7])
+        return call(*args)
+
+    monkeypatch.setattr(dtw, "_kernel", (record, group))
+    rng = np.random.default_rng(5)
+    ii, jj = dtw._pair_indices(6)
+    held = []
+    for w in (2, 20, 21, 40, 100):
+        for shift in range(4):
+            # hold arrays of odd sizes, so the allocator's next block moves
+            held.append(np.empty(2 * shift + 1))
+            Z = rng.normal(size=(w, 6))
+            dtw._pair_distances(Z, ii, jj, None, np.empty(ii.size))
+    assert len(works) == 20 and [address % 64 for address in works] == [0] * 20
+
+
 @given(
     st.lists(finite, min_size=1, max_size=6),
     st.lists(finite, min_size=1, max_size=6),
