@@ -7,11 +7,13 @@ difference local cost:
 
 with f(0, 0) = |p_0 - q_0| and out-of-grid predecessors treated as +inf.
 There is no path-length normalization and, by default, no global warping
-band. `dtw_distance` is the scalar loop over one pair. `distance_matrix`
-evaluates all unordered pairs of a day in one call of `_pair_distances`,
-which runs one of two batched versions of the same dynamic program. Every
-version performs the scalar loop's elementary float operations on the same
-values, |p - q|, two mins and one add per cell, so all results agree bitwise.
+band. `dtw_distance` is the scalar loop over one pair. `_pair_distances`
+fills a pair-ordered vector with the distances of given column pairs of a
+day's (w, n) window array; a run calls it on every date, and
+`distance_matrix` wraps it for one day's windows. It runs one of two
+batched versions of the same dynamic program. Every version performs the
+scalar loop's elementary float operations on the same values, |p - q|, two
+mins and one add per cell, so all results agree bitwise.
 
 The compiled kernel (`_dtw.c`, `KERNEL == "c"`) sweeps the table row by row
 for groups of pairs laid out pair-minor, so its innermost loop runs across
@@ -33,12 +35,12 @@ fresh pages from the allocator. The diagonal plan, the bounds and band
 clipping of each of the 2w - 1 anti-diagonals as ready-made slices, is
 cached per (w, band) for the eight most recent keys.
 
-Beyond the kernel, a day over n assets holds the n x n matrix and two
-O(n^2) pair-index arrays: one 500-asset, w = 20 day peaked at 5.4 MB under
-tracemalloc with the compiled kernel and 7.3 MB on the numpy wavefront. The
-matrix is built once and handed to `DistanceMatrix` without a second copy.
-The read-only pair-index arrays are cached for the two most recent asset
-counts (2 MB at 500 assets), and the pipeline takes the same arrays.
+Beyond the kernel, a run's day over n assets holds its distance vector
+and the previous day's, n(n-1)/2 doubles each, and two O(n^2) pair-index
+arrays, read-only and cached for the two most recent asset counts (2 MB at
+500 assets). `distance_matrix` also builds an n x n matrix, which
+`DistanceMatrix` copies; one 400-asset, w = 20 call stays under 16 MB of
+traced allocations on either kernel.
 """
 
 import ctypes
@@ -167,24 +169,12 @@ class DistanceMatrix:
     d: np.ndarray
 
     def __post_init__(self):
-        self._keep(np.array(self.d, dtype=float, copy=True))
-
-    @classmethod
-    def _adopt(cls, end_date: date, asset_ids: Sequence[str], d: np.ndarray) -> "DistanceMatrix":
-        """A matrix over `d`, a float array that no one else holds, without
-        the public constructor's copy; the same checks run."""
-        dm = cls.__new__(cls)
-        dm.end_date, dm.asset_ids = end_date, asset_ids
-        dm._keep(d)
-        return dm
-
-    def _keep(self, d: np.ndarray) -> None:
-        """Check `d` against the date and asset ids, make it read-only and keep it."""
         _check_date(self.end_date, "end_date")
         self.asset_ids = _check_ids(self.asset_ids, "asset_ids")
         if len(set(self.asset_ids)) != len(self.asset_ids):
             raise ValueError("asset_ids must be unique")
         n = len(self.asset_ids)
+        d = np.array(self.d, dtype=float, copy=True)
         if d.shape != (n, n):
             raise ValueError(f"distance matrix shape {d.shape} does not match {n} assets")
         if not np.isfinite(d).all():
@@ -380,34 +370,28 @@ def distance_matrix(
     """Pairwise DTW distance matrix over one day's standardized windows.
 
     All windows must share the same end date and length. Each unordered pair
-    is evaluated exactly once and mirrored, so the result is symmetric with a
-    zero diagonal by construction, independent of evaluation order.
+    is evaluated once, by `_pair_distances` as in a run, and mirrored, so the
+    result is symmetric with a zero diagonal, whatever the evaluation order.
     """
     band = _check_int(band, "band half-width", 0, none_ok=True)
     windows = list(windows)
     if not windows:
         raise ValueError("need at least one window")
-    end = windows[0].end_date
-    w = len(windows[0].values)
-    ids = []
+    end, w = windows[0].end_date, len(windows[0].values)
     for win in windows:
         if win.end_date != end:
             raise ValueError(f"mismatched end dates: {win.asset_id} has {win.end_date}, expected {end}")
         if len(win.values) != w:
             raise ValueError(f"mismatched window lengths: {win.asset_id} has {len(win.values)}, expected {w}")
-        ids.append(win.asset_id)
     if w < 1:
         raise ValueError("windows must be non-empty")
-
+    Z = np.stack([win.values for win in windows], axis=1).astype(float, copy=False)
+    if not np.isfinite(Z).all():
+        raise ValueError("windows contain non-finite values")
     n = len(windows)
+    ii, jj = _pair_indices(n)
+    upper = np.empty(ii.size)
+    _pair_distances(Z, ii, jj, band, upper)
     d = np.zeros((n, n))
-    if n > 1:
-        Z = np.stack([win.values for win in windows], axis=1).astype(float, copy=False)
-        if not np.isfinite(Z).all():
-            raise ValueError("windows contain non-finite values")
-        ii, jj = _pair_indices(n)
-        vals = np.empty(ii.size)
-        _pair_distances(Z, ii, jj, band, vals)
-        d[ii, jj] = vals
-        d[jj, ii] = vals
-    return DistanceMatrix._adopt(end, ids, d)
+    d[ii, jj] = d[jj, ii] = upper
+    return DistanceMatrix(end, [win.asset_id for win in windows], d)

@@ -11,7 +11,7 @@ import os
 from dataclasses import fields
 from datetime import date
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -211,11 +211,8 @@ def snapshot_files(
 
 
 def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    # a float's str is its shortest round-trip repr, a date's its ISO form
+    return "" if v is None else str(v)
 
 
 def metrics_csv_text(rows: Sequence[MetricsRow]) -> str:
@@ -284,18 +281,8 @@ def _svg_line_chart(
                 f'font-family="sans-serif" font-size="11">{dates[i].isoformat()}</text>'
             )
     for si, (label, color, vals) in enumerate(series):
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        for i, v in enumerate(vals):
-            if v is None:
-                if segment:
-                    segments.append(segment)
-                    segment = []
-                continue
-            segment.append(f"{x(i):.2f},{y(v):.2f}")
-        if segment:
-            segments.append(segment)
-        for seg in segments:
+        runs = groupby(enumerate(vals), key=lambda iv: iv[1] is None)
+        for seg in [[f"{x(i):.2f},{y(v):.2f}" for i, v in run] for gap, run in runs if not gap]:
             if len(seg) == 1:
                 cx, cy = seg[0].split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
@@ -314,25 +301,18 @@ def _svg_line_chart(
 
 def write_charts(result: RunResult, out_dir: Path) -> list[Path]:
     """Write gbe.svg and hubs.svg from a run's metrics series."""
-    dates = [r.end_date for r in result.metrics]
-    gbe = [r.gbe for r in result.metrics]
-    farther = [r.n_farther_hubs for r in result.metrics]
-    closer = [r.n_closer_hubs for r in result.metrics]
-    gbe_path = out_dir / "gbe.svg"
-    hubs_path = out_dir / "hubs.svg"
-    write_file(
-        gbe_path,
-        _svg_line_chart("Graph-based entropy (bits)", dates, [("GBE", "green", gbe)]),
-    )
-    write_file(
-        hubs_path,
-        _svg_line_chart(
-            "Differential-network hubs",
-            dates,
-            [("farther hubs", "red", farther), ("closer hubs", "blue", closer)],
-        ),
-    )
-    return [gbe_path, hubs_path]
+    rows = result.metrics
+    charts = [
+        ("gbe.svg", "Graph-based entropy (bits)", [("GBE", "green", [r.gbe for r in rows])]),
+        ("hubs.svg", "Differential-network hubs", [
+            ("farther hubs", "red", [r.n_farther_hubs for r in rows]),
+            ("closer hubs", "blue", [r.n_closer_hubs for r in rows]),
+        ]),
+    ]
+    dates = [r.end_date for r in rows]
+    for name, title, series in charts:
+        write_file(out_dir / name, _svg_line_chart(title, dates, series))
+    return [out_dir / name for name, _, _ in charts]
 
 
 # ---------------------------------------------------------------------------

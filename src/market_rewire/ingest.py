@@ -47,10 +47,14 @@ def _check_date(value, name: str) -> None:
 
 
 def _check_ids(value, name: str) -> tuple:
-    """`value` as a tuple of ids; a string is one id, not a sequence of them."""
+    """`value` as a tuple of string ids; a string is one id, not a sequence of them."""
     if isinstance(value, str) or not isinstance(value, Iterable):
         raise ValueError(f"{name} must be a sequence of ids, got {value!r}")
-    return tuple(value)
+    ids = tuple(value)
+    for i in ids:
+        if not isinstance(i, str):
+            raise ValueError(f"{name} must be string ids, got {i!r}")
+    return ids
 
 
 def _check_direction(value, name: str) -> int:

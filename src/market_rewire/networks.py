@@ -15,6 +15,7 @@ places in the node tuple and call the same array code.
 """
 
 import math
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 from datetime import date
 from typing import NamedTuple, Sequence
@@ -26,8 +27,13 @@ from .ingest import _check_date, _check_ids, _check_int, _check_real
 
 
 def _canonical_edges(edges, nodes: set[str], kind: str) -> frozenset[tuple[str, str]]:
+    if isinstance(edges, str) or not isinstance(edges, Iterable):
+        raise ValueError(f"{kind}: edges must be a collection of id pairs, got {edges!r}")
     out = set()
-    for a, b in edges:
+    for edge in edges:
+        if isinstance(edge, str) or not isinstance(edge, Sized) or len(edge) != 2:
+            raise ValueError(f"{kind}: edge {edge!r} is not a pair of ids")
+        a, b = edge
         if a == b:
             raise ValueError(f"{kind}: self-loop on {a!r}")
         if a not in nodes or b not in nodes:

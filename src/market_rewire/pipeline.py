@@ -1,24 +1,25 @@
-"""Per-day orchestration: windows -> distance matrix -> networks -> metrics.
+"""Per-day orchestration: panel -> z-scored windows -> pair distances -> metrics.
 
-For every date index t from window_w - 1 onward the pipeline standardizes
-each asset's trailing window and computes the pairwise DTW distance matrix.
-It then reads the date's metrics straight off the upper triangle of that
-matrix and, from the second analyzable date on, of its change from the
-previous day's: co-occurrence edges, components and graph-based entropy,
-red and blue edges and hub counts (`networks.day_metrics`). On the dates in
+For every date index t from window_w - 1 onward the pipeline z-scores and
+direction-signs every asset's trailing window into one array
+(`preprocess._zscored`) and computes the DTW distance of every asset pair
+into a fresh pair-ordered vector, in `np.triu_indices` order
+(`dtw._pair_distances`). It reads the date's metrics straight off that
+vector and, from the second analyzable date on, off its change from the
+previous date's (`networks.day_metrics`). On the dates in
 `PipelineConfig.snapshot_dates` it also keeps the positions of the date's
-co-occurrence, red and blue pairs in that upper triangle (`DaySnapshot`);
-no graph is built unless a caller reads one.
+co-occurrence, red and blue pairs (`DaySnapshot`). No window object,
+distance matrix or graph is built on the way.
 
-`_run_days` is the one day loop: it runs a range of dates and holds two
-upper triangles at a time. A serial run is one range of every analyzable
-date. With more than one worker, each forked worker process runs one
-contiguous range and sends back its rows, snapshots and warnings and the
-upper triangles of its first and last dates, not a matrix per day. A
-range's first row has no differential; the calling process remakes it, and
-its snapshot, from that range's first upper triangle and the previous
-range's last, so the rows, snapshots, errors and warnings are those of the
-serial run.
+`_run_days` is the one day loop; it holds two days' vectors at a time. A
+serial run is one range of every analyzable date. With more than one
+worker, the dates are split into contiguous ranges: a forked child runs
+each range but the last, which the calling process runs itself, and each
+child pickles back its rows, snapshots and warnings and the vectors of its
+first and last dates. A range's first row has no differential; the calling
+process remakes it, and its snapshot, from that range's first vector and
+the previous range's last, so the rows, snapshots, errors and warnings are
+those of the serial run.
 """
 
 import os
@@ -32,10 +33,10 @@ from typing import Literal
 
 import numpy as np
 
-from .dtw import _pair_indices, distance_matrix
+from .dtw import _pair_distances, _pair_indices
 from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_int, _check_real, fill_missing
 from .networks import Graph, MetricsRow, SignedGraph, _pair_edges, day_metrics
-from .preprocess import windows_at
+from .preprocess import _zscored
 
 
 @dataclass
@@ -78,18 +79,15 @@ class PipelineConfig:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class DaySnapshot:
-    """Per-date network snapshot, kept as the positions of the date's edges in
-    the upper triangle of its distance matrix: with
-    `ii, jj = np.triu_indices(len(asset_ids), 1)`, position p is the pair
-    `(asset_ids[ii[p]], asset_ids[jj[p]])`. `cooc_pairs` holds the
-    co-occurrence edges, `red_pairs` and `blue_pairs` the differential ones;
-    both are None on the first analyzable date, where no previous distance
-    matrix exists. A run's snapshots hold read-only arrays, 8 bytes per
-    edge, and share one `asset_ids` tuple.
-
-    `cooccurrence` and `differential` build the `Graph` and `SignedGraph`
-    on each read and keep neither; `differential` is None on the first
-    analyzable date. Two snapshots are equal when their date, ids and edge
+    """Per-date network snapshot, kept as the positions of the date's edges
+    in the run's pair order: with `ii, jj = np.triu_indices(len(asset_ids), 1)`,
+    position p is the pair `(asset_ids[ii[p]], asset_ids[jj[p]])`.
+    `cooc_pairs` holds the co-occurrence edges, `red_pairs` and `blue_pairs`
+    the differential ones, None on the first analyzable date. A run's
+    snapshots hold read-only arrays, 8 bytes per edge, and share one
+    `asset_ids` tuple. `cooccurrence` and `differential` build a `Graph` and
+    a `SignedGraph` (None on the first analyzable date) on each read and
+    keep neither. Two snapshots are equal when their date, ids and edge
     positions are.
     """
 
@@ -135,15 +133,9 @@ def _usable_cpus() -> int:
 def _worker_count(threads: int | None, days: int) -> int:
     """Resolve the worker count: `threads`, or 1 for None or 0, capped by
     the analyzable days and by the usable CPUs, so no request forks more
-    processes than can run at once. Without the `fork` start method the run
-    is serial."""
+    processes than can run at once. Without `os.fork` the run is serial."""
     n = min(_check_int(threads, "threads", 0, none_ok=True) or 1, days, _usable_cpus())
-    if n > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return n
+    return n if hasattr(os, "fork") else 1
 
 
 def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | None = None) -> RunResult:
@@ -198,18 +190,19 @@ def _run_days(
     panel: PricePanel, config: PipelineConfig, start: int, stop: int
 ) -> tuple[list[MetricsRow], dict[date, list[np.ndarray]], np.ndarray, np.ndarray]:
     """The rows of date indices start .. stop-1, the snapshot dates' edge
-    positions, and the upper triangles of the first and the last date's
-    distance matrices. Each date's differential is taken against the date
-    before it in the range, so the range's first row has none."""
-    n = panel.n_assets
+    positions, and the pair-ordered distances of the first and the last
+    date. Each date's differential is taken against the date before it in
+    the range, so the range's first row has none."""
+    n, w = panel.n_assets, config.window_w
     ii, jj = _pair_indices(n)
-    flat = ii * n + jj
+    signs = np.array([[float(a.direction)] for a in panel.assets])
     rows, kept = [], {}
     first = prev = None
     for t in range(start, stop):
-        dm = distance_matrix(windows_at(panel, t, config.window_w), band=config.band_halfwidth)
-        upper = dm.d.take(flat)
-        row, positions = _day(dm.end_date, upper, prev, n, config)
+        upper = np.empty(ii.size)
+        Z = np.ascontiguousarray(_zscored(panel, t, w, signs).T)
+        _pair_distances(Z, ii, jj, config.band_halfwidth, upper)
+        row, positions = _day(panel.dates[t], upper, prev, n, config)
         rows.append(row)
         if positions is not None:
             kept[row.end_date] = positions
@@ -221,10 +214,10 @@ def _run_days(
 def _day(
     end_date: date, upper: np.ndarray, prev: np.ndarray | None, n: int, config: PipelineConfig
 ) -> tuple[MetricsRow, list[np.ndarray] | None]:
-    """One date's metrics row over n assets, from the upper triangle of its
-    distance matrix and of the previous date's (None for no differential),
-    and, on a snapshot date, its edge positions in that triangle, in the
-    order of `DaySnapshot`'s fields, else None."""
+    """One date's metrics row over n assets, from its pair-ordered distances
+    and the previous date's (None for no differential), and, on a snapshot
+    date, its edge positions in that order, in the order of `DaySnapshot`'s
+    fields, else None."""
     change = None if prev is None else upper - prev
     row, masks = day_metrics(
         end_date, n, _pair_indices(n), upper, change,
@@ -237,24 +230,46 @@ def _run_forked(
     panel: PricePanel, config: PipelineConfig, start: int, stop: int, workers: int
 ) -> tuple[list[MetricsRow], dict[date, list[np.ndarray]]]:
     """The rows and snapshot positions of the serial run of date indices
-    start .. stop-1, from `_run_days` over one contiguous range of them in
-    each of `workers` forked worker processes."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    start .. stop-1, from `_worker_range` over one contiguous range of them
+    in each of `workers` processes: a forked child for each range but the
+    last, which this process runs itself. A child pickles its outcome into
+    a pipe. Warnings and errors come in range order, as the serial run
+    issues them."""
+    import pickle
 
     bounds = [start + (stop - start) * k // workers for k in range(workers + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
     rows, kept, last = [], {}, None
-    # fork, so the workers call the module's functions as they are at the
-    # time of the call; leaving the block waits for the ranges still
-    # running, also after an error
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-        for future in [pool.submit(_worker_range, panel, config, a, b) for a, b in zip(bounds, bounds[1:])]:
+    pipes, pids = [], []  # the read end of each child's pipe, and its pid
+    try:
+        for a, b in ranges[:-1]:
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as out:
+                if (pid := os.fork()) == 0:  # the child: it always ends in os._exit
+                    status = 1
+                    try:
+                        for pipe in pipes:  # every read end, its own too
+                            pipe.close()
+                        pickle.dump(_worker_range(panel, config, a, b), out, pickle.HIGHEST_PROTOCOL)
+                        out.close()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        own = _worker_range(panel, config, *ranges[-1])
+        for (a, b), pipe in zip(ranges, [*pipes, None]):
             try:
-                (part, part_kept, first, part_last), caught = future.result()
-            except Exception as error:
-                _reissue(error.__dict__.pop("_caught", ()))
-                raise
+                result, error, caught = own if pipe is None else pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(
+                    f"the worker process for dates {panel.dates[a]} .. {panel.dates[b - 1]} "
+                    "ended without a result"
+                ) from None
             _reissue(caught)
+            if error is not None:
+                raise error
+            part, part_kept, first, part_last = result
             if last is not None:
                 # remake the range's first row with its differential
                 part[0], positions = _day(part[0].end_date, first, last, panel.n_assets, config)
@@ -263,31 +278,34 @@ def _run_forked(
             rows += part
             kept.update(part_kept)
             last = part_last
+    finally:
+        # a child blocked on a full pipe ends once no read end is open
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
     return rows, kept
 
 
 def _worker_range(
     panel: PricePanel, config: PipelineConfig, start: int, stop: int
-) -> tuple[tuple, list[tuple]]:
-    """`_run_days` over date indices start .. stop-1 in a worker, and the
-    warnings it issued, which the worker's caller does not see. An error
-    that ends the range carries the warnings issued before it, as `_caught`."""
+) -> tuple[tuple | None, Exception | None, list[tuple]]:
+    """`_run_days` over date indices start .. stop-1 as (its result, None,
+    the warnings it issued), or (None, the error that ended it, the warnings
+    issued before it). The warnings are recorded, not shown, so that the
+    caller can issue them in range order."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return _run_days(panel, config, start, stop), _records(caught)
+            outcome = _run_days(panel, config, start, stop), None
         except Exception as error:
-            error._caught = _records(caught)
-            raise
-
-
-def _records(caught: list[warnings.WarningMessage]) -> list[tuple]:
-    return [(m.message, m.category, m.filename, m.lineno) for m in caught]
+            outcome = None, error
+    return *outcome, [(m.message, m.category, m.filename, m.lineno) for m in caught]
 
 
 def _reissue(caught: list[tuple]) -> None:
-    """Re-issue a worker's warnings in this process. They were issued from
-    `_run_days`, as in the serial run, so they take this module's name and
-    warning registry: the caller's filters see and deduplicate them alike."""
+    """Re-issue a range's recorded warnings in this process. They were issued
+    from `_run_days`, as in the serial run, so they take this module's name
+    and warning registry: the caller's filters see and deduplicate them alike."""
     registry = globals().setdefault("__warningregistry__", {})
     for message, category, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno, __name__, registry)

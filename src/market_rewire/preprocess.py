@@ -20,7 +20,7 @@ class StandardizedWindow:
 
 
 def _zscore_rows(
-    x: np.ndarray, where: Callable[[int], str] = lambda row: "the window"
+    x: np.ndarray, where: Callable[[int], str] = lambda row: "the window", stacklevel: int = 3
 ) -> np.ndarray:
     """Z-score each row of a 2-D float array by its own mean and sample std.
 
@@ -28,7 +28,8 @@ def _zscore_rows(
     numpy's pairwise summation, exactly as the 1-D call does, so every row is
     bitwise equal to z-scoring it alone; reducing along axis 0 is not. A row
     whose mean or std is not finite (a NaN, or magnitudes that overflow)
-    raises a ValueError naming `where(row)`.
+    raises a ValueError naming `where(row)`. The constant-window warning
+    points `stacklevel` frames up, as `warnings.warn` counts them from here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=1, keepdims=True)
@@ -44,7 +45,7 @@ def _zscore_rows(
     # (spreads below about 1e-161) counts as constant too.
     constant = (x.max(axis=1) == x.min(axis=1)) | (sd[:, 0] == 0.0)
     if constant.any():
-        warnings.warn("constant window: standardized values set to zero", stacklevel=3)
+        warnings.warn("constant window: standardized values set to zero", stacklevel=stacklevel)
         sd[constant] = 1.0
     z = (x - mean) / sd
     z[constant] = 0.0
@@ -72,6 +73,19 @@ def apply_direction(window, direction: int) -> np.ndarray:
     return x * float(_check_direction(direction, "direction"))
 
 
+def _zscored(panel: PricePanel, t: int, w: int, signs: np.ndarray, stacklevel: int = 3) -> np.ndarray:
+    """The (n, w) array of each asset's window ending at date index t, one
+    row per asset, z-scored and times `signs`, the (n, 1) direction signs;
+    the caller checks t and w. `stacklevel` is `_zscore_rows`' own."""
+    end = panel.dates[t]
+    rows = np.ascontiguousarray(panel.values[t - w + 1 : t + 1, :].T, dtype=float)
+    z = _zscore_rows(
+        rows, lambda row: f"the window of asset {panel.assets[row].asset_id!r} ending {end}", stacklevel
+    )
+    z *= signs
+    return z
+
+
 def windows_at(panel: PricePanel, t: int, w: int) -> list[StandardizedWindow]:
     """Standardized, direction-corrected windows for every asset at date index `t`.
 
@@ -85,14 +99,8 @@ def windows_at(panel: PricePanel, t: int, w: int) -> list[StandardizedWindow]:
             f"insufficient history: window of width {w} ending at index {t} "
             f"needs t >= {w - 1}"
         )
-
-    end = panel.dates[t]
-    rows = np.ascontiguousarray(panel.values[t - w + 1 : t + 1, :].T, dtype=float)
-    z = _zscore_rows(
-        rows, lambda row: f"the window of asset {panel.assets[row].asset_id!r} ending {end}"
-    )
-    z *= np.array([[float(a.direction)] for a in panel.assets])
+    z = _zscored(panel, t, w, np.array([[float(a.direction)] for a in panel.assets]), stacklevel=4)
     return [
-        StandardizedWindow(asset_id=meta.asset_id, end_date=end, values=row)
+        StandardizedWindow(asset_id=meta.asset_id, end_date=panel.dates[t], values=row)
         for meta, row in zip(panel.assets, z)
     ]

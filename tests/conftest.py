@@ -5,7 +5,22 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from market_rewire import AssetMeta, MetricsRow, PricePanel, SignedGraph
+from market_rewire import AssetMeta, MetricsRow, PricePanel, SignedGraph, dtw
+
+
+@pytest.fixture
+def c_kernel():
+    """The compiled kernel, which a run and `distance_matrix` take wherever
+    it loaded."""
+    if dtw.KERNEL != "c":
+        pytest.skip("the compiled DTW kernel did not build or load here")
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """The numpy wavefront, which a run and `distance_matrix` take where the
+    compiled kernel did not load."""
+    monkeypatch.setattr(dtw, "_kernel", None)
 
 
 def dtw_bruteforce(p, q):

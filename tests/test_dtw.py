@@ -11,20 +11,6 @@ from hypothesis import given, strategies as st
 from market_rewire import DistanceMatrix, StandardizedWindow, distance_matrix, dtw, dtw_distance
 
 
-@pytest.fixture
-def c_kernel():
-    """The compiled kernel, which `distance_matrix` takes wherever it loaded."""
-    if dtw.KERNEL != "c":
-        pytest.skip("the compiled DTW kernel did not build or load here")
-
-
-@pytest.fixture
-def numpy_kernel(monkeypatch):
-    """The numpy wavefront, which `distance_matrix` takes where the compiled
-    kernel did not load."""
-    monkeypatch.setattr(dtw, "_kernel", None)
-
-
 sequences = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=8
 )

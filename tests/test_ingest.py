@@ -21,6 +21,7 @@ from market_rewire import (
     load_panel,
     windows_at,
 )
+from market_rewire.export import export_graph
 
 META = [
     {"asset_id": "spx", "name": "US equities", "asset_class": "stock", "direction": 1},
@@ -321,6 +322,11 @@ def _shocked(shock):
         (lambda: DistanceMatrix("2020-01-01", ("a", "b"), np.zeros((2, 2))), "end_date"),
         (lambda: differential_network(np.zeros((2, 2)), 1.0, "ab", _D0), "asset_ids"),
         (lambda: differential_network(np.zeros((2, 2)), 1.0, ("a", "b"), "2020-01-01"), "end_date"),
+        # ids that are not strings: export_graph used to raise AttributeError
+        (lambda: export_graph(Graph(_D0, (1, 2), [(1, 2)]), "dot"), "nodes"),
+        (lambda: SignedGraph(_D0, ("a", 2), (), ()), "nodes"),
+        (lambda: DistanceMatrix(_D0, (1, 2), np.zeros((2, 2))), "asset_ids"),
+        (lambda: differential_network(np.zeros((2, 2)), 1.0, (1, 2), _D0), "asset_ids"),
     ],
 )
 def test_entry_points_reject_settings_of_the_wrong_type(call, setting):

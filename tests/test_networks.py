@@ -252,6 +252,31 @@ def test_count_hubs_relabeling_invariance():
     assert {mapping[n] for n in c1.farther_hub_ids} == c2.farther_hub_ids
 
 
+@pytest.mark.parametrize(
+    "edges, what",
+    [
+        (None, "edges must be a collection of id pairs, got None"),
+        ("ab", "edges must be a collection of id pairs, got 'ab'"),
+        ([("a", "b", "a")], "edge ('a', 'b', 'a') is not a pair of ids"),
+        (["ab"], "edge 'ab' is not a pair of ids"),
+        ([("a",)], "edge ('a',) is not a pair of ids"),
+        ([5], "edge 5 is not a pair of ids"),
+    ],
+)
+def test_edges_must_be_pairs_of_ids(edges, what):
+    # None raised a bare TypeError, a three-item edge the unpacking
+    # ValueError, and the string "ab" passed as the edge ('a', 'b')
+    nodes = ("a", "b")
+    for kind, make in [
+        ("graph", lambda: Graph(D0, nodes, edges)),
+        ("signed graph (red)", lambda: SignedGraph(D0, nodes, edges, ())),
+        ("signed graph (blue)", lambda: SignedGraph(D0, nodes, (), edges)),
+    ]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == f"{kind}: {what}"
+
+
 def test_graph_type_validation():
     with pytest.raises(ValueError, match="self-loop"):
         Graph(end_date=D0, nodes=("a", "b"), edges={("a", "a")})

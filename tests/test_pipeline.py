@@ -1,6 +1,6 @@
 import gc
-import multiprocessing
 import os
+import signal
 import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
@@ -8,20 +8,32 @@ from datetime import date, datetime, timedelta
 import numpy as np
 import pytest
 
-from conftest import graph_metrics_row
+from conftest import build_panel, graph_metrics_row
 from market_rewire import (
     DaySnapshot,
+    DistanceMatrix,
     Graph,
     PipelineConfig,
     SignedGraph,
     Shock,
+    StandardizedWindow,
     SynthSpec,
     count_hubs,
+    dtw_distance,
     generate,
     run,
+    window_zscore,
 )
 from market_rewire import pipeline
 from market_rewire.pipeline import _worker_count
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test ends with no child process left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -183,20 +195,157 @@ def test_every_range_boundary_row_equals_the_serial_row(threads, monkeypatch):
         rest[-1].red_pairs[:1] = 0
 
 
+def _reference_run(values, directions, config):
+    """Rows and snapshot edge positions of a run over the panel, straight
+    from the panel: a forward fill, `window_zscore` of each asset's window
+    times its direction, the scalar `dtw_distance` of every pair in
+    `np.triu_indices` order, and conftest's union-find and degree counts."""
+    values = np.array(values, dtype=float)
+    for r in range(1, len(values)):
+        values[r] = np.where(np.isnan(values[r]), values[r - 1], values[r])
+    panel = build_panel(values, directions)
+    ids, w, n = panel.asset_ids, config.window_w, values.shape[1]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, snapshots, prev = [], {}, None
+    for t in range(w - 1, len(values)):
+        day = panel.dates[t]
+        z = [window_zscore(values[t - w + 1 : t + 1, a]) * directions[a] for a in range(n)]
+        dist = [dtw_distance(z[i], z[j], config.band_halfwidth) for i, j in pairs]
+        near = [p for p, d in enumerate(dist) if d < config.cooc_threshold]
+        g = Graph(day, ids, [(ids[pairs[p][0]], ids[pairs[p][1]]) for p in near])
+        sg, positions = None, [near]
+        if prev is not None:
+            change = [d - e for d, e in zip(dist, prev)]
+            red = [p for p, c in enumerate(change) if c > config.diff_threshold]
+            blue = [p for p, c in enumerate(change) if c < -config.diff_threshold]
+            sg = SignedGraph(day, ids, *([(ids[pairs[p][0]], ids[pairs[p][1]]) for p in e] for e in (red, blue)))
+            positions += [red, blue]
+        rows.append(graph_metrics_row(g, sg, config.hub_min_degree))
+        snapshots[day] = positions
+        prev = dist
+    return panel, rows, snapshots
+
+
+_REFERENCE_VALUES = np.random.default_rng(21).uniform(90, 110, (24, 5))
+_REFERENCE_VALUES[:, 2] = 100.37  # a constant asset
+_REFERENCE_VALUES[[4, 9, 10, 17], [0, 3, 3, 4]] = np.nan  # blanks, forward-filled
+
+
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "n, band", [(5, None), (5, 0), (5, 9), (2, None)], ids=["unbanded", "band0", "band-past-w", "two-assets"]
+)
+def test_run_equals_a_scalar_reference(kernel, threads, n, band, request, monkeypatch):
+    request.getfixturevalue(kernel)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    values = _REFERENCE_VALUES[:, :n]
+    directions = [1, -1, 1, -1, 1][:n]
+    config = PipelineConfig(
+        window_w=6, cooc_threshold=5.0, diff_threshold=0.4, hub_min_degree=2,
+        band_halfwidth=band, snapshot_dates="all",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the constant asset's windows
+        panel, rows, snapshots = _reference_run(values, directions, config)
+        result = run(build_panel(values, directions), config, threads=threads)
+    assert 0 < sum(r.n_cooc_edges for r in rows) < len(rows) * n * (n - 1) // 2
+    assert sum(r.n_red_edges or 0 for r in rows) > 0
+    assert result.metrics == rows
+    got = {d: [p.tolist() for p in (s.cooc_pairs, s.red_pairs, s.blue_pairs) if p is not None]
+           for d, s in result.snapshots.items()}
+    assert got == snapshots
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_run_builds_no_window_object_and_no_distance_matrix(shock_panel, threads, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a run built a {type(self).__name__}")
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    expected = run(shock_panel, PipelineConfig(snapshot_dates="all"))
+    monkeypatch.setattr(StandardizedWindow, "__init__", refuse)
+    monkeypatch.setattr(DistanceMatrix, "__post_init__", refuse)
+    assert run(shock_panel, PipelineConfig(snapshot_dates="all"), threads=threads) == expected
+
+
+def test_a_child_that_dies_without_a_result_is_named(shock_panel, monkeypatch):
+    caller, run_days = os.getpid(), pipeline._run_days
+
+    def die_in_the_first_range(panel, config, start, stop):
+        if start == config.window_w - 1 and os.getpid() != caller:
+            os._exit(1)
+        return run_days(panel, config, start, stop)
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_run_days", die_in_the_first_range)
+    # 60 dates at w = 20 split at index 39: the child runs dates 19 .. 38
+    first, last = shock_panel.dates[19], shock_panel.dates[38]
+    with pytest.raises(RuntimeError, match=f"^the worker process for dates {first} .. {last} ended without a result$"):
+        run(shock_panel, threads=2)
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that takes over a minute, as a hung wait would."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the run hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _wide_panel(bad_from: int, bad_to: int):
+    """150 assets x 40 dates whose asset 1 overflows in dates bad_from ..
+    bad_to - 1, so the windows ending there raise; a range's result without
+    them holds two 11,175-pair vectors, past a pipe's 64 kB buffer."""
+    values = np.random.default_rng(4).uniform(90, 110, (40, 150))
+    values[bad_from:bad_to, 1] = [(-1) ** i * 1e308 for i in range(bad_to - bad_from)]
+    return build_panel(values)
+
+
+@pytest.mark.usefixtures("alarm")
+def test_an_error_in_the_callers_range_after_a_child_with_a_large_result(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    panel = _wide_panel(36, 40)  # w = 5: dates 4 .. 39 split at 22; the caller's range fails
+    config = PipelineConfig(window_w=5, snapshot_dates="all")
+    with pytest.raises(ValueError, match="non-finite") as serial:
+        run(panel, config)
+    with pytest.raises(ValueError, match="non-finite") as forked:
+        run(panel, config, threads=2)
+    assert str(forked.value) == str(serial.value)
+
+
+@pytest.mark.usefixtures("alarm")
+def test_an_error_in_the_first_range_before_a_child_blocked_on_a_full_pipe(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+    panel = _wide_panel(5, 8)  # w = 5: dates 4 .. 39 split at 16 and 28; the first range fails
+    config = PipelineConfig(window_w=5, snapshot_dates="all")
+    with pytest.raises(ValueError, match="non-finite") as serial:
+        run(panel, config)
+    with pytest.raises(ValueError, match="non-finite") as forked:
+        run(panel, config, threads=3)
+    assert str(forked.value) == str(serial.value)
+
+
 def test_worker_count_caps_a_huge_request_without_forking(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("the resolver forked"))
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
     assert _worker_count(100_000, 41) == 8
     assert _worker_count(100_000, 3) == 3
     assert _worker_count(np.int64(3), 41) == 3
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert _worker_count(100_000, 41) == 1
 
 
 def test_run_without_fork_is_serial(shock_panel, monkeypatch):
     serial = run(shock_panel, threads=1)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without the fork start method"))
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "pipe", lambda: pytest.fail("opened a pipe without os.fork"))
     assert run(shock_panel, threads=2).metrics == serial.metrics
 
 
