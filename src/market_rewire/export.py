@@ -338,7 +338,10 @@ def write_export_bundle(
     earlier run is rewritten in place and ends up with the same bytes as in
     a fresh directory. Files this call does not produce, such as snapshots
     of dates or formats no longer requested, are left as they were.
+    `graph_formats` is checked before anything is written.
     """
+    if isinstance(graph_formats, str) or any(f not in GRAPH_FORMATS for f in graph_formats):
+        raise ValueError(f"graph_formats must be a sequence drawn from {GRAPH_FORMATS}, got {graph_formats!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_file(out_dir / "metrics.csv", metrics_csv_text(result.metrics))

@@ -11,22 +11,18 @@ previous date's (`networks.day_metrics`). On the dates in
 co-occurrence, red and blue pairs (`DaySnapshot`). No window object,
 distance matrix or graph is built on the way.
 
-`_run_days` is the one day loop; it holds two days' vectors at a time. A
-serial run is one range of every analyzable date. With more than one
-worker, the dates are split into contiguous ranges: a forked child runs
-each range but the last, which the calling process runs itself, and each
-child pickles back its rows, snapshots and warnings and the vectors of its
-first and last dates. A range's first row has no differential; the calling
-process remakes it, and its snapshot, from that range's first vector and
-the previous range's last, so the rows, snapshots, errors and warnings are
-those of the serial run.
+`_run_days` is the one day loop. The calling thread z-scores the dates and
+reads their metrics, both in date order, so every warning and error comes
+as in a serial run. With more than one worker it hands each date's kernel
+call to a pool of that many threads and keeps at most one more date than
+that in flight; the compiled kernel releases the GIL while it runs.
 """
 
 import os
-import warnings
+from collections import deque
 from collections.abc import Iterable
-# ThreadPoolExecutor is unused here; the benchmark's tracer reads it as pipeline.ThreadPoolExecutor
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Literal
@@ -124,18 +120,28 @@ class RunResult:
     snapshots: dict[date, DaySnapshot] = field(default_factory=dict)
 
 
+# The least DTW work of a date, pairs x w^2 table cells, at which a run
+# hands its dates to a thread pool: each handoff costs 0.1-0.2 ms, which a
+# small date's kernel call does not repay. Time of threads=2 over threads=1,
+# fastest of 40 alternated calls on 120 days at w = 20 (2-core AVX-512 Xeon
+# VM): 2.19 at 20 assets (76k cells), 1.16 at 50 (0.49M), 1.20 at 60
+# (0.71M), 0.99 at 70 (0.97M), 0.91 at 80 (1.26M), 0.90 at 100 (1.98M).
+_POOL_MIN_WORK = 1_000_000
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _worker_count(threads: int | None, days: int) -> int:
+def _worker_count(threads: int | None, days: int, work: int) -> int:
     """Resolve the worker count: `threads`, or 1 for None or 0, capped by
-    the analyzable days and by the usable CPUs, so no request forks more
-    processes than can run at once. Without `os.fork` the run is serial."""
+    the analyzable days and by the usable CPUs, so no request starts more
+    threads than can run at once; and 1 where a date's DTW work, pairs x
+    w^2 cells, is below _POOL_MIN_WORK."""
     n = min(_check_int(threads, "threads", 0, none_ok=True) or 1, days, _usable_cpus())
-    return n if hasattr(os, "fork") else 1
+    return n if work >= _POOL_MIN_WORK else 1
 
 
 def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | None = None) -> RunResult:
@@ -144,11 +150,12 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     The panel needs at least window_w + 1 dates so that one differential step
     exists. Panels with missing cells are resolved with `config.fill_policy`
     first. Every date in `config.snapshot_dates` must be an analyzable date,
-    one with a full trailing window. `threads` > 1 splits the analyzable
-    dates into that many contiguous ranges, each run by a forked worker
-    process, at most one per analyzable day and per usable CPU; the result,
-    and every error and warning, is that of the single-worker run. None or 0
-    threads runs one worker; a negative or non-integer count raises.
+    one with a full trailing window. `threads` > 1 runs the dates' DTW
+    kernel calls in a pool of that many threads, at most one per analyzable
+    day and per usable CPU, and none where a date's DTW work is too small
+    to repay the handoff; the result, and every error and warning, is that
+    of the single-worker run. None or 0 threads runs one worker; a negative
+    or non-integer count raises.
     """
     if config is None:
         config = PipelineConfig()
@@ -168,144 +175,61 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
                 f"snapshot date(s) {', '.join(str(d) for d in unknown)} not among the "
                 f"analyzable dates {panel.dates[w - 1]} .. {panel.dates[-1]}"
             )
-
-    start, stop = w - 1, panel.n_dates
-    workers = _worker_count(threads, stop - start)
-    if workers > 1:
-        rows, kept = _run_forked(panel, config, start, stop, workers)
-    else:
-        rows, kept, _, _ = _run_days(panel, config, start, stop)
-    # every snapshot takes the run's one id tuple, also where its positions
-    # came back pickled from a worker
-    ids = panel.asset_ids
-    result = RunResult(rows)
-    for d, positions in kept.items():
-        for p in positions:
-            p.setflags(write=False)
-        result.snapshots[d] = DaySnapshot(d, ids, *positions)
-    return result
+    n = panel.n_assets
+    work = n * (n - 1) // 2 * w * w
+    return _run_days(panel, config, _worker_count(threads, panel.n_dates - w + 1, work))
 
 
-def _run_days(
-    panel: PricePanel, config: PipelineConfig, start: int, stop: int
-) -> tuple[list[MetricsRow], dict[date, list[np.ndarray]], np.ndarray, np.ndarray]:
-    """The rows of date indices start .. stop-1, the snapshot dates' edge
-    positions, and the pair-ordered distances of the first and the last
-    date. Each date's differential is taken against the date before it in
-    the range, so the range's first row has none."""
-    n, w = panel.n_assets, config.window_w
-    ii, jj = _pair_indices(n)
+def _run_days(panel: PricePanel, config: PipelineConfig, workers: int) -> RunResult:
+    """The rows and snapshots of every analyzable date. This thread z-scores
+    each date and reads its metrics, in date order; the date's kernel call
+    runs inline with one worker, else in a pool of `workers` threads with at
+    most `workers` + 1 calls outstanding. Each date's differential is taken
+    against the date before it, so the first row has none."""
+    n, w, band = panel.n_assets, config.window_w, config.band_halfwidth
+    ids = panel.asset_ids  # one tuple, shared by every snapshot
+    pairs = _pair_indices(n)
+    ii, jj = pairs
     signs = np.array([[float(a.direction)] for a in panel.assets])
-    rows, kept = [], {}
-    first = prev = None
-    for t in range(start, stop):
-        upper = np.empty(ii.size)
-        Z = np.ascontiguousarray(_zscored(panel, t, w, signs).T)
-        _pair_distances(Z, ii, jj, config.band_halfwidth, upper)
-        row, positions = _day(panel.dates[t], upper, prev, n, config)
-        rows.append(row)
-        if positions is not None:
-            kept[row.end_date] = positions
-        first = upper if t == start else first
+    result = RunResult()
+    in_flight = deque()  # (date, its distance vector, its kernel call)
+    prev = None
+
+    def finish(end_date, upper):
+        """Append the date's row, and its snapshot if one is wanted."""
+        nonlocal prev
+        change = None if prev is None else upper - prev
+        row, masks = day_metrics(
+            end_date, n, pairs, upper, change,
+            config.cooc_threshold, config.diff_threshold, config.hub_min_degree,
+        )
+        result.metrics.append(row)
+        if config.wants_snapshot(end_date):
+            positions = [np.flatnonzero(m) for m in masks]
+            for p in positions:
+                p.setflags(write=False)
+            result.snapshots[end_date] = DaySnapshot(end_date, ids, *positions)
         prev = upper
-    return rows, kept, first, prev
 
-
-def _day(
-    end_date: date, upper: np.ndarray, prev: np.ndarray | None, n: int, config: PipelineConfig
-) -> tuple[MetricsRow, list[np.ndarray] | None]:
-    """One date's metrics row over n assets, from its pair-ordered distances
-    and the previous date's (None for no differential), and, on a snapshot
-    date, its edge positions in that order, in the order of `DaySnapshot`'s
-    fields, else None."""
-    change = None if prev is None else upper - prev
-    row, masks = day_metrics(
-        end_date, n, _pair_indices(n), upper, change,
-        config.cooc_threshold, config.diff_threshold, config.hub_min_degree,
-    )
-    return row, [np.flatnonzero(m) for m in masks] if config.wants_snapshot(end_date) else None
-
-
-def _run_forked(
-    panel: PricePanel, config: PipelineConfig, start: int, stop: int, workers: int
-) -> tuple[list[MetricsRow], dict[date, list[np.ndarray]]]:
-    """The rows and snapshot positions of the serial run of date indices
-    start .. stop-1, from `_worker_range` over one contiguous range of them
-    in each of `workers` processes: a forked child for each range but the
-    last, which this process runs itself. A child pickles its outcome into
-    a pipe. Warnings and errors come in range order, as the serial run
-    issues them."""
-    import pickle
-
-    bounds = [start + (stop - start) * k // workers for k in range(workers + 1)]
-    ranges = list(zip(bounds, bounds[1:]))
-    rows, kept, last = [], {}, None
-    pipes, pids = [], []  # the read end of each child's pipe, and its pid
-    try:
-        for a, b in ranges[:-1]:
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            with open(write_end, "wb") as out:
-                if (pid := os.fork()) == 0:  # the child: it always ends in os._exit
-                    status = 1
-                    try:
-                        for pipe in pipes:  # every read end, its own too
-                            pipe.close()
-                        pickle.dump(_worker_range(panel, config, a, b), out, pickle.HIGHEST_PROTOCOL)
-                        out.close()
-                        status = 0
-                    finally:
-                        os._exit(status)
-            pids.append(pid)
-        own = _worker_range(panel, config, *ranges[-1])
-        for (a, b), pipe in zip(ranges, [*pipes, None]):
-            try:
-                result, error, caught = own if pipe is None else pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(
-                    f"the worker process for dates {panel.dates[a]} .. {panel.dates[b - 1]} "
-                    "ended without a result"
-                ) from None
-            _reissue(caught)
-            if error is not None:
-                raise error
-            part, part_kept, first, part_last = result
-            if last is not None:
-                # remake the range's first row with its differential
-                part[0], positions = _day(part[0].end_date, first, last, panel.n_assets, config)
-                if positions is not None:
-                    part_kept[part[0].end_date] = positions
-            rows += part
-            kept.update(part_kept)
-            last = part_last
-    finally:
-        # a child blocked on a full pipe ends once no read end is open
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-    return rows, kept
-
-
-def _worker_range(
-    panel: PricePanel, config: PipelineConfig, start: int, stop: int
-) -> tuple[tuple | None, Exception | None, list[tuple]]:
-    """`_run_days` over date indices start .. stop-1 as (its result, None,
-    the warnings it issued), or (None, the error that ended it, the warnings
-    issued before it). The warnings are recorded, not shown, so that the
-    caller can issue them in range order."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            outcome = _run_days(panel, config, start, stop), None
-        except Exception as error:
-            outcome = None, error
-    return *outcome, [(m.message, m.category, m.filename, m.lineno) for m in caught]
-
-
-def _reissue(caught: list[tuple]) -> None:
-    """Re-issue a range's recorded warnings in this process. They were issued
-    from `_run_days`, as in the serial run, so they take this module's name
-    and warning registry: the caller's filters see and deduplicate them alike."""
-    registry = globals().setdefault("__warningregistry__", {})
-    for message, category, filename, lineno in caught:
-        warnings.warn_explicit(message, category, filename, lineno, __name__, registry)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for t in range(w - 1, panel.n_dates):
+            Z = np.ascontiguousarray(_zscored(panel, t, w, signs).T)
+            upper = np.empty(ii.size)
+            if pool is None:
+                _pair_distances(Z, ii, jj, band, upper)
+                finish(panel.dates[t], upper)
+                continue
+            # One date waits queued behind the running calls, so a thread that
+            # finishes one starts the next without waiting for this thread. The
+            # oldest date's call returns before the next is handed out, and its
+            # metrics are read after, while the threads run.
+            oldest = in_flight.popleft() if len(in_flight) > workers else None
+            if oldest is not None:
+                oldest[2].result()
+            in_flight.append((panel.dates[t], upper, pool.submit(_pair_distances, Z, ii, jj, band, upper)))
+            if oldest is not None:
+                finish(*oldest[:2])
+        for end_date, upper, call in in_flight:
+            call.result()
+            finish(end_date, upper)
+    return result

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from market_rewire import AssetMeta, MetricsRow, PricePanel, SignedGraph, dtw
+from market_rewire import AssetMeta, MetricsRow, PricePanel, SignedGraph, dtw, pipeline
 
 
 @pytest.fixture
@@ -21,6 +21,13 @@ def numpy_kernel(monkeypatch):
     """The numpy wavefront, which a run and `distance_matrix` take where the
     compiled kernel did not load."""
     monkeypatch.setattr(dtw, "_kernel", None)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """A run with more than one worker hands its dates to the thread pool
+    however little DTW work they hold, so that small panels exercise it."""
+    monkeypatch.setattr(pipeline, "_POOL_MIN_WORK", 0)
 
 
 def dtw_bruteforce(p, q):

@@ -166,6 +166,7 @@ def test_criterion_5_scale_shift_direction_invariances():
             np.testing.assert_array_equal(dm_flipped.d[1:, 1:], dm.d[1:, 1:])
 
 
+@pytest.mark.usefixtures("pooled")
 def test_criterion_6_determinism_and_symmetry(tmp_path):
     with criterion(6, "byte-identical outputs across worker counts; symmetric matrices"):
         src = tmp_path / "data"
@@ -198,6 +199,7 @@ def test_criterion_6_determinism_and_symmetry(tmp_path):
             assert np.abs(np.diag(dm.d)).max() <= 1e-12
 
 
+@pytest.mark.usefixtures("pooled")
 def test_criterion_7_desk_scale_performance():
     with criterion(7, "desk-scale performance (49 assets x 250 days)"):
         panel = generate(SynthSpec(n_assets=49, n_days=250, seed=1))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import graph_json_reference
-from market_rewire import DaySnapshot, Graph, PipelineConfig, SignedGraph, load_panel, run
+from market_rewire import DaySnapshot, Graph, PipelineConfig, SignedGraph, SynthSpec, generate, load_panel, run
 from market_rewire.cli import _build_parser, main
 from market_rewire import export
 from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
@@ -217,6 +217,7 @@ def test_gen_deterministic_bytes(tmp_path):
     assert (a / "assets.json").read_bytes() == (b / "assets.json").read_bytes()
 
 
+@pytest.mark.usefixtures("pooled")
 def test_run_outputs_byte_stable_across_runs_and_thread_caps(tmp_path):
     src = tmp_path / "data"
     main(gen_args(src, days=35, shock="22:32:0.9"))
@@ -496,6 +497,17 @@ def test_export_graph_format_validated():
     g = Graph(end_date=D0, nodes=("a",), edges=frozenset())
     with pytest.raises(ValueError, match="format"):
         export_graph(g, "graphml")
+
+
+@pytest.mark.parametrize("snapshots", [None, "all"])
+@pytest.mark.parametrize("formats", ["dot", ("svg",), ("dot", "graphml")])
+def test_export_bundle_rejects_graph_formats_before_writing(tmp_path, snapshots, formats):
+    panel = generate(SynthSpec(n_assets=4, n_days=22, seed=1))
+    result = run(panel, PipelineConfig(snapshot_dates=snapshots))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^graph_formats must be .*, got {re.escape(repr(formats))}$"):
+        export.write_export_bundle(result, out, graph_formats=formats)
+    assert not out.exists()
 
 
 def test_metrics_csv_empty_vs_zero():

@@ -1,6 +1,7 @@
 import gc
 import os
 import signal
+import threading
 import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
@@ -25,7 +26,7 @@ from market_rewire import (
     window_zscore,
 )
 from market_rewire import pipeline
-from market_rewire.pipeline import _worker_count
+from market_rewire.pipeline import _POOL_MIN_WORK, _worker_count
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +120,7 @@ def test_asset_order_invariance(shock_panel):
         assert ra.n_farther_hubs == rb.n_farther_hubs
 
 
+@pytest.mark.usefixtures("pooled")
 def test_parallel_equals_sequential(shock_panel):
     cfg = PipelineConfig(snapshot_dates="all")
     seq = run(shock_panel, cfg, threads=1)
@@ -127,6 +129,7 @@ def test_parallel_equals_sequential(shock_panel):
     assert seq.snapshots == par.snapshots
 
 
+@pytest.mark.usefixtures("pooled")
 @pytest.mark.parametrize("action, count", [("always", 21), ("default", 1)])
 def test_workers_relay_the_serial_runs_warnings(panel_factory, action, count):
     rng = np.random.default_rng(5)
@@ -143,6 +146,7 @@ def test_workers_relay_the_serial_runs_warnings(panel_factory, action, count):
     assert caught[2] == caught[1]
 
 
+@pytest.mark.usefixtures("pooled")
 def test_worker_errors_name_the_serial_runs_asset_and_date(panel_factory):
     values = np.array([[100.0 + i, (-1) ** i * 1e308, 50.0 - i % 3] for i in range(12)])
     panel = panel_factory(values)
@@ -156,6 +160,7 @@ def test_worker_errors_name_the_serial_runs_asset_and_date(panel_factory):
     assert "'a01'" in messages[0] and str(panel.dates[4]) in messages[0]
 
 
+@pytest.mark.usefixtures("pooled")
 def test_a_failing_range_relays_the_warnings_issued_before_its_error(panel_factory):
     rng = np.random.default_rng(8)
     values = rng.uniform(90, 110, (20, 3))
@@ -169,26 +174,25 @@ def test_a_failing_range_relays_the_warnings_issued_before_its_error(panel_facto
             warnings.simplefilter("always")
             run(panel, cfg, threads=threads)
         seen.append((str(err.value), [(w.category, str(w.message), w.filename, w.lineno) for w in log]))
-    # two workers split dates 4..19 at 12, so the error ends the second range
     assert len(seen[0][1]) == 10
     assert seen[1] == seen[0]
 
 
+@pytest.mark.usefixtures("pooled")
 @pytest.mark.parametrize("threads", [2, 3, 4, 8])
 def test_every_range_boundary_row_equals_the_serial_row(threads, monkeypatch):
-    # 23 dates at w = 20 leave 4 analyzable dates, so at 4 or more workers
-    # every range is one date long and every later row is remade in the caller
+    # 23 dates at w = 20 leave 4 analyzable dates: from 3 workers on, with
+    # one date queued behind them, every date is in flight at once
     panel = generate(SynthSpec(n_assets=8, n_days=23, seed=3))
     cfg = PipelineConfig(snapshot_dates="all", diff_threshold=0.5)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
     serial = run(panel, cfg, threads=1)
     assert len(serial.metrics) == 4 and sum(r.n_red_edges or 0 for r in serial.metrics) > 0
-    forked = run(panel, cfg, threads=threads)
-    assert forked.metrics == serial.metrics
-    assert forked.snapshots == serial.snapshots
-    # one id tuple for the run, and read-only positions, also where they
-    # came back from a worker
-    first, *rest = forked.snapshots.values()
+    pooled = run(panel, cfg, threads=threads)
+    assert pooled.metrics == serial.metrics
+    assert pooled.snapshots == serial.snapshots
+    # one id tuple for the run, and read-only positions
+    first, *rest = pooled.snapshots.values()
     assert first.asset_ids == panel.asset_ids
     assert all(s.asset_ids is first.asset_ids for s in rest)
     with pytest.raises(ValueError):
@@ -231,6 +235,7 @@ _REFERENCE_VALUES[:, 2] = 100.37  # a constant asset
 _REFERENCE_VALUES[[4, 9, 10, 17], [0, 3, 3, 4]] = np.nan  # blanks, forward-filled
 
 
+@pytest.mark.usefixtures("pooled")
 @pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
@@ -257,6 +262,7 @@ def test_run_equals_a_scalar_reference(kernel, threads, n, band, request, monkey
     assert got == snapshots
 
 
+@pytest.mark.usefixtures("pooled")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_run_builds_no_window_object_and_no_distance_matrix(shock_panel, threads, monkeypatch):
     def refuse(self, *args, **kwargs):
@@ -267,22 +273,6 @@ def test_a_run_builds_no_window_object_and_no_distance_matrix(shock_panel, threa
     monkeypatch.setattr(StandardizedWindow, "__init__", refuse)
     monkeypatch.setattr(DistanceMatrix, "__post_init__", refuse)
     assert run(shock_panel, PipelineConfig(snapshot_dates="all"), threads=threads) == expected
-
-
-def test_a_child_that_dies_without_a_result_is_named(shock_panel, monkeypatch):
-    caller, run_days = os.getpid(), pipeline._run_days
-
-    def die_in_the_first_range(panel, config, start, stop):
-        if start == config.window_w - 1 and os.getpid() != caller:
-            os._exit(1)
-        return run_days(panel, config, start, stop)
-
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(pipeline, "_run_days", die_in_the_first_range)
-    # 60 dates at w = 20 split at index 39: the child runs dates 19 .. 38
-    first, last = shock_panel.dates[19], shock_panel.dates[38]
-    with pytest.raises(RuntimeError, match=f"^the worker process for dates {first} .. {last} ended without a result$"):
-        run(shock_panel, threads=2)
 
 
 @pytest.fixture
@@ -301,52 +291,109 @@ def alarm():
 
 def _wide_panel(bad_from: int, bad_to: int):
     """150 assets x 40 dates whose asset 1 overflows in dates bad_from ..
-    bad_to - 1, so the windows ending there raise; a range's result without
-    them holds two 11,175-pair vectors, past a pipe's 64 kB buffer."""
+    bad_to - 1, so the windows ending there raise while earlier dates'
+    11,175-pair kernel calls are in flight."""
     values = np.random.default_rng(4).uniform(90, 110, (40, 150))
     values[bad_from:bad_to, 1] = [(-1) ** i * 1e308 for i in range(bad_to - bad_from)]
     return build_panel(values)
 
 
-@pytest.mark.usefixtures("alarm")
+@pytest.mark.usefixtures("alarm", "pooled")
 def test_an_error_in_the_callers_range_after_a_child_with_a_large_result(monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    panel = _wide_panel(36, 40)  # w = 5: dates 4 .. 39 split at 22; the caller's range fails
+    panel = _wide_panel(36, 40)  # w = 5: the last dates fail
     config = PipelineConfig(window_w=5, snapshot_dates="all")
     with pytest.raises(ValueError, match="non-finite") as serial:
         run(panel, config)
-    with pytest.raises(ValueError, match="non-finite") as forked:
+    with pytest.raises(ValueError, match="non-finite") as pooled:
         run(panel, config, threads=2)
-    assert str(forked.value) == str(serial.value)
+    assert str(pooled.value) == str(serial.value)
 
 
-@pytest.mark.usefixtures("alarm")
+@pytest.mark.usefixtures("alarm", "pooled")
 def test_an_error_in_the_first_range_before_a_child_blocked_on_a_full_pipe(monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
-    panel = _wide_panel(5, 8)  # w = 5: dates 4 .. 39 split at 16 and 28; the first range fails
+    panel = _wide_panel(5, 8)  # w = 5: the second date fails
     config = PipelineConfig(window_w=5, snapshot_dates="all")
     with pytest.raises(ValueError, match="non-finite") as serial:
         run(panel, config)
-    with pytest.raises(ValueError, match="non-finite") as forked:
+    with pytest.raises(ValueError, match="non-finite") as pooled:
         run(panel, config, threads=3)
-    assert str(forked.value) == str(serial.value)
+    assert str(pooled.value) == str(serial.value)
 
 
 def test_worker_count_caps_a_huge_request_without_forking(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("the resolver forked"))
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("the resolver started a thread"))
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 8)
-    assert _worker_count(100_000, 41) == 8
-    assert _worker_count(100_000, 3) == 3
-    assert _worker_count(np.int64(3), 41) == 3
-    monkeypatch.delattr(os, "fork")
-    assert _worker_count(100_000, 41) == 1
+    big = _POOL_MIN_WORK
+    assert _worker_count(100_000, 41, big) == 8
+    assert _worker_count(100_000, 3, big) == 3
+    assert _worker_count(np.int64(3), 41, big) == 3
+    assert _worker_count(100_000, 41, big - 1) == 1
 
 
-def test_run_without_fork_is_serial(shock_panel, monkeypatch):
-    serial = run(shock_panel, threads=1)
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(os, "pipe", lambda: pytest.fail("opened a pipe without os.fork"))
-    assert run(shock_panel, threads=2).metrics == serial.metrics
+@pytest.mark.usefixtures("pooled")
+def test_a_run_never_forks(shock_panel, monkeypatch):
+    serial = run(shock_panel, PipelineConfig(snapshot_dates="all"), threads=1)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a run forked"))
+    monkeypatch.setattr(os, "pipe", lambda: pytest.fail("a run opened a pipe"))
+    assert run(shock_panel, PipelineConfig(snapshot_dates="all"), threads=2) == serial
+
+
+def _recording_pool(pools: list):
+    """A ThreadPoolExecutor that appends itself to `pools` and records its
+    `max_workers`, the most calls outstanding at once (submitted and not yet
+    returned) and the most running at once."""
+
+    class RecordingPool(pipeline.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
+            self.max_workers = max_workers
+            self.outstanding = self.most_outstanding = self.running = self.most_running = 0
+            self.lock = threading.Lock()
+            pools.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            with self.lock:
+                self.outstanding += 1
+                self.most_outstanding = max(self.most_outstanding, self.outstanding)
+
+            def call():
+                with self.lock:
+                    self.running += 1
+                    self.most_running = max(self.most_running, self.running)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    with self.lock:
+                        self.running -= 1
+                        self.outstanding -= 1
+
+            return super().submit(call)
+
+    return RecordingPool
+
+
+def test_a_wide_run_keeps_at_most_one_date_queued_per_pool(shock_panel, monkeypatch):
+    pools = []
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _recording_pool(pools))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    values = np.random.default_rng(9).uniform(90, 110, (30, 100))
+    panel = build_panel(values)
+    assert 100 * 99 // 2 * 20 * 20 >= _POOL_MIN_WORK
+    serial = run(panel, PipelineConfig(snapshot_dates="all"), threads=1)
+    assert pools == []
+    assert run(panel, PipelineConfig(snapshot_dates="all"), threads=8) == serial
+    [pool] = pools
+    assert pool.max_workers == 2
+    # bounded memory: the two running calls and one queued behind them
+    assert pool.most_running <= 2 and pool.most_outstanding <= 3
+    assert pool.outstanding == 0
+    # a date's DTW work below the cap runs on the calling thread
+    assert run(shock_panel, threads=8).metrics == run(shock_panel, threads=1).metrics
+    assert len(pools) == 1
 
 
 def test_negative_threads_rejected(shock_panel):
@@ -432,6 +479,7 @@ def test_metrics_do_not_depend_on_snapshots(shock_panel):
         assert row == graph_metrics_row(snap.cooccurrence, snap.differential, k)
 
 
+@pytest.mark.usefixtures("pooled")
 def test_graphs_are_built_only_for_snapshot_dates(shock_panel, monkeypatch):
     built = []
     for cls in (Graph, SignedGraph):
