@@ -1,7 +1,10 @@
 /* Pair-interleaved DTW: the recurrence of dtw.py for many pairs at once.
  *
- * dtw_pairs computes, for every p < k, the DTW distance between column ii[p]
- * and column jj[p] of Z, a C-contiguous (w, n) array of float64, into out[p].
+ * dtw_pairs computes, for every date d < days and every p < k, the DTW
+ * distance between column ii[p] and column jj[p] of Z[d], a C-contiguous
+ * (days, w, n) array of float64, into out[d][p], out being (days, k): the
+ * dates' arrays lie w * n doubles apart and their distances k apart. One
+ * call thus covers a block of dates; days = 1 is one date.
  * The table is padded with a +inf border and a 0 corner, as in the numpy
  * wavefront, and swept one row at a time over two rolling rows. GROUP pairs
  * are swept together, laid out pair-minor, so the innermost loop runs across
@@ -56,39 +59,41 @@ dtw_row(const double *restrict p, const double *restrict Q, const double *restri
 }
 
 CLONES
-int dtw_pairs(const double *Z, int64_t w, int64_t n, const int64_t *ii, const int64_t *jj,
-              int64_t k, int64_t band, double *work, double *out)
+int dtw_pairs(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t *ii,
+              const int64_t *jj, int64_t k, int64_t band, double *work, double *out)
 {
     double *P = work, *Q = P + w * GROUP;
-    for (int64_t start = 0; start < k; start += GROUP) {
-        double *prev = Q + w * GROUP, *cur = prev + (w + 1) * GROUP;
-        int64_t m = k - start < GROUP ? k - start : GROUP;
-        for (int g = 0; g < GROUP; g++) {
-            int64_t pair = start + (g < m ? g : m - 1), a = ii[pair], b = jj[pair];
-            if (a < 0 || a >= n || b < 0 || b >= n)
-                return -1;
-            for (int64_t i = 0; i < w; i++) {
-                P[i * GROUP + g] = Z[i * n + a];
-                Q[i * GROUP + g] = Z[i * n + b];
+    for (int64_t d = 0; d < days; d++, Z += w * n, out += k) {
+        for (int64_t start = 0; start < k; start += GROUP) {
+            double *prev = Q + w * GROUP, *cur = prev + (w + 1) * GROUP;
+            int64_t m = k - start < GROUP ? k - start : GROUP;
+            for (int g = 0; g < GROUP; g++) {
+                int64_t pair = start + (g < m ? g : m - 1), a = ii[pair], b = jj[pair];
+                if (a < 0 || a >= n || b < 0 || b >= n)
+                    return -1;
+                for (int64_t i = 0; i < w; i++) {
+                    P[i * GROUP + g] = Z[i * n + a];
+                    Q[i * GROUP + g] = Z[i * n + b];
+                }
             }
+            /* Both rows start +inf. A row writes cells lo - 1 .. hi, and the
+             * next reads cells lo' - 1 .. hi' of it, with lo' >= lo and
+             * hi' <= hi + 1: cell hi + 1 was never written by an earlier row,
+             * whose hi was no larger. */
+            for (int64_t x = 0; x < 2 * (w + 1) * GROUP; x++)
+                prev[x] = INFINITY;
+            for (int g = 0; g < GROUP; g++)
+                prev[g] = 0.0;
+            for (int64_t i = 1; i <= w; i++) {
+                int64_t lo = i - band > 1 ? i - band : 1, hi = i + band < w ? i + band : w;
+                dtw_row(P + (i - 1) * GROUP, Q, prev, cur, lo, hi);
+                double *t = prev;
+                prev = cur;
+                cur = t;
+            }
+            for (int64_t g = 0; g < m; g++)
+                out[start + g] = prev[w * GROUP + g];
         }
-        /* Both rows start +inf. A row writes cells lo - 1 .. hi, and the next
-         * reads cells lo' - 1 .. hi' of it, with lo' >= lo and hi' <= hi + 1:
-         * cell hi + 1 was never written by an earlier row, whose hi was no
-         * larger. */
-        for (int64_t x = 0; x < 2 * (w + 1) * GROUP; x++)
-            prev[x] = INFINITY;
-        for (int g = 0; g < GROUP; g++)
-            prev[g] = 0.0;
-        for (int64_t i = 1; i <= w; i++) {
-            int64_t lo = i - band > 1 ? i - band : 1, hi = i + band < w ? i + band : w;
-            dtw_row(P + (i - 1) * GROUP, Q, prev, cur, lo, hi);
-            double *t = prev;
-            prev = cur;
-            cur = t;
-        }
-        for (int64_t g = 0; g < m; g++)
-            out[start + g] = prev[w * GROUP + g];
     }
     return 0;
 }

@@ -9,18 +9,20 @@ with f(0, 0) = |p_0 - q_0| and out-of-grid predecessors treated as +inf.
 There is no path-length normalization and, by default, no global warping
 band. `dtw_distance` is the scalar loop over one pair. `_pair_distances`
 fills a pair-ordered vector with the distances of given column pairs of a
-day's (w, n) window array; a run calls it on every date, and
-`distance_matrix` wraps it for one day's windows. It runs one of two
+day's (w, n) window array, or one such vector per date of a block of dates;
+a run calls it once per block, and `distance_matrix` wraps it for one day's
+windows. It runs one of two
 batched versions of the same dynamic program. Every version performs the
 scalar loop's elementary float operations on the same values, |p - q|, two
 mins and one add per cell, so all results agree bitwise.
 
 The compiled kernel (`_dtw.c`, `KERNEL == "c"`) sweeps the table row by row
 for groups of pairs laid out pair-minor, so its innermost loop runs across
-pairs and vectorises. It is built on first import with the machine's `cc`
-into this package's __pycache__ and loaded with ctypes; later imports load
-it from there. Its scratch, (4w + 2) doubles per pair of a group, is a numpy
-array that each call allocates. Where no library can be built or loaded (no
+pairs and vectorises, and loops over a block's dates within the one call.
+It is built on first import with the machine's `cc` into this package's
+__pycache__ and loaded with ctypes; later imports load it from there. Its
+scratch, (4w + 2) doubles per pair of a group, is a numpy array that each
+call allocates. Where no library can be built or loaded (no
 compiler, a directory that cannot be written, a toolchain that rejects the
 source), `KERNEL` reads "numpy" and the numpy wavefront runs instead.
 
@@ -35,10 +37,10 @@ fresh pages from the allocator. The diagonal plan, the bounds and band
 clipping of each of the 2w - 1 anti-diagonals as ready-made slices, is
 cached per (w, band) for the eight most recent keys.
 
-Beyond the kernel, a run's day over n assets holds its distance vector
-and the previous day's, n(n-1)/2 doubles each, and two O(n^2) pair-index
-arrays, read-only and cached for the two most recent asset counts (2 MB at
-500 assets). `distance_matrix` also builds an n x n matrix, which
+Beyond the kernel, a run's block of dates over n assets holds its
+distances, n(n-1)/2 doubles a date, and the previous date's, and two
+O(n^2) pair-index arrays, read-only and cached for the two most recent
+asset counts (2 MB at 500 assets). `distance_matrix` also builds an n x n matrix, which
 `DistanceMatrix` copies; one 400-asset, w = 20 call stays under 16 MB of
 traced allocations on either kernel.
 """
@@ -102,7 +104,7 @@ def _load_kernel() -> tuple | None:
     except (OSError, AttributeError, ValueError):
         return None
     pointer, count = ctypes.c_void_p, ctypes.c_int64
-    dtw_pairs.argtypes = (pointer, count, count, pointer, pointer, count, count, pointer, pointer)
+    dtw_pairs.argtypes = (pointer, count, count, count, pointer, pointer, count, count, pointer, pointer)
     dtw_pairs.restype = ctypes.c_int
     return dtw_pairs, group
 
@@ -291,20 +293,27 @@ def _pair_distances(
     Z: np.ndarray, ii: np.ndarray, jj: np.ndarray, band: int | None, out: np.ndarray
 ) -> None:
     """DTW of column ii[p] of the (w, n) array Z against column jj[p], into
-    out[p], for every p: in one call of the compiled kernel where it loaded,
-    else by the numpy wavefront in blocks of _PAIR_BLOCK pairs."""
+    out[p], for every p; or, for a block of D dates, of Z[d], a (D, w, n)
+    array, into out[d], a (D, k) one. One call of the compiled kernel does
+    the whole block where it loaded; else the numpy wavefront takes each
+    date in blocks of _PAIR_BLOCK pairs."""
+    k = ii.size
     if _kernel is None:
-        for start in range(0, ii.size, _PAIR_BLOCK):
-            block = slice(start, start + _PAIR_BLOCK)
-            _batched_dtw(Z, ii[block], jj[block], band, out[block])
+        for Zd, od in zip(Z[None] if Z.ndim == 2 else Z, out[None] if out.ndim == 1 else out):
+            for start in range(0, k, _PAIR_BLOCK):
+                block = slice(start, start + _PAIR_BLOCK)
+                _batched_dtw(Zd, ii[block], jj[block], band, od[block])
         return
     dtw_pairs, group = _kernel
-    (w, n), k = Z.shape, ii.size
+    days = Z.shape[0] if Z.ndim == 3 else 1
+    w, n = Z.shape[-2:]
     # what the kernel reads and writes through raw pointers
     if not (
         Z.dtype == out.dtype == np.float64
         and ii.dtype == jj.dtype == np.int64
-        and ii.shape == jj.shape == out.shape == (k,)
+        and ii.shape == jj.shape == (k,)
+        and Z.ndim in (2, 3)
+        and out.shape == Z.shape[:-2] + (k,)
         and all(a.flags.c_contiguous for a in (Z, ii, jj, out))
         and out.flags.writeable
     ):
@@ -314,7 +323,7 @@ def _pair_distances(
     work = raw[(-raw.ctypes.data) % 64 // 8 :]
     band = w if band is None else min(band, w)
     if dtw_pairs(
-        Z.ctypes.data, w, n, ii.ctypes.data, jj.ctypes.data, k, band, work.ctypes.data, out.ctypes.data
+        Z.ctypes.data, days, w, n, ii.ctypes.data, jj.ctypes.data, k, band, work.ctypes.data, out.ctypes.data
     ):
         raise IndexError(f"a pair index is outside 0 .. {n - 1}")
 

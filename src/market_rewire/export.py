@@ -178,6 +178,13 @@ def _pair_order(ids: tuple[str, ...]) -> _PairOrder:
     return _PairOrder(tuple(sorted(ids)), rank, lo[by_rank], hi[by_rank])
 
 
+def _check_formats(formats, name: str) -> None:
+    """Raise unless `formats` is a sequence of names from GRAPH_FORMATS; a
+    str is not, although it iterates."""
+    if isinstance(formats, str) or any(f not in GRAPH_FORMATS for f in formats):
+        raise ValueError(f"{name} must be a sequence drawn from {GRAPH_FORMATS}, got {formats!r}")
+
+
 def snapshot_files(
     snap: DaySnapshot,
     formats: Sequence[str] = GRAPH_FORMATS,
@@ -187,6 +194,7 @@ def snapshot_files(
     `<date>.cooc.<fmt>`, and `<date>.diff.<fmt>` unless it is the first
     analyzable date. Each text is the one `export_graph` gives for the
     snapshot's graph, rendered from its edge positions without building it."""
+    _check_formats(formats, "formats")
     classes = classes or {}
     order = _pair_order(snap.asset_ids)
     node_classes = tuple([classes.get(n, "other") for n in order.nodes])
@@ -340,8 +348,7 @@ def write_export_bundle(
     of dates or formats no longer requested, are left as they were.
     `graph_formats` is checked before anything is written.
     """
-    if isinstance(graph_formats, str) or any(f not in GRAPH_FORMATS for f in graph_formats):
-        raise ValueError(f"graph_formats must be a sequence drawn from {GRAPH_FORMATS}, got {graph_formats!r}")
+    _check_formats(graph_formats, "graph_formats")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_file(out_dir / "metrics.csv", metrics_csv_text(result.metrics))

@@ -250,45 +250,78 @@ def _hubs(n: int, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
 
 def day_metrics(
-    end_date: date,
+    end_dates: Sequence[date],
     n: int,
     pairs: tuple[np.ndarray, np.ndarray],
     dist: np.ndarray,
-    change: np.ndarray | None,
+    prev: np.ndarray | None,
     theta: float,
     delta: float,
     k: int,
-) -> tuple[MetricsRow, tuple[np.ndarray, ...]]:
-    """One date's metrics row straight from the upper triangle of its
-    matrices, and the edge masks it was counted from.
+) -> tuple[list[MetricsRow], np.ndarray]:
+    """The metrics rows of a block of consecutive dates straight from the
+    upper triangles of their matrices, and the edge masks they were counted
+    from.
 
-    Entry p of `dist` is the distance between assets pairs[0][p] and
-    pairs[1][p] of n, and entry p of `change` that distance minus the
-    previous date's (None on the first analyzable date). The row equals the
-    one read off `cooccurrence_network`, `connected_components`,
+    Entry (d, p) of `dist` is the distance on end_dates[d] between assets
+    pairs[0][p] and pairs[1][p] of n; `prev` holds the distances of the date
+    before the block, None where the block starts at the first analyzable
+    date, whose row then has no differential. Each row equals the one read
+    off `cooccurrence_network`, `connected_components`,
     `graph_based_entropy`, `differential_network` and `count_hubs` with the
-    same thresholds, without building a graph. The masks are the
-    co-occurrence one and, given `change`, the red and the blue one.
+    same thresholds, without building a graph. The masks, a (3, dates,
+    pairs) array, are the co-occurrence, red and blue ones; a row without
+    differential has no red or blue entry.
+
+    The block's co-occurrence, red and blue networks are taken as one graph
+    of 3·dates·n nodes, network c of date d on nodes (c·dates + d)·n ..
+    (c·dates + d + 1)·n - 1, so every count takes one array call per block:
+    components of the co-occurrence part, then one `bincount` for their
+    sizes and the red and blue degrees.
     """
-    ii, jj = pairs
-    near = dist < theta
-    labels = _component_labels(n, ii[near], jj[near])
-    sizes = [s for s in np.bincount(labels, minlength=n).tolist() if s]
-    differential, masks = {}, (near,)
-    if change is not None:
-        red = change > delta
-        blue = change < -delta
-        differential = dict(
-            n_red_edges=int(np.count_nonzero(red)),
-            n_blue_edges=int(np.count_nonzero(blue)),
-            n_farther_hubs=_hubs(n, ii[red], jj[red], k).size,
-            n_closer_hubs=_hubs(n, ii[blue], jj[blue], k).size,
-        )
-        masks = (near, red, blue)
-    return MetricsRow(
-        end_date=end_date,
-        gbe=_size_entropy(sizes),
-        n_components=len(sizes),
-        n_cooc_edges=int(np.count_nonzero(near)),
-        **differential,
-    ), masks
+    days, m = dist.shape
+    masks = np.empty((3, days, m), dtype=bool)
+    np.less(dist, theta, out=masks[0])
+    change = np.empty_like(dist)
+    np.subtract(dist[1:], dist[:-1], out=change[1:])
+    if prev is not None:
+        np.subtract(dist[0], prev, out=change[0])
+    np.greater(change, delta, out=masks[1])
+    np.less(change, -delta, out=masks[2])
+    del change  # freed before the edge search, whose arrays then reuse its pages
+    if prev is None:
+        masks[1:, 0] = False
+    at = np.flatnonzero(masks)
+    # `at` is sorted, so the edges of network c on date d, row q = c·dates + d
+    # of the masks, are one run of it: no division finds their rows
+    edges = np.diff(np.searchsorted(at, np.arange(3 * days + 1) * m))
+    q = np.repeat(np.arange(3 * days), edges)
+    at -= q * m  # each edge's pair
+    q *= n  # the first node of its date and network
+    a, b = pairs[0][at], pairs[1][at]
+    a += q
+    b += q
+    edges = edges.reshape(3, days)
+    near = int(edges[0].sum())
+    labels = _component_labels(days * n, a[:near], b[:near])
+    counts = np.bincount(np.concatenate((labels, a[near:], b[near:])), minlength=3 * days * n)
+    counts = counts.reshape(3, days, n)
+    sizes = counts[0].tolist()
+    n_near, n_red, n_blue = edges.tolist()
+    farther, closer = np.count_nonzero(counts[1:] >= k, axis=2).tolist()
+    rows = []
+    for d, end_date in enumerate(end_dates):
+        day_sizes = [s for s in sizes[d] if s]
+        differential = {}
+        if d or prev is not None:
+            differential = dict(
+                n_red_edges=n_red[d], n_blue_edges=n_blue[d], n_farther_hubs=farther[d], n_closer_hubs=closer[d]
+            )
+        rows.append(MetricsRow(
+            end_date=end_date,
+            gbe=_size_entropy(day_sizes),
+            n_components=len(day_sizes),
+            n_cooc_edges=n_near[d],
+            **differential,
+        ))
+    return rows, masks

@@ -1,20 +1,24 @@
 """Per-day orchestration: panel -> z-scored windows -> pair distances -> metrics.
 
 For every date index t from window_w - 1 onward the pipeline z-scores and
-direction-signs every asset's trailing window into one array
-(`preprocess._zscored`) and computes the DTW distance of every asset pair
-into a fresh pair-ordered vector, in `np.triu_indices` order
-(`dtw._pair_distances`). It reads the date's metrics straight off that
-vector and, from the second analyzable date on, off its change from the
+direction-signs every asset's trailing window (`preprocess._zscored`) and
+computes the DTW distance of every asset pair, in `np.triu_indices` order
+(`dtw._pair_distances`). It reads the date's metrics straight off those
+distances and, from the second analyzable date on, off their change from the
 previous date's (`networks.day_metrics`). On the dates in
 `PipelineConfig.snapshot_dates` it also keeps the positions of the date's
 co-occurrence, red and blue pairs (`DaySnapshot`). No window object,
 distance matrix or graph is built on the way.
 
-`_run_days` is the one day loop. The calling thread z-scores the dates and
+The dates go in blocks of consecutive dates, as many as _BLOCK_DOUBLES
+holds (one date a block from 110 assets at w = 20 on): each of the three
+steps is one array operation, or one kernel call, per block, and gives each
+date the bytes it would give that date alone.
+
+`_run_days` is the one day loop. The calling thread z-scores the blocks and
 reads their metrics, both in date order, so every warning and error comes
-as in a serial run. With more than one worker it hands each date's kernel
-call to a pool of that many threads and keeps at most one more date than
+as in a serial run. With more than one worker it hands each block's kernel
+call to a pool of that many threads and keeps at most one more block than
 that in flight; the compiled kernel releases the GIL while it runs.
 """
 
@@ -120,13 +124,40 @@ class RunResult:
     snapshots: dict[date, DaySnapshot] = field(default_factory=dict)
 
 
-# The least DTW work of a date, pairs x w^2 table cells, at which a run
-# hands its dates to a thread pool: each handoff costs 0.1-0.2 ms, which a
-# small date's kernel call does not repay. Time of threads=2 over threads=1,
-# fastest of 40 alternated calls on 120 days at w = 20 (2-core AVX-512 Xeon
-# VM): 2.19 at 20 assets (76k cells), 1.16 at 50 (0.49M), 1.20 at 60
-# (0.71M), 0.99 at 70 (0.97M), 0.91 at 80 (1.26M), 0.90 at 100 (1.98M).
-_POOL_MIN_WORK = 1_000_000
+# The least DTW work of a block of dates, the table cells its kernel call
+# sweeps, at which a run hands its blocks to a thread pool: each handoff
+# costs 0.1-0.2 ms, and the calling thread's own work slows while the pool
+# threads share its cores. Time of threads=2 over threads=1, fastest of
+# 30-40 alternated calls per run, 120 days at w = 20 (2-core AVX-512 Xeon
+# VM, busy host): 0.89-1.34 at 20 assets (27 dates a block, 2.05M cells;
+# above 1 in four of six runs), 0.95-1.08 at 25 (2.40M), 0.81-1.17 at 30
+# (2.61M), 0.90-1.09 at 40 (3.12M), 0.81-1.01 at 60 (3.54M), 0.77-0.97 at
+# 80 (3.79M), 0.85 at 110 (one date a block, 2.40M) and 0.88 at 115 (2.62M);
+# at 100 assets 0.95-1.21 with band 0 (0.20M) and 0.82-1.00 with band 2
+# (0.93M). The bound keeps 20-asset blocks inline and pools 110-asset dates.
+_POOL_MIN_WORK = 2_200_000
+
+# Doubles per block of dates, where a date takes n·w z-scored window values
+# and one distance per pair. Fastest of 25 alternated `run` calls at w = 20
+# in two runs, and the traced peak beyond the rows kept (2-core AVX-512 Xeon
+# VM): at 20 assets x 252 days 13.9-21.1 ms at 4,096 (6 dates a block),
+# 10.2-16.2 at 8,192, 8.9-13.8 at 16,384, 8.4-12.7 at 32,768 and 8.5-13.0 at
+# 65,536, holding 0.07, 0.15, 0.28, 0.51 and 0.96 MB; at 40 assets 42-43,
+# 30-31, 26-28, 24-24 and 24-34 ms. Past 16,384 the time gained is within
+# the spread and the memory doubles with each step.
+_BLOCK_DOUBLES = 16_384
+
+
+def _block_span(n: int, w: int) -> int:
+    """Dates per block: as many as _BLOCK_DOUBLES holds, at least one."""
+    return max(1, _BLOCK_DOUBLES // (n * (n - 1) // 2 + n * w))
+
+
+def _band_cells(w: int, band: int | None) -> int:
+    """Table cells the DTW kernel sweeps for one pair of width-w windows
+    under `band`: w^2 without one."""
+    b = w if band is None else band
+    return sum(min(w, i + b) - max(1, i - b) + 1 for i in range(1, w + 1))
 
 
 def _usable_cpus() -> int:
@@ -135,12 +166,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(threads: int | None, days: int, work: int) -> int:
+def _worker_count(threads: int | None, blocks: int, work: int) -> int:
     """Resolve the worker count: `threads`, or 1 for None or 0, capped by
-    the analyzable days and by the usable CPUs, so no request starts more
-    threads than can run at once; and 1 where a date's DTW work, pairs x
-    w^2 cells, is below _POOL_MIN_WORK."""
-    n = min(_check_int(threads, "threads", 0, none_ok=True) or 1, days, _usable_cpus())
+    the blocks of dates and by the usable CPUs, so no request starts more
+    threads than can run at once; and 1 where a block's DTW work, in table
+    cells, is below _POOL_MIN_WORK."""
+    n = min(_check_int(threads, "threads", 0, none_ok=True) or 1, blocks, _usable_cpus())
     return n if work >= _POOL_MIN_WORK else 1
 
 
@@ -150,9 +181,9 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     The panel needs at least window_w + 1 dates so that one differential step
     exists. Panels with missing cells are resolved with `config.fill_policy`
     first. Every date in `config.snapshot_dates` must be an analyzable date,
-    one with a full trailing window. `threads` > 1 runs the dates' DTW
-    kernel calls in a pool of that many threads, at most one per analyzable
-    day and per usable CPU, and none where a date's DTW work is too small
+    one with a full trailing window. `threads` > 1 runs the DTW kernel calls
+    of the blocks of dates in a pool of that many threads, at most one per
+    block and per usable CPU, and none where a block's DTW work is too small
     to repay the handoff; the result, and every error and warning, is that
     of the single-worker run. None or 0 threads runs one worker; a negative
     or non-integer count raises.
@@ -175,61 +206,68 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
                 f"snapshot date(s) {', '.join(str(d) for d in unknown)} not among the "
                 f"analyzable dates {panel.dates[w - 1]} .. {panel.dates[-1]}"
             )
-    n = panel.n_assets
-    work = n * (n - 1) // 2 * w * w
-    return _run_days(panel, config, _worker_count(threads, panel.n_dates - w + 1, work))
+    n, days = panel.n_assets, panel.n_dates - w + 1
+    span = min(_block_span(n, w), days)
+    work = span * n * (n - 1) // 2 * _band_cells(w, config.band_halfwidth)
+    return _run_days(panel, config, _worker_count(threads, -(-days // span), work))
 
 
 def _run_days(panel: PricePanel, config: PipelineConfig, workers: int) -> RunResult:
     """The rows and snapshots of every analyzable date. This thread z-scores
-    each date and reads its metrics, in date order; the date's kernel call
-    runs inline with one worker, else in a pool of `workers` threads with at
-    most `workers` + 1 calls outstanding. Each date's differential is taken
-    against the date before it, so the first row has none."""
+    each block of dates and reads its metrics, in date order; the block's
+    kernel call runs inline with one worker, else in a pool of `workers`
+    threads with at most `workers` + 1 calls outstanding. Each date's
+    differential is taken against the date before it, so the first row has
+    none."""
     n, w, band = panel.n_assets, config.window_w, config.band_halfwidth
     ids = panel.asset_ids  # one tuple, shared by every snapshot
     pairs = _pair_indices(n)
     ii, jj = pairs
     signs = np.array([[float(a.direction)] for a in panel.assets])
+    span = _block_span(n, w)
     result = RunResult()
-    in_flight = deque()  # (date, its distance vector, its kernel call)
+    in_flight = deque()  # (first date index, the block's distances, its kernel call)
     prev = None
 
-    def finish(end_date, upper):
-        """Append the date's row, and its snapshot if one is wanted."""
+    def finish(start, dist):
+        """Append the block's rows, and the snapshots of the dates that want one."""
         nonlocal prev
-        change = None if prev is None else upper - prev
-        row, masks = day_metrics(
-            end_date, n, pairs, upper, change,
+        end_dates = panel.dates[start : start + len(dist)]
+        rows, masks = day_metrics(
+            end_dates, n, pairs, dist, prev,
             config.cooc_threshold, config.diff_threshold, config.hub_min_degree,
         )
-        result.metrics.append(row)
-        if config.wants_snapshot(end_date):
-            positions = [np.flatnonzero(m) for m in masks]
-            for p in positions:
-                p.setflags(write=False)
-            result.snapshots[end_date] = DaySnapshot(end_date, ids, *positions)
-        prev = upper
+        result.metrics.extend(rows)
+        for d, (end_date, row) in enumerate(zip(end_dates, rows)):
+            if config.wants_snapshot(end_date):
+                positions = [np.flatnonzero(m[d]) for m in masks[: 3 if row.has_differential else 1]]
+                for p in positions:
+                    p.setflags(write=False)
+                result.snapshots[end_date] = DaySnapshot(end_date, ids, *positions)
+        prev = dist[-1]
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for t in range(w - 1, panel.n_dates):
-            Z = np.ascontiguousarray(_zscored(panel, t, w, signs).T)
-            upper = np.empty(ii.size)
+        for start in range(w - 1, panel.n_dates, span):
+            stop = min(start + span, panel.n_dates)
+            Z = np.ascontiguousarray(_zscored(panel, start, stop, w, signs).transpose(0, 2, 1))
+            dist = np.empty((stop - start, ii.size))
             if pool is None:
-                _pair_distances(Z, ii, jj, band, upper)
-                finish(panel.dates[t], upper)
+                _pair_distances(Z, ii, jj, band, dist)
+                del Z  # a block's windows live no longer than its kernel call
+                finish(start, dist)
                 continue
-            # One date waits queued behind the running calls, so a thread that
+            # One block waits queued behind the running calls, so a thread that
             # finishes one starts the next without waiting for this thread. The
-            # oldest date's call returns before the next is handed out, and its
-            # metrics are read after, while the threads run.
+            # oldest block's call returns before the next is handed out, and
+            # its metrics are read after, while the threads run.
             oldest = in_flight.popleft() if len(in_flight) > workers else None
             if oldest is not None:
                 oldest[2].result()
-            in_flight.append((panel.dates[t], upper, pool.submit(_pair_distances, Z, ii, jj, band, upper)))
+            in_flight.append((start, dist, pool.submit(_pair_distances, Z, ii, jj, band, dist)))
+            del Z
             if oldest is not None:
                 finish(*oldest[:2])
-        for end_date, upper, call in in_flight:
+        for start, dist, call in in_flight:
             call.result()
-            finish(end_date, upper)
+            finish(start, dist)
     return result

@@ -1,4 +1,10 @@
-"""Trailing-window extraction, within-window z-scoring, and risk-direction correction."""
+"""Trailing-window extraction, within-window z-scoring, and risk-direction correction.
+
+A run z-scores the windows of a block of consecutive dates in one array
+(`_zscored`), one window per row, and each row gets the bytes that
+`window_zscore` gives that window alone. `windows_at` is the one-date case
+of the same function.
+"""
 
 import warnings
 from dataclasses import dataclass
@@ -6,6 +12,7 @@ from datetime import date
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ingest import PricePanel, _check_direction, _check_int
 
@@ -20,36 +27,47 @@ class StandardizedWindow:
 
 
 def _zscore_rows(
-    x: np.ndarray, where: Callable[[int], str] = lambda row: "the window", stacklevel: int = 3
+    x: np.ndarray, where: Callable[[int, int], str] = lambda date, row: "the window", stacklevel: int = 3
 ) -> np.ndarray:
-    """Z-score each row of a 2-D float array by its own mean and sample std.
+    """Z-score each row of a C-contiguous (dates, rows, w) float array by its
+    own mean and sample std, in place; return the array.
 
-    Reducing along the last axis of a C-contiguous array sums each row with
-    numpy's pairwise summation, exactly as the 1-D call does, so every row is
-    bitwise equal to z-scoring it alone; reducing along axis 0 is not. A row
-    whose mean or std is not finite (a NaN, or magnitudes that overflow)
-    raises a ValueError naming `where(row)`. The constant-window warning
-    points `stacklevel` frames up, as `warnings.warn` counts them from here.
+    Reducing the (dates·rows, w) view along its last, contiguous axis sums
+    each row with numpy's pairwise summation, exactly as the 1-D call does,
+    so every row is bitwise equal to z-scoring it alone; reducing along
+    another axis is not. Each date with a constant row gives
+    one warning, in date order, pointing `stacklevel` frames up, as
+    `warnings.warn` counts them from here. The first date with a row whose
+    mean or std is not finite (a NaN, or magnitudes that overflow) raises a
+    ValueError naming `where(date, row)`, after the warnings of the dates
+    before it.
     """
+    days, rows, w = x.shape
+    flat = x.reshape(days * rows, w)  # a view, so the z-scores land in x
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=1, keepdims=True)
-        sd = x.std(axis=1, ddof=1, keepdims=True)
+        mean = flat.mean(axis=1, keepdims=True)
+        sd = flat.std(axis=1, ddof=1, keepdims=True)
     bad = ~(np.isfinite(mean) & np.isfinite(sd))[:, 0]
-    if bad.any():
-        raise ValueError(
-            f"non-finite mean or standard deviation in {where(int(np.argmax(bad)))} "
-            "(a missing value, or magnitudes that overflow)"
-        )
+    # the dates before the first one with a bad row
+    good = int(np.argmax(bad.reshape(days, rows).any(axis=1))) if bad.any() else days
     # max == min is exact where a zero std is not: a repeated 100.37 has a
     # rounded mean and a tiny nonzero std. A std that underflows to zero
     # (spreads below about 1e-161) counts as constant too.
-    constant = (x.max(axis=1) == x.min(axis=1)) | (sd[:, 0] == 0.0)
+    constant = (flat.max(axis=1) == flat.min(axis=1)) | (sd[:, 0] == 0.0)
     if constant.any():
-        warnings.warn("constant window: standardized values set to zero", stacklevel=stacklevel)
+        for _ in range(np.count_nonzero(constant.reshape(days, rows)[:good].any(axis=1))):
+            warnings.warn("constant window: standardized values set to zero", stacklevel=stacklevel)
         sd[constant] = 1.0
-    z = (x - mean) / sd
-    z[constant] = 0.0
-    return z
+    if good < days:
+        row = int(np.argmax(bad.reshape(days, rows)[good]))
+        raise ValueError(
+            f"non-finite mean or standard deviation in {where(good, row)} "
+            "(a missing value, or magnitudes that overflow)"
+        )
+    flat -= mean
+    flat /= sd
+    flat[constant] = 0.0
+    return x
 
 
 def window_zscore(raw_window) -> np.ndarray:
@@ -59,12 +77,13 @@ def window_zscore(raw_window) -> np.ndarray:
     no shape information: it maps to all-zeros with a warning rather than
     NaN, so a stale quote cannot poison downstream distance calculations.
     """
-    x = np.asarray(raw_window, dtype=float)
+    x = np.array(raw_window, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"window must be one-dimensional, got shape {x.shape}")
     if x.size < 2:
         raise ValueError(f"window must have at least 2 observations, got {x.size}")
-    return _zscore_rows(x[None, :])[0]
+    _zscore_rows(x[None, None, :])
+    return x
 
 
 def apply_direction(window, direction: int) -> np.ndarray:
@@ -73,15 +92,26 @@ def apply_direction(window, direction: int) -> np.ndarray:
     return x * float(_check_direction(direction, "direction"))
 
 
-def _zscored(panel: PricePanel, t: int, w: int, signs: np.ndarray, stacklevel: int = 3) -> np.ndarray:
-    """The (n, w) array of each asset's window ending at date index t, one
-    row per asset, z-scored and times `signs`, the (n, 1) direction signs;
-    the caller checks t and w. `stacklevel` is `_zscore_rows`' own."""
-    end = panel.dates[t]
-    rows = np.ascontiguousarray(panel.values[t - w + 1 : t + 1, :].T, dtype=float)
-    z = _zscore_rows(
-        rows, lambda row: f"the window of asset {panel.assets[row].asset_id!r} ending {end}", stacklevel
-    )
+def _zscored(
+    panel: PricePanel, start: int, stop: int, w: int, signs: np.ndarray, stacklevel: int = 3
+) -> np.ndarray:
+    """The (stop - start, n, w) array of each asset's window ending at each
+    date index start .. stop - 1, one row per asset, z-scored and times
+    `signs`, the (n, 1) direction signs; the caller checks the indices and
+    w. `stacklevel` is `_zscore_rows`' own."""
+    values = panel.values
+    step, across = values.strides
+    # row (d, a) is asset a's window ending at date index start + d: a sliding
+    # window over the dates, copied in C order so that every row is
+    # contiguous; a copy in the view's own axis order would leave rows strided
+    shape = (stop - start, values.shape[1], w)
+    view = as_strided(values[start - w + 1 :], shape, (step, across, step), writeable=False)
+    rows = np.array(view, dtype=float, order="C")
+
+    def where(date, row):
+        return f"the window of asset {panel.assets[row].asset_id!r} ending {panel.dates[start + date]}"
+
+    z = _zscore_rows(rows, where, stacklevel)
     z *= signs
     return z
 
@@ -99,7 +129,7 @@ def windows_at(panel: PricePanel, t: int, w: int) -> list[StandardizedWindow]:
             f"insufficient history: window of width {w} ending at index {t} "
             f"needs t >= {w - 1}"
         )
-    z = _zscored(panel, t, w, np.array([[float(a.direction)] for a in panel.assets]), stacklevel=4)
+    z = _zscored(panel, t, t + 1, w, np.array([[float(a.direction)] for a in panel.assets]), stacklevel=4)[0]
     return [
         StandardizedWindow(asset_id=meta.asset_id, end_date=panel.dates[t], values=row)
         for meta, row in zip(panel.assets, z)

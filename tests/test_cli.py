@@ -510,6 +510,15 @@ def test_export_bundle_rejects_graph_formats_before_writing(tmp_path, snapshots,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("formats", ["dot", ("dot", "graphml")])
+def test_snapshot_files_names_the_formats_it_rejects(formats):
+    # a str used to be taken one character at a time: "got 'd'"
+    result = run(generate(SynthSpec(n_assets=4, n_days=22, seed=1)), PipelineConfig(snapshot_dates="all"))
+    snap = next(iter(result.snapshots.values()))
+    with pytest.raises(ValueError, match=f"^formats must be .*, got {re.escape(repr(formats))}$"):
+        export.snapshot_files(snap, formats)
+
+
 def test_metrics_csv_empty_vs_zero():
     rows = [
         MetricsRow(end_date=D0, gbe=1.5, n_components=3, n_cooc_edges=2),

@@ -396,6 +396,24 @@ def test_compiled_kernel_equals_scalar_at_pair_group_edges(groups, extra, w, ban
     assert out.tolist() == [dtw_distance(Z[:, i], Z[:, j], band=band) for i, j in zip(ii, jj)]
 
 
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+@pytest.mark.parametrize("band", [None, 0, 3])
+@pytest.mark.parametrize("k", [5, 45])  # under one pair group; a full group and a short one
+def test_a_block_call_equals_each_dates_call(kernel, band, k, request, monkeypatch):
+    request.getfixturevalue(kernel)
+    monkeypatch.setattr(dtw, "_PAIR_BLOCK", 16)  # the wavefront's pair blocks end mid-date
+    rng = np.random.default_rng(k)
+    Z = rng.normal(size=(4, 9, 12))  # 4 dates, w = 9, 12 assets
+    ii, jj = rng.integers(0, 12, size=(2, k))
+    out = np.full((4, k), np.nan)
+    dtw._pair_distances(Z, ii, jj, band, out)
+    for d in range(4):
+        one = np.full(k, np.nan)
+        dtw._pair_distances(np.ascontiguousarray(Z[d]), ii, jj, band, one)
+        assert out[d].tobytes() == one.tobytes()
+        assert one.tolist() == [dtw_distance(Z[d, :, i], Z[d, :, j], band=band) for i, j in zip(ii, jj)]
+
+
 @pytest.mark.usefixtures("c_kernel")
 def test_compiled_kernel_call_checks_its_arrays():
     Z = np.random.default_rng(3).normal(size=(5, 4))
@@ -406,6 +424,9 @@ def test_compiled_kernel_call_checks_its_arrays():
         (Z, ii.astype(np.int32), jj, out),
         (Z, ii, jj[:1], out),
         (Z, ii, jj, np.empty(4)[::2]),
+        (np.stack((Z, Z)), ii, jj, out),  # a block of two dates into one date's vector
+        (Z, ii, jj, np.empty((1, 2))),
+        (Z[None, None], ii, jj, np.empty((1, 1, 2))),
     ]:
         with pytest.raises(ValueError, match="kernel takes"):
             dtw._pair_distances(*args[:3], None, args[3])
@@ -419,7 +440,7 @@ def test_compiled_kernel_work_buffer_is_cache_line_aligned(monkeypatch):
     works = []
 
     def record(*args):
-        works.append(args[7])
+        works.append(args[8])
         return call(*args)
 
     monkeypatch.setattr(dtw, "_kernel", (record, group))

@@ -1,5 +1,6 @@
+import dataclasses
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -358,10 +359,20 @@ def test_day_metrics_equal_the_graph_path(case):
     upper = cur[pairs]
     g = cooccurrence_network(dm, 2.0)
     sg = differential_network(difference_matrix(dm, before), 1.0, ids, D0)
-    first, _ = day_metrics(D0, n, pairs, upper, None, 2.0, 1.0, k)
+    [first], _ = day_metrics([D0], n, pairs, upper[None], None, 2.0, 1.0, k)
     assert first == graph_metrics_row(g, None, k)
-    later, _ = day_metrics(D0, n, pairs, upper, upper - prev[pairs], 2.0, 1.0, k)
+    [later], _ = day_metrics([D0], n, pairs, upper[None], prev[pairs], 2.0, 1.0, k)
     assert later == graph_metrics_row(g, sg, k)
+    # the same two dates as one block: the first has no differential, and
+    # the second's is taken against the first
+    D1 = D0 + timedelta(days=1)
+    block, (near, red, blue) = day_metrics([D0, D1], n, pairs, np.stack((prev[pairs], upper)), None, 2.0, 1.0, k)
+    assert block == [
+        graph_metrics_row(cooccurrence_network(before, 2.0), None, k),
+        dataclasses.replace(graph_metrics_row(g, sg, k), end_date=D1),
+    ]
+    assert not red[0].any() and not blue[0].any()
+    assert red[1].tolist() == (upper - prev[pairs] > 1.0).tolist()
 
 
 @st.composite

@@ -275,6 +275,79 @@ def test_a_run_builds_no_window_object_and_no_distance_matrix(shock_panel, threa
     assert run(shock_panel, PipelineConfig(snapshot_dates="all"), threads=threads) == expected
 
 
+def _block_doubles(dates: int, n: int, w: int) -> int:
+    """A _BLOCK_DOUBLES that puts `dates` dates in a block of n assets at w."""
+    return dates * (n * (n - 1) // 2 + n * w)
+
+
+@pytest.mark.usefixtures("pooled")
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dates", [1, 2, 3, 21])
+def test_any_block_size_gives_the_one_block_runs_bytes(kernel, threads, dates, request, monkeypatch):
+    """Each block's first date takes its differential against the last date
+    of the block before, and the pool's unit is a block."""
+    request.getfixturevalue(kernel)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    panel = generate(SynthSpec(n_assets=8, n_days=30, seed=3, shocks=[Shock(18, 26, 0.9)]))
+    cfg = PipelineConfig(window_w=10, diff_threshold=0.5, band_halfwidth=4, snapshot_dates="all")
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(21, 8, 10))
+    whole = run(panel, cfg, threads=1)
+    assert sum(r.n_red_edges or 0 for r in whole.metrics) > 0 and len(whole.metrics) == 21
+    # one double short of a block one date longer
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(dates + 1, 8, 10) - 1)
+    assert pipeline._block_span(8, 10) == dates
+    got = run(panel, cfg, threads=threads)
+    assert got.metrics == whole.metrics
+    assert got.snapshots == whole.snapshots
+
+
+@pytest.mark.usefixtures("pooled")
+@pytest.mark.parametrize(
+    "dates", [16, 8, 10, 1], ids=["one-block", "warnings-in-both-blocks", "adjacent-blocks", "one-date-blocks"]
+)
+def test_block_warnings_and_error_come_in_date_order(panel_factory, dates, monkeypatch):
+    values = np.random.default_rng(8).uniform(90, 110, (20, 3))
+    values[6:14, 2] = 100.37  # the windows ending on dates 10 .. 13 are constant
+    values[14:, 1] = [(-1) ** i * 1e308 for i in range(6)]  # those from date 14 on overflow
+    panel = panel_factory(values)
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(dates, 3, 5))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as log, pytest.raises(ValueError) as err:
+            warnings.simplefilter("always")
+            run(panel, PipelineConfig(window_w=5), threads=threads)
+        assert [(w.category, str(w.message)) for w in log] == [
+            (UserWarning, "constant window: standardized values set to zero")
+        ] * 4
+        assert {(w.filename, w.lineno) for w in log} == {(log[0].filename, log[0].lineno)}
+        assert log[0].filename == pipeline.__file__
+        assert str(err.value) == (
+            f"non-finite mean or standard deviation in the window of asset 'a01' ending {panel.dates[14]} "
+            "(a missing value, or magnitudes that overflow)"
+        )
+
+
+def test_a_long_runs_peak_memory_does_not_grow_with_its_dates():
+    """A block holds a bounded number of dates: beyond the rows the result
+    keeps, a 20-asset run traces the same peak at 2,000 dates as at 500."""
+
+    def held_beyond_the_result(days):
+        panel = generate(SynthSpec(n_assets=20, n_days=days, seed=4))
+        run(panel)  # the cached pair indices
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run(panel)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.metrics) == days - 19
+        return peak - kept
+
+    assert held_beyond_the_result(2000) <= held_beyond_the_result(500) + 64 * 1024
+
+
 @pytest.fixture
 def alarm():
     """Fail a test that takes over a minute, as a hung wait would."""
@@ -344,19 +417,20 @@ def test_a_run_never_forks(shock_panel, monkeypatch):
 
 def _recording_pool(pools: list):
     """A ThreadPoolExecutor that appends itself to `pools` and records its
-    `max_workers`, the most calls outstanding at once (submitted and not yet
-    returned) and the most running at once."""
+    `max_workers`, the calls submitted, the most outstanding at once
+    (submitted and not yet returned) and the most running at once."""
 
     class RecordingPool(pipeline.ThreadPoolExecutor):
         def __init__(self, max_workers, *args, **kwargs):
             super().__init__(max_workers, *args, **kwargs)
             self.max_workers = max_workers
-            self.outstanding = self.most_outstanding = self.running = self.most_running = 0
+            self.calls = self.outstanding = self.most_outstanding = self.running = self.most_running = 0
             self.lock = threading.Lock()
             pools.append(self)
 
         def submit(self, fn, /, *args, **kwargs):
             with self.lock:
+                self.calls += 1
                 self.outstanding += 1
                 self.most_outstanding = max(self.most_outstanding, self.outstanding)
 
@@ -382,18 +456,34 @@ def test_a_wide_run_keeps_at_most_one_date_queued_per_pool(shock_panel, monkeypa
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     values = np.random.default_rng(9).uniform(90, 110, (30, 100))
     panel = build_panel(values)
-    assert 100 * 99 // 2 * 20 * 20 >= _POOL_MIN_WORK
+    # 11 dates in blocks of 2: six kernel calls, each over the cap
+    span = pipeline._block_span(100, 20)
+    assert span == 2 and span * 100 * 99 // 2 * 20 * 20 >= _POOL_MIN_WORK
     serial = run(panel, PipelineConfig(snapshot_dates="all"), threads=1)
     assert pools == []
     assert run(panel, PipelineConfig(snapshot_dates="all"), threads=8) == serial
     [pool] = pools
-    assert pool.max_workers == 2
+    assert pool.max_workers == 2 and pool.calls == 6
     # bounded memory: the two running calls and one queued behind them
     assert pool.most_running <= 2 and pool.most_outstanding <= 3
     assert pool.outstanding == 0
-    # a date's DTW work below the cap runs on the calling thread
+    # a block's DTW work below the cap runs on the calling thread
     assert run(shock_panel, threads=8).metrics == run(shock_panel, threads=1).metrics
     assert len(pools) == 1
+
+
+def test_a_narrow_band_counts_only_the_cells_it_sweeps(monkeypatch):
+    # unbanded, these blocks would be over the cap; at band 0 each pair
+    # sweeps w cells, not w^2, and the handoff would cost more than it saves
+    pools = []
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _recording_pool(pools))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    panel = build_panel(np.random.default_rng(2).uniform(90, 110, (120, 100)))
+    banded = run(panel, PipelineConfig(band_halfwidth=0), threads=2)
+    assert pools == []
+    assert banded.metrics == run(panel, PipelineConfig(band_halfwidth=0), threads=1).metrics
+    assert pipeline._band_cells(20, 0) == 20 and pipeline._band_cells(20, None) == 400
+    assert pipeline._band_cells(5, 1) == 13 and pipeline._band_cells(5, 4) == pipeline._band_cells(5, 9) == 25
 
 
 def test_negative_threads_rejected(shock_panel):

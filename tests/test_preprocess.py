@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_panel
 from market_rewire import apply_direction, window_zscore, windows_at
+from market_rewire.preprocess import _zscored
 
 nonconstant_windows = (
     st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=40)
@@ -170,6 +171,27 @@ def test_windows_at_rows_bitwise_equal_per_column_zscore(
             assert win.values.tobytes() == apply_direction(window_zscore(raw), d).tobytes()
             assert window_zscore(raw).tobytes() == _zscore_1d(raw).tobytes()
         assert win.values.any() == (col not in constant)
+
+
+@pytest.mark.parametrize("w", [2, 7, 20, 130])
+def test_a_block_of_dates_z_scores_each_date_as_alone(w):
+    # w = 130 crosses numpy's 128-element pairwise-summation block
+    directions = [1, -1, 1, -1, 1]
+    values = np.random.default_rng(w).normal(100.0, 1.0, (w + 12, 5)) * [1, 1e-3, 1e6, 1, 1]
+    values[:, 3] = values[0, 3]  # a stale quote on every date
+    values[12:, 4] = values[12, 4]  # and on the last date only
+    panel = build_panel(values, directions=directions)
+    signs = np.array([[float(d)] for d in directions])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        block = _zscored(panel, w - 1, panel.n_dates, w, signs)
+        assert block.shape == (13, 5, w) and block.flags.c_contiguous
+        for d, t in enumerate(range(w - 1, panel.n_dates)):
+            assert block[d].tobytes() == _zscored(panel, t, t + 1, w, signs)[0].tobytes()
+            for a, direction in enumerate(directions):
+                raw = values[t - w + 1 : t + 1, a]
+                assert block[d, a].tobytes() == apply_direction(window_zscore(raw), direction).tobytes()
+    assert not block[:, 3].any() and not block[-1, 4].any() and block[0, 4].any()
 
 
 def test_windows_at_rejects_non_finite(panel_factory):
