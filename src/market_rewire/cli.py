@@ -182,9 +182,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--band", dest="band_halfwidth", metavar="BAND", type=int,
                        help="optional warping band half-width (default: unconstrained)")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the dates' DTW kernel calls (default and "
-                            "0: one; capped by the analyzable days and the usable CPUs, and "
-                            "one where a date's DTW work is too small to hand out)")
+                       help="worker threads for the DTW kernel calls of the blocks of dates "
+                            "(default and 0: one; capped by the blocks and the usable CPUs, "
+                            "and one where a block's DTW work is too small to hand out)")
     p_run.set_defaults(func=_cmd_run, **dataclasses.asdict(PipelineConfig()))
 
     p_gen = sub.add_parser("gen-synthetic", help="write a seeded synthetic panel CSV + metadata")

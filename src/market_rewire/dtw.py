@@ -29,13 +29,11 @@ source), `KERNEL` reads "numpy" and the numpy wavefront runs instead.
 The numpy wavefront keeps pairs on the last axis and sweeps the table by
 anti-diagonals, holding three of them. It takes the pairs in blocks of
 _PAIR_BLOCK, so one block's working memory, (6w + 3) * k * 8 bytes for k
-pairs, is about 2 MB at w = 20 whatever the asset count. The block buffers
-stay allocated between calls for the two most recently used block shapes, a
-day's full blocks and its short last block, so up to two sets (about 4 MB at
-w = 20) stay held after a call, and later blocks take no page faults for
-fresh pages from the allocator. The diagonal plan, the bounds and band
-clipping of each of the 2w - 1 anti-diagonals as ready-made slices, is
-cached per (w, band) for the eight most recent keys.
+pairs, is about 2 MB at w = 20 whatever the asset count. As with the compiled
+kernel, each `_pair_distances` call allocates that scratch, 64-byte aligned,
+for its largest block, and builds the diagonal plan, the bounds and band
+clipping of the 2w - 1 anti-diagonals as ready-made slices, once for all its
+blocks and dates, and holds neither after it returns.
 
 Beyond the kernel, a run's block of dates over n assets holds its
 distances, n(n-1)/2 doubles a date, and the previous date's, and two
@@ -46,7 +44,6 @@ traced allocations on either kernel.
 """
 
 import ctypes
-import math
 import os
 import platform
 import sys
@@ -61,13 +58,12 @@ import numpy as np
 from .ingest import _check_date, _check_ids, _check_int
 from .preprocess import StandardizedWindow
 
-# Pairs per kernel call. At w = 20 one call's buffers take about 2 MB, one
-# core's L2 on the 2-core Xeon VM it was tuned on. With the buffers kept
-# between calls, the fastest of 40 200-asset days, in four processes per size,
-# took 19.3-21.2 ms at 2048, 19.7-23.9 at 1024, 26.8-34.9 at 512 (more numpy
-# calls) and 26.9-30.9 at 4096 (past L2); `run(threads=2)` over 200 assets x
-# 60 days took 0.85-0.90 s at 2048, 0.89-0.95 at 1024 and 1.07-1.16 at 512
-# and 4096, fastest of 6 in two processes per size.
+# Pairs per block of the numpy wavefront. At w = 20 a block's scratch takes
+# about 2 MB, one core's L2 on the 2-core AVX-512 Xeon VM it was tuned on. With
+# the scratch allocated per `_pair_distances` call, `run(threads=1)` over 200
+# assets x 30 days took a median 202 ms at 2048 and 213 ms at 1024, fastest of
+# 10 in each of 9 alternated processes per size; at 20 assets, 190 pairs a
+# date, both sizes take a date in one block and tie.
 _PAIR_BLOCK = 2048
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_dtw.c")
@@ -153,13 +149,6 @@ def _build(path: str) -> bool:
 _kernel = _load_kernel()
 # "c" where the compiled kernel loaded, else "numpy"
 KERNEL = "numpy" if _kernel is None else "c"
-
-# `_batched_dtw`'s work buffers P, Q, c and the three diagonals, kept between
-# calls by block shape (w, k) for the _SPARE_SHAPES most recently used shapes:
-# a day's full blocks and its short last block.
-_SPARE_SHAPES = 2
-_PAGE = 512  # float64s in a 4096-byte page
-_spares: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
 @dataclass
@@ -250,7 +239,6 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-@lru_cache(maxsize=8)
 def _diagonal_plan(w: int, band: int | None) -> tuple[tuple, ...]:
     """For each anti-diagonal s = 2 .. 2w of a w x w table under `band`, with
     cells lo .. hi, what `_batched_dtw` indexes: the cost buffer's first
@@ -267,28 +255,6 @@ def _diagonal_plan(w: int, band: int | None) -> tuple[tuple, ...]:
     return tuple(plan)
 
 
-def _new_buffers(w: int, k: int) -> tuple[np.ndarray, ...]:
-    """`_batched_dtw`'s P, Q, three diagonals and cost buffer c for blocks of
-    k pairs, each starting on a page boundary of one allocation.
-
-    malloc aligns to 16 bytes only. Kept buffers allocated one by one made
-    days slower than fresh ones at 20 and 30 assets; page-aligned, they made
-    them faster. Fastest day in each of five processes on a 2-core AVX-512
-    Xeon VM, fresh / kept one by one / kept page-aligned: 320-327 / 333-336
-    / 309-313 us at 20 assets, 517-527 / 538-542 / 478-489 us at 30 and
-    24.7-25.7 / 18.7-20.0 / 16.2-17.1 ms at 200.
-    """
-    shapes = (w, k), (w, k), (3, w + 1, k), (w, k)
-    spans = [-(-math.prod(shape) // _PAGE) * _PAGE for shape in shapes]  # whole pages
-    arena = np.empty(sum(spans) + _PAGE)
-    start = -arena.ctypes.data % (8 * _PAGE) // 8
-    bufs = []
-    for shape, span in zip(shapes, spans):
-        bufs.append(arena[start : start + math.prod(shape)].reshape(shape))
-        start += span
-    return tuple(bufs)
-
-
 def _pair_distances(
     Z: np.ndarray, ii: np.ndarray, jj: np.ndarray, band: int | None, out: np.ndarray
 ) -> None:
@@ -299,10 +265,14 @@ def _pair_distances(
     date in blocks of _PAIR_BLOCK pairs."""
     k = ii.size
     if _kernel is None:
+        w = Z.shape[-2]
+        # 64-byte aligned, as the compiled kernel's: at 16 bytes a 200-asset run took 1.2x as long
+        raw = np.empty((6 * w + 3) * min(k, _PAIR_BLOCK) + 7)
+        plan, work = _diagonal_plan(w, band), raw[(-raw.ctypes.data) % 64 // 8 :]
         for Zd, od in zip(Z[None] if Z.ndim == 2 else Z, out[None] if out.ndim == 1 else out):
             for start in range(0, k, _PAIR_BLOCK):
                 block = slice(start, start + _PAIR_BLOCK)
-                _batched_dtw(Zd, ii[block], jj[block], band, od[block])
+                _batched_dtw(Zd, ii[block], jj[block], plan, work, od[block])
         return
     dtw_pairs, group = _kernel
     days = Z.shape[0] if Z.ndim == 3 else 1
@@ -329,7 +299,7 @@ def _pair_distances(
 
 
 def _batched_dtw(
-    Z: np.ndarray, ii: np.ndarray, jj: np.ndarray, band: int | None, out: np.ndarray
+    Z: np.ndarray, ii: np.ndarray, jj: np.ndarray, plan: tuple, work: np.ndarray, out: np.ndarray
 ) -> None:
     """DTW of column ii[p] of Z against column jj[p], for every p, into out[p].
 
@@ -337,14 +307,12 @@ def _batched_dtw(
     the same update. It is swept one anti-diagonal s = i + j at a time: a
     diagonal needs only the two before it, so all its cells are one vectorised
     step. The three rolling diagonals are indexed by i; the band is a range of i.
+    `plan` is `_diagonal_plan(w, band)`. P, Q, the cost buffer c and the diagonals
+    are slices of `work`, (6w + 3) * k doubles or more, each written before read.
     """
     w, k = Z.shape[0], ii.size
-    # Taken out of the spare set, not looked up, so concurrent callers never
-    # share one. Every buffer is overwritten before it is read.
-    bufs = _spares.pop((w, k), None)
-    if bufs is None:
-        bufs = _new_buffers(w, k)
-    P, Q, D, c = bufs
+    P, Q, c = work[: 3 * w * k].reshape(3, w, k)
+    D = work[3 * w * k : (6 * w + 3) * k].reshape(3, w + 1, k)
     # the indices are in range, so "clip" changes nothing; "raise" would copy
     # through a temporary
     Z.take(ii, axis=1, out=P, mode="clip")
@@ -353,7 +321,7 @@ def _batched_dtw(
     D.fill(np.inf)
     d2, d1, d0 = D
     d2[0] = 0.0
-    for cost, rows, rev, cells, edge in _diagonal_plan(w, band):
+    for cost, rows, rev, cells, edge in plan:
         cn = c[cost]
         np.subtract(P[rows], R[rev], out=cn)
         np.abs(cn, out=cn)
@@ -368,9 +336,6 @@ def _batched_dtw(
         d0[edge] = np.inf
         d2, d1, d0 = d1, d0, d2
     out[...] = d1[w]
-    _spares[w, k] = bufs
-    for key in list(_spares)[:-_SPARE_SHAPES]:
-        _spares.pop(key, None)
 
 
 def distance_matrix(

@@ -227,10 +227,9 @@ def test_matrix_equals_scalar_across_the_real_block_edge():
 
 @pytest.mark.usefixtures("c_kernel")
 def test_matrix_equals_scalar_as_the_diagonal_plan_key_changes():
-    """Twelve (w, band) keys, more than the plan cache holds, each used twice
-    with other keys between: every matrix is the scalar DTW's."""
+    """Twelve (w, band) keys, each used twice with other keys between: every
+    matrix is the scalar DTW's."""
     keys = [(w, band) for band in (None, 0, 1, "w+1") for w in (2, 3, 20)]
-    assert len(keys) > dtw._diagonal_plan.cache_info().maxsize
     rng = np.random.default_rng(12)
     for w, band in keys + keys[::-1]:
         band = w + 1 if band == "w+1" else band
@@ -268,10 +267,12 @@ def test_one_day_peak_memory_stays_bounded():
 
 @pytest.mark.usefixtures("c_kernel")
 def test_kernel_buffers_are_reused_across_days():
-    """After a warm call, a second 100-asset day allocates no block buffers:
-    its traced peak stays below one set of them (2 MB at w = 20)."""
+    """A warm 100-asset, w = 20 day, 4950 pairs over more than one pair block,
+    allocates its scratch once: its traced peak stays under one pair block's
+    wavefront scratch (2 MB) plus the day's two n x n matrices."""
+    n, w = 100, 20
     rng = np.random.default_rng(100)
-    first, second = (_windows(rng.normal(size=(100, 20))) for _ in range(2))
+    first, second = (_windows(rng.normal(size=(n, w))) for _ in range(2))
     distance_matrix(first)
     tracemalloc.start()
     try:
@@ -279,8 +280,25 @@ def test_kernel_buffers_are_reused_across_days():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # P, Q, c and three diagonals of w + 1 cells, over a full block
-    assert peak < (6 * 20 + 3) * dtw._PAIR_BLOCK * 8
+    # P, Q, c and three diagonals of w + 1 cells over a full block, and the
+    # matrix `distance_matrix` fills and the copy `DistanceMatrix` keeps
+    assert peak < (6 * w + 3) * dtw._PAIR_BLOCK * 8 + 2 * n * n * 8
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+def test_a_wavefront_call_holds_nothing_after_it_returns():
+    """The wavefront's scratch and diagonal plan belong to one call: once
+    `distance_matrix` returns, the only traced memory left is its matrix."""
+    n, w = 90, 23  # 4005 pairs: a full block and a short one
+    windows = _windows(np.random.default_rng(90).normal(size=(n, w)))
+    dtw._pair_indices(n)  # cached for the run's every day; not the call's own
+    tracemalloc.start()
+    try:
+        dm = distance_matrix(windows)
+        held = tracemalloc.get_traced_memory()[0] - dm.d.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < 16_000
 
 
 @pytest.mark.usefixtures("c_kernel")
@@ -300,29 +318,6 @@ def test_matrix_equals_scalar_as_block_shapes_alternate():
             for i in range(n):
                 for j in range(i + 1, n):
                     assert dm.d[i, j] == dtw_distance(arrays[i], arrays[j], band=band)
-
-
-@pytest.mark.usefixtures("numpy_kernel")
-def test_at_most_two_block_shapes_stay_allocated():
-    rng = np.random.default_rng(14)
-    shapes = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dtw, "_PAIR_BLOCK", 10)
-        for n, w in [(5, 3), (6, 4), (7, 3), (8, 6), (4, 4), (9, 3), (6, 6)]:
-            distance_matrix(_windows(rng.normal(size=(n, w))))
-            pairs = n * (n - 1) // 2
-            shapes += [(w, min(pairs, 10)), (w, pairs % 10 or 10)]
-    recent = list(dict.fromkeys(reversed(shapes)))[:2]
-    assert sorted(dtw._spares) == sorted(recent)
-
-
-@pytest.mark.usefixtures("numpy_kernel")
-def test_kept_buffers_are_page_aligned_and_disjoint():
-    distance_matrix(_windows(np.random.default_rng(16).normal(size=(9, 7))))
-    bufs = dtw._spares[7, 36]  # w = 7, 36 pairs
-    assert [b.shape for b in bufs] == [(7, 36), (7, 36), (3, 8, 36), (7, 36)]
-    assert all(b.ctypes.data % 4096 == 0 for b in bufs)
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(bufs) for b in bufs[i + 1:])
 
 
 @pytest.mark.usefixtures("c_kernel")
@@ -454,6 +449,27 @@ def test_compiled_kernel_work_buffer_is_cache_line_aligned(monkeypatch):
             Z = rng.normal(size=(w, 6))
             dtw._pair_distances(Z, ii, jj, None, np.empty(ii.size))
     assert len(works) == 20 and [address % 64 for address in works] == [0] * 20
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+def test_wavefront_scratch_is_cache_line_aligned(monkeypatch):
+    batched = dtw._batched_dtw
+    works = []
+
+    def record(*args):
+        works.append(args[4])
+        return batched(*args)
+
+    monkeypatch.setattr(dtw, "_batched_dtw", record)
+    rng = np.random.default_rng(6)
+    ii, jj = dtw._pair_indices(6)
+    held = []
+    for w in (2, 20, 21, 40, 100):
+        for shift in range(4):
+            # hold arrays of odd sizes, so the allocator's next block moves
+            held.append(np.empty(2 * shift + 1))
+            dtw._pair_distances(rng.normal(size=(w, 6)), ii, jj, None, np.empty(ii.size))
+    assert len(works) == 20 and [work.ctypes.data % 64 for work in works] == [0] * 20
 
 
 @given(
