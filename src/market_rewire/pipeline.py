@@ -7,8 +7,9 @@ computes the DTW distance of every asset pair, in `np.triu_indices` order
 distances and, from the second analyzable date on, off their change from the
 previous date's (`networks.day_metrics`). On the dates in
 `PipelineConfig.snapshot_dates` it also keeps the positions of the date's
-co-occurrence, red and blue pairs (`DaySnapshot`). No window object,
-distance matrix or graph is built on the way.
+co-occurrence, red and blue pairs, copied out of the block's sorted edge
+positions (`DaySnapshot`). No window object, distance matrix or graph is
+built on the way.
 
 The dates go in blocks of consecutive dates, as many as _BLOCK_DOUBLES
 holds (one date a block from 110 assets at w = 20 on): each of the three
@@ -233,14 +234,18 @@ def _run_days(panel: PricePanel, config: PipelineConfig, workers: int) -> RunRes
         """Append the block's rows, and the snapshots of the dates that want one."""
         nonlocal prev
         end_dates = panel.dates[start : start + len(dist)]
-        rows, masks = day_metrics(
+        rows, at, starts = day_metrics(
             end_dates, n, pairs, dist, prev,
             config.cooc_threshold, config.diff_threshold, config.hub_min_degree,
         )
         result.metrics.extend(rows)
+        starts = starts.tolist()
+        days = len(rows)
         for d, (end_date, row) in enumerate(zip(end_dates, rows)):
             if config.wants_snapshot(end_date):
-                positions = [np.flatnonzero(m[d]) for m in masks[: 3 if row.has_differential else 1]]
+                # copies, so a snapshot holds its own edges and not the block's
+                runs = range(d, 3 * days if row.has_differential else days, days)
+                positions = [at[starts[q] : starts[q + 1]].copy() for q in runs]
                 for p in positions:
                     p.setflags(write=False)
                 result.snapshots[end_date] = DaySnapshot(end_date, ids, *positions)

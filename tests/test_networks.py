@@ -18,6 +18,7 @@ from market_rewire import (
     differential_network,
     graph_based_entropy,
 )
+from market_rewire import networks
 from market_rewire.networks import day_metrics
 
 D0 = date(2020, 3, 2)
@@ -105,6 +106,23 @@ def test_gbe_bounds_and_equal_size_maximum():
 def test_gbe_order_invariant():
     comps = [set("abc"), set("de"), {"f"}]
     assert graph_based_entropy(comps) == graph_based_entropy(comps[::-1])
+
+
+@given(st.lists(st.integers(0, 60), max_size=60))
+def test_cached_size_entropy_gives_the_plain_loops_bits(sizes):
+    """The entropy memoized per sorted size tuple, from a first call or from
+    the cache, is the one of the plain loop over the sizes largest first."""
+    positive = sorted((s for s in sizes if s > 0), reverse=True)
+    total = sum(positive)
+    h = 0.0
+    for s in positive:
+        p = s / total
+        h -= p * math.log2(p)
+    expected = (h + 0.0).hex()
+    assert networks._size_entropy(sizes).hex() == expected
+    assert networks._size_entropy(sizes[::-1]).hex() == expected
+    assert networks._sorted_size_entropy.__wrapped__(tuple(positive)).hex() == expected
+    assert networks._sorted_size_entropy.cache_info().maxsize is not None  # bounded
 
 
 def test_merging_components_never_increases_count_and_collapse_zeroes_gbe():
@@ -356,23 +374,46 @@ def test_day_metrics_equal_the_graph_path(case):
     dm = DistanceMatrix(D0, ids, cur)
     before = DistanceMatrix(D0, ids, prev)
     pairs = np.triu_indices(n, k=1)
-    upper = cur[pairs]
+    upper, earlier = cur[pairs], prev[pairs]
     g = cooccurrence_network(dm, 2.0)
     sg = differential_network(difference_matrix(dm, before), 1.0, ids, D0)
-    [first], _ = day_metrics([D0], n, pairs, upper[None], None, 2.0, 1.0, k)
+    none = np.zeros_like(upper, dtype=bool)
+    # each network of a date: the strict comparison and the graph path's edges
+    first_date = [(earlier < 2.0, cooccurrence_network(before, 2.0).edges), (none, set()), (none, set())]
+    no_differential = [(upper < 2.0, g.edges), (none, set()), (none, set())]
+    later_date = [
+        (upper < 2.0, g.edges),
+        (upper - earlier > 1.0, sg.red_edges),
+        (upper - earlier < -1.0, sg.blue_edges),
+    ]
+
+    def edge_runs(block, networks_by_date):
+        """The rows of a block, after checking each date's runs of edge
+        positions against the comparisons and edge sets of its networks."""
+        rows, at, starts = block
+        days = len(rows)
+        assert len(starts) == 3 * days + 1
+        for d, networks in enumerate(networks_by_date):
+            for c, (mask, edges) in enumerate(networks):
+                positions = at[starts[c * days + d] : starts[c * days + d + 1]]
+                assert positions.tolist() == np.flatnonzero(mask).tolist()
+                assert {
+                    tuple(sorted((ids[pairs[0][p]], ids[pairs[1][p]]))) for p in positions.tolist()
+                } == edges
+        return rows
+
+    [first] = edge_runs(day_metrics([D0], n, pairs, upper[None], None, 2.0, 1.0, k), [no_differential])
     assert first == graph_metrics_row(g, None, k)
-    [later], _ = day_metrics([D0], n, pairs, upper[None], prev[pairs], 2.0, 1.0, k)
+    [later] = edge_runs(day_metrics([D0], n, pairs, upper[None], earlier, 2.0, 1.0, k), [later_date])
     assert later == graph_metrics_row(g, sg, k)
     # the same two dates as one block: the first has no differential, and
     # the second's is taken against the first
     D1 = D0 + timedelta(days=1)
-    block, (near, red, blue) = day_metrics([D0, D1], n, pairs, np.stack((prev[pairs], upper)), None, 2.0, 1.0, k)
-    assert block == [
+    block = day_metrics([D0, D1], n, pairs, np.stack((earlier, upper)), None, 2.0, 1.0, k)
+    assert edge_runs(block, [first_date, later_date]) == [
         graph_metrics_row(cooccurrence_network(before, 2.0), None, k),
         dataclasses.replace(graph_metrics_row(g, sg, k), end_date=D1),
     ]
-    assert not red[0].any() and not blue[0].any()
-    assert red[1].tolist() == (upper - prev[pairs] > 1.0).tolist()
 
 
 @st.composite
