@@ -239,6 +239,14 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _pair_positions(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The position in `_pair_indices(n)` order of each pair (a[e], b[e]) of
+    distinct places of n, in either end order: lo·(2n - lo - 1)/2 + hi - lo - 1
+    for the pair's lower place lo and higher place hi."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return lo * (2 * n - lo - 1) // 2 + hi - lo - 1
+
+
 def _diagonal_plan(w: int, band: int | None) -> tuple[tuple, ...]:
     """For each anti-diagonal s = 2 .. 2w of a w x w table under `band`, with
     cells lo .. hi, what `_batched_dtw` indexes: the cost buffer's first
@@ -266,9 +274,7 @@ def _pair_distances(
     k = ii.size
     if _kernel is None:
         w = Z.shape[-2]
-        # 64-byte aligned, as the compiled kernel's: at 16 bytes a 200-asset run took 1.2x as long
-        raw = np.empty((6 * w + 3) * min(k, _PAIR_BLOCK) + 7)
-        plan, work = _diagonal_plan(w, band), raw[(-raw.ctypes.data) % 64 // 8 :]
+        plan, work = _diagonal_plan(w, band), _aligned((6 * w + 3) * min(k, _PAIR_BLOCK))
         for Zd, od in zip(Z[None] if Z.ndim == 2 else Z, out[None] if out.ndim == 1 else out):
             for start in range(0, k, _PAIR_BLOCK):
                 block = slice(start, start + _PAIR_BLOCK)
@@ -288,14 +294,19 @@ def _pair_distances(
         and out.flags.writeable
     ):
         raise ValueError("the DTW kernel takes C-contiguous float64 Z and out and int64 indices")
-    # 64-byte aligned: at np.empty's 16 bytes the kernel ran up to a third slower
-    raw = np.empty((4 * w + 2) * group + 7)
-    work = raw[(-raw.ctypes.data) % 64 // 8 :]
     band = w if band is None else min(band, w)
+    work = _aligned((4 * w + 2) * group)
     if dtw_pairs(
         Z.ctypes.data, days, w, n, ii.ctypes.data, jj.ctypes.data, k, band, work.ctypes.data, out.ctypes.data
     ):
         raise IndexError(f"a pair index is outside 0 .. {n - 1}")
+
+
+def _aligned(size: int) -> np.ndarray:
+    """At least `size` doubles of scratch from a 64-byte boundary: at np.empty's
+    16 bytes the compiled kernel ran up to a third slower, the wavefront 1.2x."""
+    raw = np.empty(size + 7)
+    return raw[(-raw.ctypes.data) % 64 // 8 :]
 
 
 def _batched_dtw(

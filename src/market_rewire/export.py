@@ -13,12 +13,12 @@ from datetime import date
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dtw import _pair_indices
-from .networks import Graph, MetricsRow, SignedGraph
+from .dtw import _pair_indices, _pair_positions
+from .networks import Graph, MetricsRow, SignedGraph, _places
 from .pipeline import DaySnapshot, RunResult
 
 # node fill colors per asset class, following the usual market palette:
@@ -41,10 +41,6 @@ CHART_WIDTH, CHART_HEIGHT = 960, 320
 # ---------------------------------------------------------------------------
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
 def _dot_escape(s: str) -> str:
     """Escape a DOT quoted-string body, so `"` and a trailing `\\` cannot end it."""
     return s.replace("\\", "\\\\").replace('"', '\\"')
@@ -55,7 +51,10 @@ def _node_block(
     fmt: str, nodes: tuple[str, ...], node_classes: tuple[str, ...]
 ) -> tuple[tuple[str, ...], str]:
     """The escaped id of each of the sorted `nodes`, in their order, and the
-    text of their node list in `fmt`, for nodes of the given classes."""
+    text of their node list in `fmt`, for nodes of the given classes.
+    These stay the same from one date or block of a run to the next, so
+    they are memoized for the 16 most recent keys and each id is escaped
+    once per format."""
     if fmt == "json":
         # json.dumps of each string keeps the C encoder's escaping
         ids = tuple([json.dumps(n) for n in nodes])
@@ -63,7 +62,7 @@ def _node_block(
             f'    {{\n      "id": {i},\n      "class": {json.dumps(cls)}\n    }}'
             for i, cls in zip(ids, node_classes)
         ]
-        return ids, _json_list(items)
+        return ids, "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
     ids = tuple([_dot_escape(n) for n in nodes])
     colors = [CLASS_COLORS.get(cls, CLASS_COLORS["other"]) for cls in node_classes]
     block = "".join(
@@ -90,14 +89,6 @@ def _pair_texts(fmt: str, ids: Sequence[str], lo: Sequence[int], hi: Sequence[in
     return [f'  "{ids[a]}" -- "{ids[b]}"' for a, b in zip(lo, hi)]
 
 
-def _interleaved(pairs: list[str], ends: list[str]) -> list[str]:
-    """Each pair text followed by its end."""
-    out = [""] * (2 * len(pairs))
-    out[::2] = pairs
-    out[1::2] = ends
-    return out
-
-
 def _network_text(fmt: str, day: str, node_block: str, edges: list[str], signed: bool) -> str:
     """The file text of a network on `day` whose edge texts, each pair text
     followed by its end, are `edges` in export order."""
@@ -120,62 +111,22 @@ def export_graph(
 ) -> str:
     """Serialize a network snapshot to DOT or JSON text.
 
-    `classes` maps node id to asset class for node coloring; unmapped nodes
-    are treated as class "other". Node and edge lists are sorted, so the
-    same graph always serializes to identical bytes.
+    `classes` maps node id to asset class, a str, for node coloring;
+    unmapped nodes are treated as class "other". Node and edge lists are
+    sorted, so the same graph always serializes to identical bytes.
 
-    The edges are mapped to the places of their ends among the sorted nodes
-    and rendered by the same formatter as `snapshot_files`, so a graph and
-    the `DaySnapshot` it was built from give the same text. The escaped
-    node ids and the rendered node list depend only on the format, the
-    sorted nodes and their classes, which stay the same from one date of a
-    run to the next. They are memoized per (format, nodes, classes) for the
-    16 most recently used keys, so a run that renders every date's graphs
-    escapes each id and renders the node list once per format.
+    The edges are mapped to their positions among the pairs of `g.nodes`
+    and rendered as a one-date `DaySnapshot` (a `SignedGraph`'s with no
+    co-occurrence edges) by `_snapshot_texts`, the renderer of
+    `snapshot_files` and `write_export_bundle`, so a graph and the snapshot
+    it was built from give the same text.
     """
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"graph format must be one of {GRAPH_FORMATS}, got {fmt!r}")
-    classes = classes or {}
-    nodes = tuple(sorted(g.nodes))
-    place = {n: k for k, n in enumerate(nodes)}
-    signed = isinstance(g, SignedGraph)
-    # each edge's ends and the index of its end text in _EDGE_ENDS
-    if signed:
-        edges = [(place[a], place[b], 1) for a, b in g.red_edges]
-        edges += [(place[a], place[b], 2) for a, b in g.blue_edges]
-    else:
-        edges = [(place[a], place[b], 0) for a, b in g.edges]
-    edges.sort()
-    ids, node_block = _node_block(fmt, nodes, tuple([classes.get(n, "other") for n in nodes]))
-    pairs = _pair_texts(fmt, ids, [e[0] for e in edges], [e[1] for e in edges])
-    ends = [_EDGE_ENDS[fmt][e[2]] for e in edges]
-    return _network_text(fmt, g.end_date.isoformat(), node_block, _interleaved(pairs, ends), signed)
-
-
-class _PairOrder(NamedTuple):
-    nodes: tuple[str, ...]  # the ids, sorted
-    rank: np.ndarray  # rank[p]: the place of pair p in export order
-    lo: np.ndarray  # lo[r], hi[r]: the places among `nodes` of the ends of
-    hi: np.ndarray  # the pair at place r in export order, lo[r] < hi[r]
-
-
-@lru_cache(maxsize=2)
-def _pair_order(ids: tuple[str, ...]) -> _PairOrder:
-    """Export order of the pairs of `ids`, numbered as the positions of a
-    `DaySnapshot`: a pair's edge is written at the place of (lower id,
-    higher id) among all such tuples sorted, so no date sorts strings.
-    Three arrays of n(n-1)/2 integers, 1 MB at 300 assets; kept for the two
-    most recent id tuples."""
-    n = len(ids)
-    ii, jj = _pair_indices(n)
-    place = np.empty(n, dtype=np.intp)
-    place[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
-    a, b = place[ii], place[jj]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    by_rank = np.argsort(lo * n + hi)
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(len(by_rank))
-    return _PairOrder(tuple(sorted(ids)), rank, lo[by_rank], hi[by_rank])
+    runs = [(), g.red_edges, g.blue_edges] if isinstance(g, SignedGraph) else [g.edges]
+    positions = [_pair_positions(len(g.nodes), *_places(g.nodes, edges)) for edges in runs]
+    snap = DaySnapshot(g.end_date, g.nodes, *positions)
+    return list(_snapshot_texts([snap], [fmt], classes))[-1][1]
 
 
 def _check_formats(formats, name: str) -> None:
@@ -186,33 +137,58 @@ def _check_formats(formats, name: str) -> None:
 
 
 def _snapshot_texts(
-    snaps: Sequence[DaySnapshot], formats: Sequence[str], classes: Mapping[str, str]
+    snaps: Sequence[DaySnapshot], formats: Sequence[str], classes: Mapping[str, str] | None
 ) -> Iterator[tuple[str, str]]:
     """File name and text of each network of the snapshots `snaps`, which
     share one `asset_ids` tuple, format by format and within a format date
     by date: `<date>.cooc.<fmt>`, and `<date>.diff.<fmt>` for a snapshot
-    with a differential. Each text is the one `export_graph` gives for that
-    snapshot's graph, rendered from its edge positions without building it.
+    with a differential. This is the one edge renderer: `export_graph`,
+    `snapshot_files` and `write_export_bundle` all call it.
 
-    One sort puts every edge of the snapshots in export order, by keys of
-    (network, rank, end). The text of each distinct pair is formatted once
-    per format, with no color; a file is its header, node block and the
-    join of its edges' pair texts, each followed by the end that gives its
-    color."""
-    order = _pair_order(snaps[0].asset_ids)
-    n_pairs = len(order.rank)
-    node_classes = tuple([classes.get(n, "other") for n in order.nodes])
+    Each edge is ranked by the `_pair_positions` of the sorted places of
+    its ends, which orders pairs as (lower id, higher id) tuples, so one
+    sort of the block's ids and one sort of integer keys, by (network,
+    rank, end), put every edge in export order. The ends of a rank are
+    `_pair_indices` read at it. The text of each distinct pair is formatted
+    once per format, with no color; a file is its header, node block and
+    the join of its edges' pair texts, each followed by the end that gives
+    its color. A class that is not a str, or a position that is not an
+    integer in 0 .. n(n-1)/2 - 1, raises a ValueError naming its id or
+    date; the positions are checked once per block."""
+    ids = snaps[0].asset_ids
+    n = len(ids)
+    n_pairs = n * (n - 1) // 2
+    by_id = sorted(range(n), key=ids.__getitem__)
+    nodes = tuple([ids[k] for k in by_id])
+    classes = {} if classes is None else classes
+    if not isinstance(classes, Mapping):
+        raise ValueError(f"classes must map asset ids to class names, got {classes!r}")
+    node_classes = tuple([classes.get(i, "other") for i in nodes])
+    for i, cls in zip(nodes, node_classes):
+        if not isinstance(cls, str):
+            raise ValueError(f"the class of asset {i!r} must be a str, got {cls!r}")
     # network g < len(snaps) is date g's co-occurrence, len(snaps) + d date
     # d's differential; each holds its edges by their end in _EDGE_ENDS
     empty = np.empty(0, dtype=np.intp)
     networks = [(s.cooc_pairs, empty, empty) for s in snaps]
     networks += [(empty,) * 3 if s.red_pairs is None else (empty, s.red_pairs, s.blue_pairs) for s in snaps]
-    sizes = np.array([[len(p) for p in net] for net in networks], dtype=np.intp)
+    arrays = [p for net in networks for p in net]
+    try:  # every edge's position, checked once for the block
+        at = np.concatenate(arrays, dtype=np.intp, casting="no")
+        valid = at.ndim == 1 and (not at.size or 0 <= at.min() and at.max() < n_pairs)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:  # each snapshot checks its own, so the error names its date
+        at = np.concatenate([s._checked(p) for s, net in zip(2 * list(snaps), networks) for p in net])
+    sizes = np.fromiter(map(len, arrays), np.intp, len(arrays)).reshape(len(networks), 3)
     counts = sizes.sum(axis=1)
+    place = np.empty(n, dtype=np.intp)
+    place[by_id] = np.arange(n)
+    ii, jj = _pair_indices(n)
     # n_pairs times each edge's network: the sort keeps every network's
     # edges in the same places, so this still holds for the sorted keys
     first = np.repeat(np.arange(len(networks)) * n_pairs, counts)
-    key = order.rank[np.concatenate([p for net in networks for p in net])] + first
+    key = _pair_positions(n, place[ii[at]], place[jj[at]]) + first
     key *= 4
     key += np.repeat(np.tile(np.arange(3), len(networks)), sizes.ravel())
     key.sort()
@@ -220,13 +196,14 @@ def _snapshot_texts(
     key >>= 2
     key -= first
     ranks, inverse = np.unique(key, return_inverse=True)
-    lo, hi = order.lo[ranks].tolist(), order.hi[ranks].tolist()
+    lo, hi = ii[ranks].tolist(), jj[ranks].tolist()
     bounds = (2 * np.concatenate(([0], np.cumsum(counts)))).tolist()
     days = [s.end_date.isoformat() for s in snaps]
     for fmt in formats:
-        ids, node_block = _node_block(fmt, order.nodes, node_classes)
-        pairs = np.array(_pair_texts(fmt, ids, lo, hi), dtype=object)[inverse].tolist()
-        edges = _interleaved(pairs, np.array(_EDGE_ENDS[fmt], dtype=object)[end].tolist())
+        escaped, node_block = _node_block(fmt, nodes, node_classes)
+        edges = [""] * (2 * len(end))  # each edge's pair text, then its end
+        edges[::2] = np.array(_pair_texts(fmt, escaped, lo, hi), dtype=object)[inverse].tolist()
+        edges[1::2] = np.array(_EDGE_ENDS[fmt], dtype=object)[end].tolist()
         for d, (s, day) in enumerate(zip(snaps, days)):
             text = _network_text(fmt, day, node_block, edges[bounds[d] : bounds[d + 1]], False)
             yield f"{day}.cooc.{fmt}", text
@@ -246,7 +223,7 @@ def snapshot_files(
     analyzable date. Each text is the one `export_graph` gives for the
     snapshot's graph, rendered from its edge positions without building it."""
     _check_formats(formats, "formats")
-    return list(_snapshot_texts([snap], formats, classes or {}))
+    return list(_snapshot_texts([snap], formats, classes))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +399,7 @@ def write_export_bundle(
         net_dir.mkdir(exist_ok=True)
         prefix = os.path.join(net_dir, "")
         for block in _export_blocks([result.snapshots[d] for d in sorted(result.snapshots)]):
-            for name, text in _snapshot_texts(block, graph_formats, classes or {}):
+            for name, text in _snapshot_texts(block, graph_formats, classes):
                 write_file(prefix + name, text)
 
     if charts:

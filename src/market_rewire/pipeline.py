@@ -88,8 +88,9 @@ class DaySnapshot:
     snapshots hold read-only arrays, 8 bytes per edge, and share one
     `asset_ids` tuple. `cooccurrence` and `differential` build a `Graph` and
     a `SignedGraph` (None on the first analyzable date) on each read and
-    keep neither. Two snapshots are equal when their date, ids and edge
-    positions are.
+    keep neither; they and the renderer in `export` reject positions that
+    are not integers in 0 .. n(n-1)/2 - 1, which a run never makes. Two
+    snapshots are equal when their date, ids and edge positions are.
     """
 
     end_date: date
@@ -100,14 +101,24 @@ class DaySnapshot:
 
     @property
     def cooccurrence(self) -> Graph:
-        return Graph(self.end_date, self.asset_ids, _pair_edges(self.asset_ids, self.cooc_pairs))
+        edges = _pair_edges(self.asset_ids, self._checked(self.cooc_pairs))
+        return Graph(self.end_date, self.asset_ids, edges)
 
     @property
     def differential(self) -> SignedGraph | None:
         if self.red_pairs is None:
             return None
-        red, blue = (_pair_edges(self.asset_ids, p) for p in (self.red_pairs, self.blue_pairs))
-        return SignedGraph(self.end_date, self.asset_ids, red, blue)
+        ids = self.asset_ids
+        red, blue = (_pair_edges(ids, self._checked(p)) for p in (self.red_pairs, self.blue_pairs))
+        return SignedGraph(self.end_date, ids, red, blue)
+
+    def _checked(self, positions) -> np.ndarray:
+        """`positions`, one of this snapshot's runs, as intp; a ValueError
+        naming the date unless they are integers in 0 .. n(n-1)/2 - 1."""
+        p, m = np.asarray(positions), len(self.asset_ids) * (len(self.asset_ids) - 1) // 2
+        if p.ndim != 1 or p.size and (p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= m):
+            raise ValueError(f"snapshot of {self.end_date}: edge positions must be integers in 0 .. {m - 1}")
+        return p.astype(np.intp, copy=False)
 
     def _key(self):
         positions = (self.cooc_pairs, self.red_pairs, self.blue_pairs)
@@ -210,12 +221,12 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     n, days = panel.n_assets, panel.n_dates - w + 1
     span = min(_block_span(n, w), days)
     work = span * n * (n - 1) // 2 * _band_cells(w, config.band_halfwidth)
-    return _run_days(panel, config, _worker_count(threads, -(-days // span), work))
+    return _run_days(panel, config, span, _worker_count(threads, -(-days // span), work))
 
 
-def _run_days(panel: PricePanel, config: PipelineConfig, workers: int) -> RunResult:
+def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int) -> RunResult:
     """The rows and snapshots of every analyzable date. This thread z-scores
-    each block of dates and reads its metrics, in date order; the block's
+    each block of `span` dates and reads its metrics, in date order; the block's
     kernel call runs inline with one worker, else in a pool of `workers`
     threads with at most `workers` + 1 calls outstanding. Each date's
     differential is taken against the date before it, so the first row has
@@ -225,7 +236,6 @@ def _run_days(panel: PricePanel, config: PipelineConfig, workers: int) -> RunRes
     pairs = _pair_indices(n)
     ii, jj = pairs
     signs = np.array([[float(a.direction)] for a in panel.assets])
-    span = _block_span(n, w)
     result = RunResult()
     in_flight = deque()  # (first date index, the block's distances, its kernel call)
     prev = None

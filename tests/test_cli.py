@@ -630,6 +630,64 @@ def test_export_graph_format_validated():
         export_graph(g, "graphml")
 
 
+def _every_render(snap, fmt, classes, out):
+    """Calls that render `snap` in `fmt` through each entry point: its
+    graphs through `export_graph`, then `snapshot_files` and the export."""
+    return [
+        lambda: export_graph(snap.cooccurrence, fmt, classes),
+        lambda: export_graph(snap.differential, fmt, classes),
+        lambda: export.snapshot_files(snap, [fmt], classes),
+        lambda: export.write_export_bundle(RunResult(snapshots={snap.end_date: snap}), out, classes, [fmt]),
+    ]
+
+
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+@pytest.mark.parametrize(
+    "classes, match",
+    [
+        ({"b": 3}, "class of asset 'b' must be a str, got 3"),
+        ({"a": None}, "class of asset 'a' must be a str, got None"),
+        ({"a": ["stock"]}, "class of asset 'a' must be a str"),
+        ([("a", "stock")], "classes must map asset ids to class names"),
+    ],
+)
+def test_every_renderer_rejects_classes_that_are_not_strs(tmp_path, fmt, classes, match):
+    # a class of 3 used to raise AttributeError in DOT and write "class": 3 in JSON
+    snap = DaySnapshot(D0, ("b", "a"), np.array([0]), np.array([], dtype=int), np.array([0]))
+    for call in _every_render(snap, fmt, classes, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.array([-1]), np.array([3]), np.array([1.5]), np.array([True])])
+@pytest.mark.parametrize("network", range(3))
+def test_snapshot_positions_outside_the_pairs_raise_naming_the_date(tmp_path, bad, network):
+    """A position of -1 used to render the last pair and 3 or 1.5 raised
+    IndexError. Every entry point now raises a ValueError naming the date,
+    also for a later date of an export block."""
+    ids, day = ("c", "a", "b"), D0 + timedelta(days=1)
+    positions = [np.array([1]), np.array([0]), np.array([2])]
+    positions[network] = bad
+    snap = DaySnapshot(day, ids, *positions)
+    match = f"snapshot of {day}: edge positions must be integers in 0 .. 2"
+    with pytest.raises(ValueError, match=match):
+        snap.differential if network else snap.cooccurrence
+    with pytest.raises(ValueError, match=match):
+        export.snapshot_files(snap, GRAPH_FORMATS)
+    result = RunResult(snapshots={D0: DaySnapshot(D0, ids, np.array([0, 2])), day: snap})
+    with pytest.raises(ValueError, match=match):
+        export.write_export_bundle(result, tmp_path)
+
+
+def test_snapshot_positions_of_any_integer_type_render_alike():
+    ids = ("c", "a", "b")
+    positions = [np.array([0, 2]), np.array([1]), np.array([], dtype=int)]
+    expected = export.snapshot_files(DaySnapshot(D0, ids, *positions))
+    for dtype in (np.int32, np.uint8, np.uint64):
+        snap = DaySnapshot(D0, ids, *[p.astype(dtype) for p in positions])
+        assert export.snapshot_files(snap) == expected
+
+
 @pytest.mark.parametrize("snapshots", [None, "all"])
 @pytest.mark.parametrize("formats", ["dot", ("svg",), ("dot", "graphml")])
 def test_export_bundle_rejects_graph_formats_before_writing(tmp_path, snapshots, formats):

@@ -250,6 +250,14 @@ def test_pair_indices_are_cached_and_read_only():
             a[0] = 5
 
 
+def test_pair_positions_invert_the_pair_indices():
+    for n in range(2, 41):
+        ii, jj = dtw._pair_indices(n)
+        expected = np.arange(n * (n - 1) // 2)
+        np.testing.assert_array_equal(dtw._pair_positions(n, ii, jj), expected)
+        np.testing.assert_array_equal(dtw._pair_positions(n, jj, ii), expected)
+
+
 @pytest.mark.usefixtures("c_kernel")
 def test_one_day_peak_memory_stays_bounded():
     """One day over 400 assets: all 79,800 pairs in one batch peaked at 93 MB;
