@@ -89,8 +89,9 @@ class DaySnapshot:
     `asset_ids` tuple. `cooccurrence` and `differential` build a `Graph` and
     a `SignedGraph` (None on the first analyzable date) on each read and
     keep neither; they and the renderer in `export` reject positions that
-    are not integers in 0 .. n(n-1)/2 - 1, which a run never makes. Two
-    snapshots are equal when their date, ids and edge positions are.
+    are not integers in 0 .. n(n-1)/2 - 1, a position that comes twice in
+    a run and a pair that is both red and blue, which a run never makes.
+    Two snapshots are equal when their date, ids and edge positions are.
     """
 
     end_date: date
@@ -101,24 +102,36 @@ class DaySnapshot:
 
     @property
     def cooccurrence(self) -> Graph:
-        edges = _pair_edges(self.asset_ids, self._checked(self.cooc_pairs))
-        return Graph(self.end_date, self.asset_ids, edges)
+        (cooc,) = self._checked(self.cooc_pairs)
+        return Graph(self.end_date, self.asset_ids, _pair_edges(self.asset_ids, cooc))
 
     @property
     def differential(self) -> SignedGraph | None:
         if self.red_pairs is None:
             return None
         ids = self.asset_ids
-        red, blue = (_pair_edges(ids, self._checked(p)) for p in (self.red_pairs, self.blue_pairs))
+        red, blue = (_pair_edges(ids, p) for p in self._checked(self.red_pairs, self.blue_pairs))
         return SignedGraph(self.end_date, ids, red, blue)
 
-    def _checked(self, positions) -> np.ndarray:
-        """`positions`, one of this snapshot's runs, as intp; a ValueError
-        naming the date unless they are integers in 0 .. n(n-1)/2 - 1."""
-        p, m = np.asarray(positions), len(self.asset_ids) * (len(self.asset_ids) - 1) // 2
-        if p.ndim != 1 or p.size and (p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= m):
-            raise ValueError(f"snapshot of {self.end_date}: edge positions must be integers in 0 .. {m - 1}")
-        return p.astype(np.intp, copy=False)
+    def _checked(self, *runs) -> list[np.ndarray]:
+        """`runs`, the runs of one of this snapshot's networks, as intp; a
+        ValueError naming the date unless they are integers in
+        0 .. n(n-1)/2 - 1 and no position comes twice among them."""
+        m = len(self.asset_ids) * (len(self.asset_ids) - 1) // 2
+        out = []
+        for positions in runs:
+            p = np.asarray(positions)
+            if p.ndim != 1 or p.size and (p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= m):
+                raise ValueError(f"snapshot of {self.end_date}: edge positions must be integers in 0 .. {m - 1}")
+            out.append(p.astype(np.intp, copy=False))
+        at = np.sort(np.concatenate(out))
+        twice = at[1:][at[1:] == at[:-1]]
+        if twice.size:
+            raise ValueError(
+                f"snapshot of {self.end_date}: edge position {twice[0]} comes twice "
+                "(repeated in a run, or both red and blue)"
+            )
+        return out
 
     def _key(self):
         positions = (self.cooc_pairs, self.red_pairs, self.blue_pairs)

@@ -35,25 +35,36 @@ def _zscore_rows(
     Reducing the (dates·rows, w) view along its last, contiguous axis sums
     each row with numpy's pairwise summation, exactly as the 1-D call does,
     so every row is bitwise equal to z-scoring it alone; reducing along
-    another axis is not. Each date with a constant row gives
-    one warning, in date order, pointing `stacklevel` frames up, as
-    `warnings.warn` counts them from here. The first date with a row whose
-    mean or std is not finite (a NaN, or magnitudes that overflow) raises a
-    ValueError naming `where(date, row)`, after the warnings of the dates
-    before it.
+    another axis is not. The mean is taken once and subtracted in place,
+    and the std is taken from those deviations by `np.std`'s own steps
+    (square, sum, divide by w - 1, square root), so it has `np.std`'s bits.
+    A row is constant when every value equals its first (0.0 equals -0.0)
+    or its std is 0.0, and its z-scores are zeros. Each date with a
+    constant row gives one warning, in date order, pointing `stacklevel`
+    frames up, as `warnings.warn` counts them from here. The first date
+    with a row whose mean or std is not finite (a NaN, or magnitudes that
+    overflow) raises a ValueError naming `where(date, row)`, after the
+    warnings of the dates before it.
     """
     days, rows, w = x.shape
     flat = x.reshape(days * rows, w)  # a view, so the z-scores land in x
+    # equality with the first value is exact where a zero std is not: a
+    # repeated 100.37 has a rounded mean and a tiny nonzero std
+    constant = (flat == flat[:, :1]).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = flat.mean(axis=1, keepdims=True)
-        sd = flat.std(axis=1, ddof=1, keepdims=True)
+        flat -= mean
+        # np.std's own steps from the deviations, so its bits; np.std would
+        # take the mean again, and its mean= needs numpy 2
+        sd = np.square(flat).sum(axis=1, keepdims=True)
+        sd /= w - 1
+        np.sqrt(sd, out=sd)
     bad = ~(np.isfinite(mean) & np.isfinite(sd))[:, 0]
     # the dates before the first one with a bad row
     good = int(np.argmax(bad.reshape(days, rows).any(axis=1))) if bad.any() else days
-    # max == min is exact where a zero std is not: a repeated 100.37 has a
-    # rounded mean and a tiny nonzero std. A std that underflows to zero
-    # (spreads below about 1e-161) counts as constant too.
-    constant = (flat.max(axis=1) == flat.min(axis=1)) | (sd[:, 0] == 0.0)
+    # a std that underflows to zero (spreads below about 1e-161) counts as
+    # constant too
+    constant |= sd[:, 0] == 0.0
     if constant.any():
         for _ in range(np.count_nonzero(constant.reshape(days, rows)[:good].any(axis=1))):
             warnings.warn("constant window: standardized values set to zero", stacklevel=stacklevel)
@@ -64,7 +75,6 @@ def _zscore_rows(
             f"non-finite mean or standard deviation in {where(good, row)} "
             "(a missing value, or magnitudes that overflow)"
         )
-    flat -= mean
     flat /= sd
     flat[constant] = 0.0
     return x

@@ -287,6 +287,36 @@ def test_rerun_rewrites_every_file_in_place(tmp_path):
         assert path.stat().st_mtime_ns > started_ns, rel
 
 
+@pytest.mark.parametrize("text", ["grafo, \u00e9t\u00e9\n" * 40, ""], ids=["text", "empty"])
+@pytest.mark.parametrize("before", [None, "longer", "same size", "shorter"])
+def test_write_file_leaves_exactly_the_new_bytes_and_the_mode(tmp_path, monkeypatch, text, before):
+    data = text.encode("utf-8")
+    path = tmp_path / "f.txt"
+    if before is not None:
+        size = {"longer": len(data) + 37, "same size": len(data), "shorter": len(data) // 2}[before]
+        path.write_bytes(b"#" * size)
+        path.chmod(0o640)
+        os.utime(path, ns=(0, 0))
+    cuts, os_ftruncate = [], os.ftruncate
+
+    def ftruncate(fd, length):
+        cuts.append(length)
+        return os_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+    umask = os.umask(0o022)
+    try:
+        export.write_file(path, text)
+    finally:
+        os.umask(umask)
+    assert path.read_bytes() == data
+    assert path.stat().st_mode & 0o777 == (0o644 if before is None else 0o640)
+    # only a file longer than the new bytes is cut
+    assert cuts == ([len(data)] if before == "longer" else [])
+    if before is not None and data:
+        assert path.stat().st_mtime_ns > 0
+
+
 def test_classes_ratio_flag(tmp_path):
     src = tmp_path / "data"
     assert main(gen_args(src, assets=8) + ["--classes", "2:1:1"]) == 0
@@ -674,6 +704,31 @@ def test_snapshot_positions_outside_the_pairs_raise_naming_the_date(tmp_path, ba
         snap.differential if network else snap.cooccurrence
     with pytest.raises(ValueError, match=match):
         export.snapshot_files(snap, GRAPH_FORMATS)
+    result = RunResult(snapshots={D0: DaySnapshot(D0, ids, np.array([0, 2])), day: snap})
+    with pytest.raises(ValueError, match=match):
+        export.write_export_bundle(result, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "positions, network",
+    [
+        ([[0, 0], [1], [2]], 0),  # a co-occurrence edge twice
+        ([[0], [1, 2, 1], [0]], 1),  # a red edge twice
+        ([[0], [1], [2, 2]], 1),  # a blue edge twice
+        ([[0], [1], [1]], 1),  # a pair both red and blue
+    ],
+)
+def test_snapshot_positions_that_come_twice_raise_naming_the_date(tmp_path, positions, network):
+    """These used to render an edge twice, or one pair in both colors."""
+    ids, day = ("c", "a", "b"), D0 + timedelta(days=1)
+    snap = DaySnapshot(day, ids, *map(np.array, positions))
+    match = f"snapshot of {day}: edge position \\d+ comes twice"
+    with pytest.raises(ValueError, match=match):
+        snap.differential if network else snap.cooccurrence
+    assert (snap.cooccurrence if network else snap.differential) is not None  # the other is sound
+    for formats in (GRAPH_FORMATS, ["dot"], ["json"]):
+        with pytest.raises(ValueError, match=match):
+            export.snapshot_files(snap, formats)
     result = RunResult(snapshots={D0: DaySnapshot(D0, ids, np.array([0, 2])), day: snap})
     with pytest.raises(ValueError, match=match):
         export.write_export_bundle(result, tmp_path)

@@ -176,22 +176,30 @@ def test_windows_at_rows_bitwise_equal_per_column_zscore(
 @pytest.mark.parametrize("w", [2, 7, 20, 130])
 def test_a_block_of_dates_z_scores_each_date_as_alone(w):
     # w = 130 crosses numpy's 128-element pairwise-summation block
-    directions = [1, -1, 1, -1, 1]
-    values = np.random.default_rng(w).normal(100.0, 1.0, (w + 12, 5)) * [1, 1e-3, 1e6, 1, 1]
+    directions = [1, -1, 1, -1, 1, 1, -1]
+    values = np.random.default_rng(w).normal(100.0, 1.0, (w + 12, 7)) * [1, 1e-3, 1e6, 1, 1, 1, 1]
     values[:, 3] = values[0, 3]  # a stale quote on every date
     values[12:, 4] = values[12, 4]  # and on the last date only
+    # equal to its first value but in the last place on the second date, by
+    # one ulp: not constant, although it was on the first date
+    values[:, 5] = 100.37
+    values[w:, 5] = np.nextafter(100.37, np.inf)
+    values[:, 6] = np.where(np.arange(w + 12) % 3, 0.0, -0.0)  # constant: -0.0 == 0.0
     panel = build_panel(values, directions=directions)
     signs = np.array([[float(d)] for d in directions])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         block = _zscored(panel, w - 1, panel.n_dates, w, signs)
-        assert block.shape == (13, 5, w) and block.flags.c_contiguous
+        assert block.shape == (13, 7, w) and block.flags.c_contiguous
         for d, t in enumerate(range(w - 1, panel.n_dates)):
             assert block[d].tobytes() == _zscored(panel, t, t + 1, w, signs)[0].tobytes()
             for a, direction in enumerate(directions):
                 raw = values[t - w + 1 : t + 1, a]
                 assert block[d, a].tobytes() == apply_direction(window_zscore(raw), direction).tobytes()
     assert not block[:, 3].any() and not block[-1, 4].any() and block[0, 4].any()
+    assert not block[0, 5].any() and block[1, 5].any() and not block[:, 6].any()
+    with pytest.warns(UserWarning, match="constant window"):
+        window_zscore(values[:w, 6])
 
 
 def test_windows_at_rejects_non_finite(panel_factory):
