@@ -1,4 +1,7 @@
-/* Pair-interleaved DTW: the recurrence of dtw.py for many pairs at once.
+/* Pair-interleaved DTW, the recurrence of dtw.py for many pairs at once, and
+ * the edge search that networks.day_metrics reads from its distances: the
+ * library's two exports, dtw_pairs and dtw_edges, which dtw.py loads both or
+ * neither.
  *
  * dtw_pairs computes, for every date d < days and every p < k, the DTW
  * distance between column ii[p] and column jj[p] of Z[d], a C-contiguous
@@ -9,8 +12,10 @@
  * wavefront, and swept one row at a time over two rolling rows. GROUP pairs
  * are swept together, laid out pair-minor, so the innermost loop runs across
  * pairs and is vectorised, and GROUP / lanes independent min/add chains hide
- * each other's latency. A short last group repeats its last pair and keeps
- * only its own results.
+ * each other's latency. A group's windows are copied in by runs of pairs
+ * (a, b), (a, b + 1), .., as np.triu_indices mostly orders them, and its
+ * indices checked once a run. A short last group repeats its last pair and
+ * keeps only its own results.
  *
  * Each cell takes fabs(p - q) + min(left, min(up, diag)): the scalar loop's
  * elementary operations on the same values, so the results agree bitwise.
@@ -22,6 +27,7 @@
  * if an index is outside 0 .. n-1, and 0 otherwise.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* Pairs per group. The fastest of 300 200-asset, w = 20 days, in two runs on
@@ -67,13 +73,26 @@ int dtw_pairs(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t
         for (int64_t start = 0; start < k; start += GROUP) {
             double *prev = Q + w * GROUP, *cur = prev + (w + 1) * GROUP;
             int64_t m = k - start < GROUP ? k - start : GROUP;
-            for (int g = 0; g < GROUP; g++) {
+            /* Lanes g .. g + r - 1 whose pairs are (a, b), (a, b + 1), ..
+             * (a, b + r - 1), as np.triu_indices mostly gives them, take one
+             * broadcast of each row's Z[a] and one slice Z[b .. b + r) of it.
+             * The lanes past a short group's end repeat its last pair, each
+             * a run of one. */
+            for (int g = 0, r = 1; g < GROUP; g += r) {
                 int64_t pair = start + (g < m ? g : m - 1), a = ii[pair], b = jj[pair];
                 if (a < 0 || a >= n || b < 0 || b >= n)
                     return -1;
+                for (r = 1; g + r < m && ii[pair + r] == a && jj[pair + r] == b + r; r++)
+                    ;
+                if (b + r > n)
+                    return -1;
                 for (int64_t i = 0; i < w; i++) {
-                    P[i * GROUP + g] = Z[i * n + a];
-                    Q[i * GROUP + g] = Z[i * n + b];
+                    const double x = Z[i * n + a], *y = Z + i * n + b;
+                    double *p = P + i * GROUP + g, *q = Q + i * GROUP + g;
+                    for (int t = 0; t < r; t++) {
+                        p[t] = x;
+                        q[t] = y[t];
+                    }
                 }
             }
             /* Both rows start +inf. A row writes cells lo - 1 .. hi, and the
@@ -93,6 +112,122 @@ int dtw_pairs(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t
             }
             for (int64_t g = 0; g < m; g++)
                 out[start + g] = prev[w * GROUP + g];
+        }
+    }
+    return 0;
+}
+
+/* The root of v's tree, halving the path on the way. Every node's parent is
+ * no larger than itself, so a root is the lowest node of its tree. */
+static int64_t root(int64_t *parent, int64_t v)
+{
+    while (parent[v] != v)
+        v = parent[v] = parent[parent[v]];
+    return v;
+}
+
+/* Bits t of bits[0], [1] and [2]: whether pair t < r <= 64 of x, with
+ * previous distances y or none, is a co-occurrence, red or blue edge. Built
+ * a word at a time, the comparisons vectorise and no branch depends on them. */
+static inline __attribute__((always_inline)) void
+edge_bits(const double *x, const double *y, int64_t r, double theta, double delta, uint64_t bits[3])
+{
+    uint64_t near = 0, red = 0, blue = 0;
+    for (int64_t t = 0; t < r; t++)
+        near |= (uint64_t)(x[t] < theta) << t;
+    if (y)
+        for (int64_t t = 0; t < r; t++) {
+            red |= (uint64_t)(x[t] - y[t] > delta) << t;
+            blue |= (uint64_t)(x[t] - y[t] < -delta) << t;
+        }
+    bits[0] = near;
+    bits[1] = red;
+    bits[2] = blue;
+}
+
+/* The edge search of networks.day_metrics over a block of dates: dist is
+ * (days, m), the distances on each date of the pairs (ii[p], jj[p]) of n
+ * assets, and prev the m distances of the date before, or NULL, which leaves
+ * the first date's red and blue runs empty. A pair is a co-occurrence edge
+ * on date d where dist[d][p] < theta, red where its change from the date
+ * before exceeds delta and blue where it is below -delta: the comparisons of
+ * the numpy path on the same float64 values, so both find the same edges.
+ *
+ * With at NULL, the call writes starts[0 .. 3 days], where the run of
+ * network c (co-occurrence, red, blue) on date d starts among the block's
+ * edges, c-major, and where the last ends. Given at, of starts[3 days]
+ * entries, a second call with the same arrays fills each run with its pair
+ * positions p, ascending, and counts, (3, days, n): row (0, d) the size of
+ * each component of date d's co-occurrence network at its lowest node and 0
+ * elsewhere, rows (1, d) and (2, d) each node's red and blue degree. It
+ * returns -1, having written part of the outputs at most, if an edge's pair
+ * index is outside 0 .. n-1, and 0 otherwise. */
+CLONES
+int dtw_edges(const double *dist, const double *prev, int64_t days, int64_t m, int64_t n,
+              const int64_t *ii, const int64_t *jj, double theta, double delta,
+              int64_t *starts, int64_t *at, int64_t *counts)
+{
+    uint64_t bits[3];
+    if (at == NULL) {
+        for (int64_t q = 0; q <= 3 * days; q++)
+            starts[q] = 0;
+        for (int64_t d = 0; d < days; d++) {
+            const double *x = dist + d * m, *y = d ? x - m : prev;
+            for (int64_t p = 0; p < m; p += 64) {
+                edge_bits(x + p, y ? y + p : NULL, m - p < 64 ? m - p : 64, theta, delta, bits);
+                for (int c = 0; c < 3; c++)
+                    starts[1 + c * days + d] += __builtin_popcountll(bits[c]);
+            }
+        }
+        for (int64_t q = 1; q <= 3 * days; q++)
+            starts[q] += starts[q - 1];
+        return 0;
+    }
+    for (int64_t d = 0; d < days; d++) {
+        const double *x = dist + d * m, *y = d ? x - m : prev;
+        int64_t *end[3] = {at + starts[d], at + starts[days + d], at + starts[2 * days + d]};
+        for (int64_t p = 0; p < m; p += 64) {
+            edge_bits(x + p, y ? y + p : NULL, m - p < 64 ? m - p : 64, theta, delta, bits);
+            for (int c = 0; c < 3; c++)
+                for (uint64_t b = bits[c]; b; b &= b - 1)
+                    *end[c]++ = p + __builtin_ctzll(b);
+        }
+        int64_t *parent = counts + d * n;
+        for (int64_t v = 0; v < n; v++)
+            parent[v] = v;
+        for (const int64_t *e = at + starts[d]; e < end[0]; e++) {
+            int64_t a = ii[*e], b = jj[*e];
+            if (a < 0 || a >= n || b < 0 || b >= n)
+                return -1;
+            a = root(parent, a);
+            b = root(parent, b);
+            if (a < b)
+                parent[b] = a;
+            else
+                parent[a] = b;
+        }
+        /* Each node's parent becomes its root, lower nodes first; then each
+         * root takes its component's size, held negated while it grows. */
+        for (int64_t v = 0; v < n; v++)
+            parent[v] = parent[parent[v]];
+        for (int64_t v = 0; v < n; v++) {
+            int64_t r = parent[v];
+            parent[v] = 0;
+            parent[r]--;
+        }
+        for (int64_t v = 0; v < n; v++)
+            parent[v] = -parent[v];
+        for (int c = 1; c < 3; c++) {
+            int64_t *degree = counts + (c * days + d) * n;
+            for (int64_t v = 0; v < n; v++)
+                degree[v] = 0;
+            for (const int64_t *e = at + starts[c * days + d]; e < end[c]; e++) {
+                int64_t a = ii[*e], b = jj[*e];
+                if (a < 0 || a >= n || b < 0 || b >= n)
+                    return -1;
+                degree[a]++;
+                degree[b]++;
+            }
         }
     }
     return 0;

@@ -22,9 +22,11 @@ pairs and vectorises, and loops over a block's dates within the one call.
 It is built on first import with the machine's `cc` into this package's
 __pycache__ and loaded with ctypes; later imports load it from there. Its
 scratch, (4w + 2) doubles per pair of a group, is a numpy array that each
-call allocates. Where no library can be built or loaded (no
-compiler, a directory that cannot be written, a toolchain that rejects the
-source), `KERNEL` reads "numpy" and the numpy wavefront runs instead.
+call allocates. The same library exports `networks.day_metrics`' edge
+search, and `_load_kernel` loads both exports or neither. Where no library
+can be built or loaded (no compiler, a directory that cannot be written, a
+toolchain that rejects the source), `KERNEL` reads "numpy", and the numpy
+wavefront and `networks._numpy_edges` run instead.
 
 The numpy wavefront keeps pairs on the last axis and sweeps the table by
 anti-diagonals, holding three of them. It takes the pairs in blocks of
@@ -75,8 +77,9 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 
 
 def _load_kernel() -> tuple | None:
-    """`_dtw.c`'s `dtw_pairs` and its pair group size, or None where the
-    library cannot be built or loaded.
+    """`_dtw.c`'s `dtw_pairs`, its pair group size and `dtw_edges`, the edge
+    search of `networks.day_metrics`, or None where the library cannot be
+    built or loaded: both exports or neither.
 
     The library is built on first use with the machine's `cc` into this
     package's __pycache__, and named by the CRC-32 of the source, the flags,
@@ -95,14 +98,15 @@ def _load_kernel() -> tuple | None:
         return None
     try:
         lib = ctypes.CDLL(path)
-        dtw_pairs = lib.dtw_pairs
+        dtw_pairs, dtw_edges = lib.dtw_pairs, lib.dtw_edges
         group = ctypes.c_int64.in_dll(lib, "dtw_group").value
     except (OSError, AttributeError, ValueError):
         return None
-    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    pointer, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     dtw_pairs.argtypes = (pointer, count, count, count, pointer, pointer, count, count, pointer, pointer)
-    dtw_pairs.restype = ctypes.c_int
-    return dtw_pairs, group
+    dtw_edges.argtypes = (pointer, pointer, count, count, count, pointer, pointer, real, real, pointer, pointer, pointer)
+    dtw_pairs.restype = dtw_edges.restype = ctypes.c_int
+    return dtw_pairs, group, dtw_edges
 
 
 def _complete(path: str) -> bool:
@@ -147,7 +151,8 @@ def _build(path: str) -> bool:
 
 
 _kernel = _load_kernel()
-# "c" where the compiled kernel loaded, else "numpy"
+# "c" where the compiled library loaded, for the DTW kernel and the edge
+# search alike, else "numpy"
 KERNEL = "numpy" if _kernel is None else "c"
 
 
@@ -280,7 +285,7 @@ def _pair_distances(
                 block = slice(start, start + _PAIR_BLOCK)
                 _batched_dtw(Zd, ii[block], jj[block], plan, work, od[block])
         return
-    dtw_pairs, group = _kernel
+    dtw_pairs, group, _ = _kernel
     days = Z.shape[0] if Z.ndim == 3 else 1
     w, n = Z.shape[-2:]
     # what the kernel reads and writes through raw pointers

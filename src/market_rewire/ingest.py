@@ -31,10 +31,15 @@ def _check_int(value, name: str, minimum: int | None = None, none_ok: bool = Fal
 
 
 def _check_real(value, name: str, at_most: float | None = None) -> None:
-    """Raise unless `value` is a real number > 0, or one in [0, at_most]
-    where `at_most` is given. NaN fails either test."""
+    """Raise unless `value` is a real number that a float can hold, > 0, or
+    one in [0, at_most] where `at_most` is given. NaN fails either test."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        # no repr: one of an int past 4,300 digits raises
+        raise ValueError(f"{name} must be a real number that a float can hold, got one too large") from None
     if at_most is None and not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     if at_most is not None and not 0 <= value <= at_most:

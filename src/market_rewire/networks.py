@@ -10,9 +10,12 @@ moved closer a blue edge. Hubs are counted per edge color.
 `day_metrics` gives the counts and entropy straight from the upper
 triangle of the distance matrices, without building a graph, and hands
 back the sorted positions of its edges; the pipeline uses it on every date
-and copies the runs of those positions that belong to snapshot dates. The
-graph functions map ids to their places in the node tuple and call the
-same array code.
+and copies the runs of those positions that belong to snapshot dates. Its
+edge search, components and degrees are one compiled call of `_dtw.c`'s
+`dtw_edges` where the DTW library loaded (`dtw.KERNEL == "c"`), and numpy
+array code (`_numpy_edges`) where it did not; both give the same edges
+and counts. The graph functions map ids to their places in the node tuple
+and call the numpy array code.
 """
 
 import math
@@ -24,6 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import dtw
 from .dtw import DistanceMatrix, _pair_indices
 from .ingest import _check_date, _check_ids, _check_int, _check_real
 
@@ -280,7 +284,7 @@ def day_metrics(
     date, whose row then has no differential. Each row equals the one read
     off `cooccurrence_network`, `connected_components`,
     `graph_based_entropy`, `differential_network` and `count_hubs` with the
-    same thresholds, without building a graph.
+    same thresholds, taken as float64, without building a graph.
 
     The edges come back as `(rows, at, starts)`: `at` holds the pair
     positions p of every edge, network by network (co-occurrence, red,
@@ -288,6 +292,73 @@ def day_metrics(
     the edges of network c on date d are at[starts[c·dates + d] :
     starts[c·dates + d + 1]]. A row without differential has empty red and
     blue runs.
+
+    The edge search, components and degrees come from `_dtw.c`'s
+    `dtw_edges` where the compiled DTW kernel loaded (`dtw.KERNEL`), else
+    from `_numpy_edges`; both take the same comparisons of the same
+    values, so they give the same rows, `at` and `starts`.
+    """
+    days = dist.shape[0]
+    search = _numpy_edges if dtw._kernel is None else _compiled_edges
+    at, starts, counts = search(n, pairs, dist, prev, float(theta), float(delta))
+    counts = counts.reshape(3, days, n)
+    sizes = counts[0].tolist()
+    n_near, n_red, n_blue = np.diff(starts).reshape(3, days).tolist()
+    farther, closer = np.count_nonzero(counts[1:] >= k, axis=2).tolist()
+    rows = []
+    for d, end_date in enumerate(end_dates):
+        day_sizes = [s for s in sizes[d] if s]
+        differential = {}
+        if d or prev is not None:
+            differential = dict(
+                n_red_edges=n_red[d], n_blue_edges=n_blue[d], n_farther_hubs=farther[d], n_closer_hubs=closer[d]
+            )
+        rows.append(MetricsRow(
+            end_date=end_date,
+            gbe=_size_entropy(day_sizes),
+            n_components=len(day_sizes),
+            n_cooc_edges=n_near[d],
+            **differential,
+        ))
+    return rows, at, starts
+
+
+def _compiled_edges(
+    n: int, pairs: tuple[np.ndarray, np.ndarray], dist: np.ndarray, prev: np.ndarray | None, theta: float, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_numpy_edges` by two calls of `dtw_edges`: one counts each run's
+    edges, so `at` is allocated at its exact size, and one fills it."""
+    dtw_edges = dtw._kernel[2]
+    ii, jj = pairs
+    days, m = dist.shape
+    # what the library reads through raw pointers
+    if not (
+        dist.dtype == np.float64
+        and ii.dtype == jj.dtype == np.int64
+        and ii.shape == jj.shape == (m,)
+        and all(a.flags.c_contiguous for a in (dist, ii, jj))
+        and (prev is None or prev.dtype == np.float64 and prev.shape == (m,) and prev.flags.c_contiguous)
+    ):
+        raise ValueError("the edge search takes C-contiguous float64 distances and int64 pair indices")
+    starts = np.empty(3 * days + 1, np.int64)
+    args = (
+        dist.ctypes.data, None if prev is None else prev.ctypes.data, days, m, n,
+        ii.ctypes.data, jj.ctypes.data, theta, delta, starts.ctypes.data,
+    )
+    dtw_edges(*args, None, None)
+    at, counts = np.empty(starts[-1], np.intp), np.empty(3 * days * n, np.int64)
+    if dtw_edges(*args, at.ctypes.data, counts.ctypes.data):
+        raise IndexError(f"a pair index is outside 0 .. {n - 1}")
+    return at, starts, counts
+
+
+def _numpy_edges(
+    n: int, pairs: tuple[np.ndarray, np.ndarray], dist: np.ndarray, prev: np.ndarray | None, theta: float, delta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of a block's networks as `day_metrics` returns them, `at`
+    and `starts`, and the 3·dates·n counts of its networks' nodes: the
+    size of each co-occurrence component at its lowest node, else 0, and
+    each node's red and blue degree.
 
     The block's co-occurrence, red and blue networks are taken as one graph
     of 3·dates·n nodes, network c of date d on nodes (c·dates + d)·n ..
@@ -318,27 +389,7 @@ def day_metrics(
     a, b = pairs[0][at], pairs[1][at]
     a += q
     b += q
-    edges = edges.reshape(3, days)
-    near = int(edges[0].sum())
+    near = int(edges[:days].sum())
     labels = _component_labels(days * n, a[:near], b[:near])
     counts = np.bincount(np.concatenate((labels, a[near:], b[near:])), minlength=3 * days * n)
-    counts = counts.reshape(3, days, n)
-    sizes = counts[0].tolist()
-    n_near, n_red, n_blue = edges.tolist()
-    farther, closer = np.count_nonzero(counts[1:] >= k, axis=2).tolist()
-    rows = []
-    for d, end_date in enumerate(end_dates):
-        day_sizes = [s for s in sizes[d] if s]
-        differential = {}
-        if d or prev is not None:
-            differential = dict(
-                n_red_edges=n_red[d], n_blue_edges=n_blue[d], n_farther_hubs=farther[d], n_closer_hubs=closer[d]
-            )
-        rows.append(MetricsRow(
-            end_date=end_date,
-            gbe=_size_entropy(day_sizes),
-            n_components=len(day_sizes),
-            n_cooc_edges=n_near[d],
-            **differential,
-        ))
-    return rows, at, starts
+    return at, starts, counts

@@ -399,6 +399,56 @@ def test_compiled_kernel_equals_scalar_at_pair_group_edges(groups, extra, w, ban
     assert out.tolist() == [dtw_distance(Z[:, i], Z[:, j], band=band) for i, j in zip(ii, jj)]
 
 
+def _run_cases():
+    """(n, ii, jj) for the runs the compiled kernel fills a group's lanes by:
+    pairs (a, b), (a, b + 1), .. in one group."""
+    rng = np.random.default_rng(8)
+    triu = np.triu_indices(12, k=1)  # 66 pairs: groups straddle first assets, and a short last group
+    order = rng.permutation(triu[0].size)
+    pairs = [[0, 1], [0, 2], [0, 2], [0, 3], [3, 3], [3, 4], [1, 1], [1, 1], [2, 3]]
+    return {
+        "triu": (12, *triu),
+        "triu_reversed": (12, triu[0][::-1], triu[1][::-1]),
+        "shuffled": (12, triu[0][order], triu[1][order]),
+        "repeated_and_self_pairs": (5, *np.array(pairs * 5).T),
+        "run_through_itself": (8, np.full(8, 3), np.arange(8)),  # (3, 0) .. (3, 7)
+        "runs_longer_than_a_group": (80, np.full(70, 5), np.arange(10, 80)),
+        "two_assets": (2, np.array([0, 1, 0, 1, 0]), np.array([1, 0, 0, 1, 1])),
+    }
+
+
+@pytest.mark.usefixtures("c_kernel")
+@pytest.mark.parametrize("case", _run_cases().items(), ids=lambda case: case[0])
+def test_compiled_kernel_run_fills_equal_scalar(case):
+    n, ii, jj = case[1]
+    ii, jj = np.ascontiguousarray(ii, dtype=np.int64), np.ascontiguousarray(jj, dtype=np.int64)
+    Z = np.random.default_rng(n).normal(size=(2, 7, n))  # two dates, w = 7
+    out = np.full((2, ii.size), np.nan)
+    dtw._pair_distances(Z, ii, jj, None, out)
+    for d in range(2):
+        assert out[d].tolist() == [dtw_distance(Z[d, :, i], Z[d, :, j]) for i, j in zip(ii, jj)]
+
+
+@pytest.mark.usefixtures("c_kernel")
+@pytest.mark.parametrize(
+    "ii, jj",
+    [
+        # the last pair of a run past the end: at the end of a full group of
+        # 32, mid-group, and at the end of a second group
+        ([1] * 28 + [0] * 4, [2] * 28 + [1, 2, 3, 4]),
+        ([1, 1, 0, 0, 0, 0, 2], [2, 3, 1, 2, 3, 4, 3]),
+        ([0] * 64, [1, 2, 3] * 20 + [1, 2, 3, 4]),
+        ([-1, -1, -1], [0, 1, 2]),  # a negative first asset at a run's start
+        ([0, 0, 0], [-1, 0, 1]),  # a negative second asset at a run's start
+    ],
+)
+def test_compiled_kernel_checks_every_pair_of_a_run(ii, jj):
+    Z = np.random.default_rng(3).normal(size=(5, 4))
+    ii, jj = np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64)
+    with pytest.raises(IndexError, match="outside 0 .. 3"):
+        dtw._pair_distances(Z, ii, jj, None, np.empty(ii.size))
+
+
 @pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
 @pytest.mark.parametrize("band", [None, 0, 3])
 @pytest.mark.parametrize("k", [5, 45])  # under one pair group; a full group and a short one
@@ -439,14 +489,14 @@ def test_compiled_kernel_call_checks_its_arrays():
 
 @pytest.mark.usefixtures("c_kernel")
 def test_compiled_kernel_work_buffer_is_cache_line_aligned(monkeypatch):
-    call, group = dtw._kernel
+    call, group, edges = dtw._kernel
     works = []
 
     def record(*args):
         works.append(args[8])
         return call(*args)
 
-    monkeypatch.setattr(dtw, "_kernel", (record, group))
+    monkeypatch.setattr(dtw, "_kernel", (record, group, edges))
     rng = np.random.default_rng(5)
     ii, jj = dtw._pair_indices(6)
     held = []

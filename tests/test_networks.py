@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from datetime import date, timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -438,3 +439,73 @@ def test_count_hubs_ids_equal_plain_degree_counts(case):
     sg, k = case
     closer, farther = hub_ids_reference(sg, k)
     assert count_hubs(sg, k) == (len(closer), len(farther), closer, farther)
+
+
+@st.composite
+def metric_blocks(draw):
+    """A block of 1 to 5 dates of distances over n assets, the previous
+    date's or None, and thresholds drawn from the block's own distances and
+    changes, so that some entries sit exactly on them. Half-integer values
+    make exact ties in the changes too."""
+    n, days = draw(st.integers(2, 40)), draw(st.integers(1, 5))
+    m = n * (n - 1) // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 13, (days + 1, m)) / 2 if draw(st.booleans()) else rng.uniform(0, 6, (days + 1, m))
+    prev, dist = values[0], values[1:]
+    given_prev = draw(st.booleans())
+    change = np.diff(values if given_prev else dist, axis=0)
+    theta = draw(st.sampled_from(dist.ravel().tolist())) + draw(st.sampled_from([0.0, 0.5]))
+    delta = abs(draw(st.sampled_from(change.ravel().tolist() or [1.0])))
+    return n, dist, prev if given_prev else None, max(theta, 0.5), max(delta, 0.5), draw(st.integers(1, 4))
+
+
+@pytest.mark.usefixtures("c_kernel")
+@given(metric_blocks())
+def test_compiled_edge_search_equals_the_numpy_path(case):
+    n, dist, prev, theta, delta, k = case
+    dates = [D0 + timedelta(days=d) for d in range(len(dist))]
+    pairs = np.triu_indices(n, k=1)
+    compiled = day_metrics(dates, n, pairs, dist, prev, theta, delta, k)
+    kernel, networks.dtw._kernel = networks.dtw._kernel, None
+    try:
+        numpy_path = day_metrics(dates, n, pairs, dist, prev, theta, delta, k)
+    finally:
+        networks.dtw._kernel = kernel
+    rows, at, starts = compiled
+    assert rows == numpy_path[0]
+    assert at.dtype == numpy_path[1].dtype and at.tolist() == numpy_path[1].tolist()
+    assert starts.tolist() == numpy_path[2].tolist()
+
+
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+def test_day_metrics_compare_against_the_thresholds_as_floats(kernel, request):
+    """A distance of float(1/3) lies below the rational 1/3 but not below
+    the float it rounds to, which both edge searches compare against."""
+    request.getfixturevalue(kernel)
+    third = float(Fraction(1, 3))
+    pairs = np.triu_indices(2, k=1)
+    for theta, delta in [(Fraction(1, 3), Fraction(1, 3)), (third, third)]:
+        [row], at, starts = day_metrics([D0], 2, pairs, np.array([[third]]), np.array([0.0]), theta, delta, 1)
+        # not a co-occurrence edge, and a change of exactly delta is no red edge
+        assert (row.n_cooc_edges, row.n_red_edges, row.n_farther_hubs) == (0, 0, 0)
+        assert at.tolist() == [] and starts.tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.usefixtures("c_kernel")
+def test_compiled_edge_search_checks_its_arrays():
+    pairs = np.triu_indices(4, k=1)
+    dist, prev = np.linspace(0, 3, 12).reshape(2, 6), np.zeros(6)
+    for args in [
+        (pairs, dist.astype(np.float32), prev),
+        (pairs, np.asfortranarray(dist), prev),
+        ((pairs[0].astype(np.int32), pairs[1]), dist, prev),
+        ((pairs[0][:5], pairs[1][:5]), dist, prev),
+        (pairs, dist, prev[:5]),
+        (pairs, dist, np.zeros(12)[::2]),
+    ]:
+        with pytest.raises(ValueError, match="edge search takes"):
+            day_metrics([D0, D0 + timedelta(days=1)][: len(args[1])], 4, *args, 2.0, 1.0, 1)
+    # a pair index outside the assets, past either end
+    for ii in ([0, 0, 0, 1, 1, 4], [0, 0, 0, 1, 1, -1]):
+        with pytest.raises(IndexError, match="outside 0 .. 3"):
+            day_metrics([D0, D0], 4, (np.array(ii), pairs[1]), dist, prev, 9.0, 1.0, 1)

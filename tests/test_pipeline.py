@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -705,6 +706,17 @@ def test_config_rejects_wrong_types(field, value, kind):
     # hub_min_degree=2.5 used to count hubs at degree >= 2.5, window_w="20"
     # raised TypeError
     with pytest.raises(ValueError, match=f"^{field} must be an? {kind}, got"):
+        PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["cooc_threshold", "diff_threshold"])
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), Fraction(10**400, 3), 10**5000], ids=["int", "negative", "fraction", "5001_digits"]
+)
+def test_config_rejects_a_threshold_no_float_holds(field, value):
+    # let through, such a value raises a bare OverflowError inside numpy on
+    # the run's first date
+    with pytest.raises(ValueError, match=f"^{field} must be a real number that a float can hold"):
         PipelineConfig(**{field: value})
 
 
