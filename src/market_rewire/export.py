@@ -126,7 +126,7 @@ def export_graph(
     runs = [(), g.red_edges, g.blue_edges] if isinstance(g, SignedGraph) else [g.edges]
     positions = [_pair_positions(len(g.nodes), *_places(g.nodes, edges)) for edges in runs]
     snap = DaySnapshot(g.end_date, g.nodes, *positions)
-    return list(_snapshot_texts([snap], [fmt], classes))[-1][1]
+    return list(_snapshot_texts([snap], [fmt], _checked_classes(classes)))[-1][1]
 
 
 def _check_formats(formats, name: str) -> None:
@@ -136,8 +136,20 @@ def _check_formats(formats, name: str) -> None:
         raise ValueError(f"{name} must be a sequence drawn from {GRAPH_FORMATS}, got {formats!r}")
 
 
+def _checked_classes(classes) -> Mapping[str, str]:
+    """`classes`, {} for None: a ValueError unless every value is a str."""
+    if classes is None:
+        return {}
+    if not isinstance(classes, Mapping):
+        raise ValueError(f"classes must map asset ids to class names, got {classes!r}")
+    for i, cls in classes.items():
+        if not isinstance(cls, str):
+            raise ValueError(f"the class of asset {i!r} must be a str, got {cls!r}")
+    return classes
+
+
 def _snapshot_texts(
-    snaps: Sequence[DaySnapshot], formats: Sequence[str], classes: Mapping[str, str] | None
+    snaps: Sequence[DaySnapshot], formats: Sequence[str], classes: Mapping[str, str]
 ) -> Iterator[tuple[str, str]]:
     """File name and text of each network of the snapshots `snaps`, which
     share one `asset_ids` tuple, format by format and within a format date
@@ -152,57 +164,34 @@ def _snapshot_texts(
     `_pair_indices` read at it. The text of each distinct pair is formatted
     once per format, with no color; a file is its header, node block and
     the join of its edges' pair texts, each followed by the end that gives
-    its color. A class that is not a str, a position that is not an
-    integer in 0 .. n(n-1)/2 - 1, or one that comes twice in a network
-    (twice in a run, or both red and blue), raises a ValueError naming its
-    id or date; the positions are checked once per block, their repeats
-    on the sorted keys, and a block that fails is checked snapshot by
-    snapshot for the date."""
+    its color. Nothing is checked here: a snapshot is checked when it is
+    built, and `classes` by the entry point (`_checked_classes`)."""
     ids = snaps[0].asset_ids
     n = len(ids)
-    n_pairs = n * (n - 1) // 2
     by_id = sorted(range(n), key=ids.__getitem__)
     nodes = tuple([ids[k] for k in by_id])
-    classes = {} if classes is None else classes
-    if not isinstance(classes, Mapping):
-        raise ValueError(f"classes must map asset ids to class names, got {classes!r}")
     node_classes = tuple([classes.get(i, "other") for i in nodes])
-    for i, cls in zip(nodes, node_classes):
-        if not isinstance(cls, str):
-            raise ValueError(f"the class of asset {i!r} must be a str, got {cls!r}")
     # network g < len(snaps) is date g's co-occurrence, len(snaps) + d date
     # d's differential; each holds its edges by their end in _EDGE_ENDS
     empty = np.empty(0, dtype=np.intp)
     networks = [(s.cooc_pairs, empty, empty) for s in snaps]
     networks += [(empty,) * 3 if s.red_pairs is None else (empty, s.red_pairs, s.blue_pairs) for s in snaps]
     arrays = [p for net in networks for p in net]
-
-    def each_checked():  # each snapshot checks its own, so the error names its date
-        return np.concatenate([p for s, net in zip(2 * list(snaps), networks) for p in s._checked(*net)])
-
-    try:  # every edge's position, checked once for the block
-        at = np.concatenate(arrays, dtype=np.intp, casting="no")
-        valid = at.ndim == 1 and (not at.size or 0 <= at.min() and at.max() < n_pairs)
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        at = each_checked()
+    at = np.concatenate(arrays)
     sizes = np.fromiter(map(len, arrays), np.intp, len(arrays)).reshape(len(networks), 3)
     counts = sizes.sum(axis=1)
     place = np.empty(n, dtype=np.intp)
     place[by_id] = np.arange(n)
     ii, jj = _pair_indices(n)
-    # n_pairs times each edge's network: the sort keeps every network's
+    # n(n-1)/2 times each edge's network: the sort keeps every network's
     # edges in the same places, so this still holds for the sorted keys
-    first = np.repeat(np.arange(len(networks)) * n_pairs, counts)
+    first = np.repeat(np.arange(len(networks)) * (n * (n - 1) // 2), counts)
     key = _pair_positions(n, place[ii[at]], place[jj[at]]) + first
     key *= 4
     key += np.repeat(np.tile(np.arange(3), len(networks)), sizes.ravel())
     key.sort()
     end = key & 3
     key >>= 2
-    if (key[1:] == key[:-1]).any():  # a network holds a pair twice
-        each_checked()
     key -= first
     ranks, inverse = np.unique(key, return_inverse=True)
     lo, hi = ii[ranks].tolist(), jj[ranks].tolist()
@@ -232,7 +221,7 @@ def snapshot_files(
     analyzable date. Each text is the one `export_graph` gives for the
     snapshot's graph, rendered from its edge positions without building it."""
     _check_formats(formats, "formats")
-    return list(_snapshot_texts([snap], formats, classes))
+    return list(_snapshot_texts([snap], formats, _checked_classes(classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +385,10 @@ def write_export_bundle(
     earlier run is rewritten in place and ends up with the same bytes as in
     a fresh directory. Files this call does not produce, such as snapshots
     of dates or formats no longer requested, are left as they were.
-    `graph_formats` is checked before anything is written.
+    `graph_formats` and `classes` are checked before anything is written.
     """
     _check_formats(graph_formats, "graph_formats")
+    classes = _checked_classes(classes)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_file(out_dir / "metrics.csv", metrics_csv_text(result.metrics))

@@ -35,7 +35,7 @@ from typing import Literal
 import numpy as np
 
 from .dtw import _pair_distances, _pair_indices
-from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_int, _check_real, fill_missing
+from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_ids, _check_int, _check_real, fill_missing
 from .networks import Graph, MetricsRow, SignedGraph, _pair_edges, day_metrics
 from .preprocess import _zscored
 
@@ -82,16 +82,15 @@ class PipelineConfig:
 class DaySnapshot:
     """Per-date network snapshot, kept as the positions of the date's edges
     in the run's pair order: with `ii, jj = np.triu_indices(len(asset_ids), 1)`,
-    position p is the pair `(asset_ids[ii[p]], asset_ids[jj[p]])`.
-    `cooc_pairs` holds the co-occurrence edges, `red_pairs` and `blue_pairs`
-    the differential ones, None on the first analyzable date. A run's
-    snapshots hold read-only arrays, 8 bytes per edge, and share one
-    `asset_ids` tuple. `cooccurrence` and `differential` build a `Graph` and
-    a `SignedGraph` (None on the first analyzable date) on each read and
-    keep neither; they and the renderer in `export` reject positions that
-    are not integers in 0 .. n(n-1)/2 - 1, a position that comes twice in
-    a run and a pair that is both red and blue, which a run never makes.
-    Two snapshots are equal when their date, ids and edge positions are.
+    position p is the pair `(asset_ids[ii[p]], asset_ids[jj[p]])`. The
+    co-occurrence edges are in `cooc_pairs`, the differential ones in
+    `red_pairs` and `blue_pairs`, both None on the first analyzable date.
+    A snapshot is checked once, when built: a date, distinct str ids, and
+    positions that are integers in 0 .. n(n-1)/2 - 1, none twice in a
+    network; it keeps read-only intp copies. A run's snapshots, which share
+    one `asset_ids` tuple, are built unchecked. `cooccurrence` and
+    `differential` build a `Graph` and a `SignedGraph` on each read.
+    Snapshots are equal when their date, ids and edge positions are.
     """
 
     end_date: date
@@ -100,38 +99,49 @@ class DaySnapshot:
     red_pairs: np.ndarray | None = None
     blue_pairs: np.ndarray | None = None
 
+    def __post_init__(self):
+        day, ids = self.end_date, _check_ids(self.asset_ids, "asset_ids")
+        _check_date(day, "end_date")
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"snapshot of {day}: asset id {next(i for i in ids if ids.count(i) > 1)!r} comes twice")
+        if (self.red_pairs is None) != (self.blue_pairs is None):
+            raise ValueError(f"snapshot of {day}: red_pairs and blue_pairs must both be given or both be None")
+        object.__setattr__(self, "asset_ids", ids)
+        m = len(ids) * (len(ids) - 1) // 2
+        runs = []  # a differential position p as m + p, so a network's repeats are neighbours once sorted
+        for k, name in enumerate(["cooc_pairs"] + ([] if self.red_pairs is None else ["red_pairs", "blue_pairs"])):
+            p = np.asarray(getattr(self, name))
+            if p.ndim != 1 or p.size and (p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= m):
+                raise ValueError(f"snapshot of {day}: edge positions must be integers in 0 .. {m - 1}")
+            p = p.astype(np.intp)  # always a copy
+            p.setflags(write=False)
+            object.__setattr__(self, name, p)
+            runs.append(p + m if k else p)
+        at = np.sort(np.concatenate(runs))
+        twice = at[1:][at[1:] == at[:-1]]
+        if twice.size:
+            raise ValueError(
+                f"snapshot of {day}: edge position {twice[0] % m} comes twice (repeated in a run, or both red and blue)"
+            )
+
+    @classmethod
+    def _unchecked(cls, *values) -> "DaySnapshot":
+        """A snapshot of `values`, in field order, not checked: for a run's valid positions."""
+        snap = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values + (None, None)):
+            object.__setattr__(snap, name, value)
+        return snap
+
     @property
     def cooccurrence(self) -> Graph:
-        (cooc,) = self._checked(self.cooc_pairs)
-        return Graph(self.end_date, self.asset_ids, _pair_edges(self.asset_ids, cooc))
+        return Graph(self.end_date, self.asset_ids, _pair_edges(self.asset_ids, self.cooc_pairs))
 
     @property
     def differential(self) -> SignedGraph | None:
         if self.red_pairs is None:
             return None
         ids = self.asset_ids
-        red, blue = (_pair_edges(ids, p) for p in self._checked(self.red_pairs, self.blue_pairs))
-        return SignedGraph(self.end_date, ids, red, blue)
-
-    def _checked(self, *runs) -> list[np.ndarray]:
-        """`runs`, the runs of one of this snapshot's networks, as intp; a
-        ValueError naming the date unless they are integers in
-        0 .. n(n-1)/2 - 1 and no position comes twice among them."""
-        m = len(self.asset_ids) * (len(self.asset_ids) - 1) // 2
-        out = []
-        for positions in runs:
-            p = np.asarray(positions)
-            if p.ndim != 1 or p.size and (p.dtype.kind not in "iu" or p.min() < 0 or p.max() >= m):
-                raise ValueError(f"snapshot of {self.end_date}: edge positions must be integers in 0 .. {m - 1}")
-            out.append(p.astype(np.intp, copy=False))
-        at = np.sort(np.concatenate(out))
-        twice = at[1:][at[1:] == at[:-1]]
-        if twice.size:
-            raise ValueError(
-                f"snapshot of {self.end_date}: edge position {twice[0]} comes twice "
-                "(repeated in a run, or both red and blue)"
-            )
-        return out
+        return SignedGraph(self.end_date, ids, _pair_edges(ids, self.red_pairs), _pair_edges(ids, self.blue_pairs))
 
     def _key(self):
         positions = (self.cooc_pairs, self.red_pairs, self.blue_pairs)
@@ -271,7 +281,7 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
                 positions = [at[starts[q] : starts[q + 1]].copy() for q in runs]
                 for p in positions:
                     p.setflags(write=False)
-                result.snapshots[end_date] = DaySnapshot(end_date, ids, *positions)
+                result.snapshots[end_date] = DaySnapshot._unchecked(end_date, ids, *positions)
         prev = dist[-1]
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:

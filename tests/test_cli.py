@@ -691,22 +691,15 @@ def test_every_renderer_rejects_classes_that_are_not_strs(tmp_path, fmt, classes
 
 @pytest.mark.parametrize("bad", [np.array([-1]), np.array([3]), np.array([1.5]), np.array([True])])
 @pytest.mark.parametrize("network", range(3))
-def test_snapshot_positions_outside_the_pairs_raise_naming_the_date(tmp_path, bad, network):
+def test_snapshot_positions_outside_the_pairs_raise_naming_the_date(bad, network):
     """A position of -1 used to render the last pair and 3 or 1.5 raised
-    IndexError. Every entry point now raises a ValueError naming the date,
-    also for a later date of an export block."""
+    IndexError. Building the snapshot now raises a ValueError naming the
+    date, so no renderer or graph property ever gets one."""
     ids, day = ("c", "a", "b"), D0 + timedelta(days=1)
     positions = [np.array([1]), np.array([0]), np.array([2])]
     positions[network] = bad
-    snap = DaySnapshot(day, ids, *positions)
-    match = f"snapshot of {day}: edge positions must be integers in 0 .. 2"
-    with pytest.raises(ValueError, match=match):
-        snap.differential if network else snap.cooccurrence
-    with pytest.raises(ValueError, match=match):
-        export.snapshot_files(snap, GRAPH_FORMATS)
-    result = RunResult(snapshots={D0: DaySnapshot(D0, ids, np.array([0, 2])), day: snap})
-    with pytest.raises(ValueError, match=match):
-        export.write_export_bundle(result, tmp_path)
+    with pytest.raises(ValueError, match=f"snapshot of {day}: edge positions must be integers in 0 .. 2"):
+        DaySnapshot(day, ids, *positions)
 
 
 @pytest.mark.parametrize(
@@ -718,20 +711,53 @@ def test_snapshot_positions_outside_the_pairs_raise_naming_the_date(tmp_path, ba
         ([[0], [1], [1]], 1),  # a pair both red and blue
     ],
 )
-def test_snapshot_positions_that_come_twice_raise_naming_the_date(tmp_path, positions, network):
-    """These used to render an edge twice, or one pair in both colors."""
+def test_snapshot_positions_that_come_twice_raise_naming_the_date(positions, network):
+    """These used to render an edge twice, or one pair in both colors; now
+    the snapshot is not built. The other network alone is sound."""
     ids, day = ("c", "a", "b"), D0 + timedelta(days=1)
-    snap = DaySnapshot(day, ids, *map(np.array, positions))
-    match = f"snapshot of {day}: edge position \\d+ comes twice"
-    with pytest.raises(ValueError, match=match):
-        snap.differential if network else snap.cooccurrence
-    assert (snap.cooccurrence if network else snap.differential) is not None  # the other is sound
-    for formats in (GRAPH_FORMATS, ["dot"], ["json"]):
-        with pytest.raises(ValueError, match=match):
-            export.snapshot_files(snap, formats)
-    result = RunResult(snapshots={D0: DaySnapshot(D0, ids, np.array([0, 2])), day: snap})
-    with pytest.raises(ValueError, match=match):
-        export.write_export_bundle(result, tmp_path)
+    with pytest.raises(ValueError, match=f"snapshot of {day}: edge position \\d+ comes twice"):
+        DaySnapshot(day, ids, *map(np.array, positions))
+    sound = [positions[0]] if network else [[0], *positions[1:]]
+    DaySnapshot(day, ids, *map(np.array, sound))
+
+
+@pytest.mark.parametrize(
+    "ids, day, positions, match",
+    [
+        # int ids raised AttributeError in DOT and wrote "id": 1 in JSON
+        ((1, "a", "b"), D0, [[0]], "asset_ids must be string ids, got 1"),
+        # a repeated id wrote two node lines
+        (("a", "b", "a"), D0, [[0]], f"snapshot of {D0}: asset id 'a' comes twice"),
+        # a str date raised AttributeError
+        (("c", "a", "b"), "2020-05-04", [[0]], "end_date must be calendar dates, got '2020-05-04'"),
+        # red pairs without blue ones said the positions were not integers,
+        # and blue pairs without red ones were dropped
+        (("c", "a", "b"), D0, [[0], [1], None], f"snapshot of {D0}: red_pairs and blue_pairs must both be given "
+         "or both be None"),
+        (("c", "a", "b"), D0, [[0], None, [1]], f"snapshot of {D0}: red_pairs and blue_pairs must both be given "
+         "or both be None"),
+    ],
+    ids=["int-ids", "repeated-id", "str-date", "red-without-blue", "blue-without-red"],
+)
+def test_a_snapshot_is_checked_when_it_is_built(ids, day, positions, match):
+    """Each of these gave a ValueError from the graph properties but not
+    from every renderer."""
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        DaySnapshot(day, ids, *[None if p is None else np.array(p) for p in positions])
+
+
+def test_a_snapshot_keeps_its_own_read_only_positions():
+    """Writing into the arrays a snapshot was built from leaves its files as
+    they were: it holds read-only intp copies."""
+    ids = ("c", "a", "b")
+    given = [np.array([0, 2], dtype=np.int32), np.array([1]), np.array([], dtype=np.uint8)]
+    snap = DaySnapshot(D0, ids, *given)
+    files = export.snapshot_files(snap)
+    given[0][:] = 1
+    given[1][:] = 0
+    assert export.snapshot_files(snap) == files
+    for p in (snap.cooc_pairs, snap.red_pairs, snap.blue_pairs):
+        assert p.dtype == np.intp and not p.flags.writeable
 
 
 def test_snapshot_positions_of_any_integer_type_render_alike():
@@ -751,6 +777,27 @@ def test_export_bundle_rejects_graph_formats_before_writing(tmp_path, snapshots,
     out = tmp_path / "out"
     with pytest.raises(ValueError, match=f"^graph_formats must be .*, got {re.escape(repr(formats))}$"):
         export.write_export_bundle(result, out, graph_formats=formats)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("snapshots", [None, "all"])
+@pytest.mark.parametrize(
+    "classes, match",
+    [
+        (5, "classes must map asset ids to class names, got 5"),
+        ({"nobody": 3}, "the class of asset 'nobody' must be a str, got 3"),
+    ],
+    ids=["not-a-mapping", "not-a-str"],
+)
+def test_export_bundle_rejects_classes_before_writing(tmp_path, snapshots, classes, match):
+    """The graph formats' test, for `classes`: 5 used to pass unseen by a
+    result with no snapshots, and one with snapshots wrote metrics.csv and
+    networks/ first. Every value of the mapping is checked, also that of
+    an id the run does not have."""
+    result = run(generate(SynthSpec(n_assets=4, n_days=22, seed=1)), PipelineConfig(snapshot_dates=snapshots))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        export.write_export_bundle(result, out, classes=classes)
     assert not out.exists()
 
 

@@ -601,6 +601,28 @@ def test_snapshots_are_equal_only_with_the_same_edges(shock_panel):
         snap.cooc_pairs[:1] = 0
 
 
+@pytest.mark.usefixtures("pooled")
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("band", [None, 2])
+def test_a_runs_snapshots_pass_the_check_they_skip(shock_panel, kernel, threads, band, request, monkeypatch):
+    """A run builds its snapshots unchecked, since it makes only read-only
+    intp copies of sorted, distinct positions in range. Built again through
+    the checked constructor, each is equal to the one the run made. Blocks
+    of 5 dates give the pool 9 blocks."""
+    request.getfixturevalue(kernel)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(5, 8, 20))
+    config = PipelineConfig(diff_threshold=0.5, band_halfwidth=band, snapshot_dates="all")
+    snaps = list(run(shock_panel, config, threads=threads).snapshots.values())
+    assert len(snaps) == len(shock_panel.dates) - 19 and snaps[0].red_pairs is None
+    assert sum(len(s.red_pairs) for s in snaps[1:]) > 0 and sum(len(s.blue_pairs) for s in snaps[1:]) > 0
+    for s in snaps:
+        assert DaySnapshot(s.end_date, s.asset_ids, s.cooc_pairs, s.red_pairs, s.blue_pairs) == s
+        for p in (s.cooc_pairs, s.red_pairs, s.blue_pairs):
+            assert p is None or p.dtype == np.intp and not p.flags.writeable
+
+
 def _retained_bytes(panel, config):
     """Bytes still allocated after `run` returns, while its result is held."""
     gc.collect()
