@@ -1,7 +1,7 @@
-/* Pair-interleaved DTW, the recurrence of dtw.py for many pairs at once, and
- * the edge search that networks.day_metrics reads from its distances: the
- * library's two exports, dtw_pairs and dtw_edges, which dtw.py loads both or
- * neither.
+/* Pair-interleaved DTW, the recurrence of dtw.py for many pairs at once, the
+ * z-scoring of a run's windows, and the edge search that networks.day_metrics
+ * reads from its distances: the library's three exports, dtw_pairs,
+ * dtw_block and dtw_edges, which dtw.py loads all or none.
  *
  * dtw_pairs computes, for every date d < days and every p < k, the DTW
  * distance between column ii[p] and column jj[p] of Z[d], a C-contiguous
@@ -25,6 +25,12 @@
  * The caller passes `work`, (4w + 2) * dtw_group doubles, and `band` in
  * 0 .. w (w for no band). It returns -1, having written part of `out` at most,
  * if an index is outside 0 .. n-1, and 0 otherwise.
+ *
+ * dtw_block z-scores a block's windows straight from the panel's rows with
+ * the steps of preprocess._zscore_rows, numpy's pairwise sums included, so
+ * every z-score has the bits of the numpy path, and then sweeps them as
+ * dtw_pairs does. Its squares and signs are multiplies: the library is
+ * built with -ffp-contract=off, so that none is fused into an add.
  */
 #include <math.h>
 #include <stddef.h>
@@ -64,9 +70,9 @@ dtw_row(const double *restrict p, const double *restrict Q, const double *restri
     }
 }
 
-CLONES
-int dtw_pairs(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t *ii,
-              const int64_t *jj, int64_t k, int64_t band, double *work, double *out)
+static inline __attribute__((always_inline)) int
+sweep(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t *ii, const int64_t *jj,
+      int64_t k, int64_t band, double *work, double *out)
 {
     double *P = work, *Q = P + w * GROUP;
     for (int64_t d = 0; d < days; d++, Z += w * n, out += k) {
@@ -115,6 +121,132 @@ int dtw_pairs(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t
         }
     }
     return 0;
+}
+
+CLONES
+int dtw_pairs(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t *ii,
+              const int64_t *jj, int64_t k, int64_t band, double *work, double *out)
+{
+    return sweep(Z, days, w, n, ii, jj, k, band, work, out);
+}
+
+/* For every a < n, numpy's pairwise sum of the m <= 128 values x[i n + a],
+ * i < m, or of their squares, into s[a]: one by one below 8 values, else in
+ * 8 interleaved sums, added up as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)),
+ * and then the m % 8 values left, one by one. r holds 8n doubles. Each lane
+ * a takes numpy's steps on its own values, so the loops over a vectorise. */
+static inline __attribute__((always_inline)) void
+sums(const double *x, int64_t n, int64_t m, int square, double *s, double *r)
+{
+    int64_t i = 0;
+    if (m < 8) {
+        for (int64_t a = 0; a < n; a++)
+            s[a] = 0.0;
+    } else {
+        for (int j = 0; j < 8; j++)
+            for (int64_t a = 0; a < n; a++) {
+                double v = x[j * n + a];
+                r[j * n + a] = square ? v * v : v;
+            }
+        for (i = 8; i < m - m % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                for (int64_t a = 0; a < n; a++) {
+                    double v = x[(i + j) * n + a];
+                    r[j * n + a] += square ? v * v : v;
+                }
+        for (int64_t a = 0; a < n; a++) {
+            const double *q = r + a;
+            s[a] = ((q[0] + q[n]) + (q[2 * n] + q[3 * n])) + ((q[4 * n] + q[5 * n]) + (q[6 * n] + q[7 * n]));
+        }
+    }
+    for (; i < m; i++)
+        for (int64_t a = 0; a < n; a++) {
+            double v = x[i * n + a];
+            s[a] += square ? v * v : v;
+        }
+}
+
+/* sums for any m: above 128 values, numpy sums two halves, the first rounded
+ * down to a multiple of 8, and adds them. r holds (8 + the bit length of m) n
+ * doubles: each level below the first keeps one half's sums. */
+static void pairwise(const double *x, int64_t n, int64_t m, int square, double *s, double *r)
+{
+    if (m <= 128) {
+        if (square)
+            sums(x, n, m, 1, s, r);
+        else
+            sums(x, n, m, 0, s, r);
+        return;
+    }
+    int64_t half = m / 2;
+    half -= half % 8;
+    pairwise(x, n, half, square, s, r);
+    pairwise(x + half * n, n, m - half, square, r, r + n);
+    for (int64_t a = 0; a < n; a++)
+        s[a] += r[a];
+}
+
+/* A block of a run in one call: for every date d < days and asset a < n,
+ * the window of the w values of column a of `values`, a C-contiguous
+ * (dates, n) array of float64, in rows start + d - w + 1 .. start + d,
+ * z-scored by the steps of preprocess._zscore_rows and times signs[a] into
+ * Z[d][.][a], Z being (days, w, n), and its flags into flags[d][a]; then,
+ * unless a window's mean or std is not finite, the DTW distances of
+ * dtw_pairs from Z into out. The mean is the pairwise sum, added to 0.0,
+ * over w; the std the square root of the same sum of the squared deviations
+ * over w - 1. A window is constant, flag 1, when every value equals its
+ * first (0.0 equals -0.0) or its std is 0.0, and its z-scores are then 0.0
+ * times the sign; flag 2 marks a mean or std that is not finite.
+ *
+ * The caller passes start >= w - 1 and start + days no larger than the
+ * dates, and `work` of (4w + 2) * dtw_group doubles, and at least
+ * (10 + the bit length of w) * n, shared by the z-scores and then the
+ * sweep; `band` and `out` are dtw_pairs'. It returns 1, having swept
+ * nothing, if a window's mean or std is not finite, and otherwise what
+ * dtw_pairs returns. */
+CLONES
+int dtw_block(const double *values, int64_t n, int64_t start, int64_t days, int64_t w,
+              const double *signs, double *Z, uint8_t *flags, const int64_t *ii, const int64_t *jj,
+              int64_t k, int64_t band, double *work, double *out)
+{
+    double *mean = work, *sd = work + n, *r = work + 2 * n;
+    int all = 0;
+    for (int64_t d = 0; d < days; d++) {
+        const double *x = values + (start + d - w + 1) * n;
+        double *z = Z + d * w * n;
+        uint8_t *f = flags + d * n;
+        for (int64_t a = 0; a < n; a++)
+            f[a] = 1;
+        for (int64_t i = 1; i < w; i++)
+            for (int64_t a = 0; a < n; a++)
+                f[a] &= x[i * n + a] == x[a];
+        if (w <= 128)
+            sums(x, n, w, 0, mean, r);
+        else
+            pairwise(x, n, w, 0, mean, r);
+        for (int64_t a = 0; a < n; a++)
+            mean[a] = (0.0 + mean[a]) / (double)w;
+        for (int64_t i = 0; i < w; i++)
+            for (int64_t a = 0; a < n; a++)
+                z[i * n + a] = x[i * n + a] - mean[a];
+        if (w <= 128)
+            sums(z, n, w, 1, sd, r);
+        else
+            pairwise(z, n, w, 1, sd, r);
+        for (int64_t a = 0; a < n; a++) {
+            sd[a] = sqrt((0.0 + sd[a]) / (double)(w - 1));
+            f[a] |= (sd[a] == 0.0) | (isfinite(mean[a]) && isfinite(sd[a]) ? 0 : 2);
+            all |= f[a];
+        }
+        for (int64_t i = 0; i < w; i++)
+            for (int64_t a = 0; a < n; a++) {
+                double q = z[i * n + a] / sd[a];
+                z[i * n + a] = (f[a] & 1 ? 0.0 : q) * signs[a];
+            }
+    }
+    if (all & 2)
+        return 1;
+    return sweep(Z, days, w, n, ii, jj, k, band, work, out);
 }
 
 /* The root of v's tree, halving the path on the way. Every node's parent is

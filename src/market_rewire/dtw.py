@@ -10,8 +10,8 @@ There is no path-length normalization and, by default, no global warping
 band. `dtw_distance` is the scalar loop over one pair. `_pair_distances`
 fills a pair-ordered vector with the distances of given column pairs of a
 day's (w, n) window array, or one such vector per date of a block of dates;
-a run calls it once per block, and `distance_matrix` wraps it for one day's
-windows. It runs one of two
+`distance_matrix` wraps it for one day's windows, and a run's block step
+(`_block_distances`) sweeps the same way. It runs one of two
 batched versions of the same dynamic program. Every version performs the
 scalar loop's elementary float operations on the same values, |p - q|, two
 mins and one add per cell, so all results agree bitwise.
@@ -22,10 +22,13 @@ pairs and vectorises, and loops over a block's dates within the one call.
 It is built on first import with the machine's `cc` into this package's
 __pycache__ and loaded with ctypes; later imports load it from there. Its
 scratch, (4w + 2) doubles per pair of a group, is a numpy array that each
-call allocates. The same library exports `networks.day_metrics`' edge
-search, and `_load_kernel` loads both exports or neither. Where no library
-can be built or loaded (no compiler, a directory that cannot be written, a
-toolchain that rejects the source), `KERNEL` reads "numpy", and the numpy
+call allocates. The same library exports `dtw_block`, which z-scores a
+run's block of dates straight from the panel with numpy's steps and bits
+and then sweeps it, all in the one call that `_block_distances` makes, and
+`networks.day_metrics`' edge search; `_load_kernel` loads all three
+exports or none. Where no library can be built or loaded (no compiler, a
+directory that cannot be written, a toolchain that rejects the source),
+`KERNEL` reads "numpy", and `preprocess`'s numpy z-scores, the numpy
 wavefront and `networks._numpy_edges` run instead.
 
 The numpy wavefront keeps pairs on the last axis and sweeps the table by
@@ -53,12 +56,12 @@ import zlib
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .ingest import _check_date, _check_ids, _check_int
-from .preprocess import StandardizedWindow
+from .preprocess import NON_FINITE, StandardizedWindow, _window_rows, _zscore_flags
 
 # Pairs per block of the numpy wavefront. At w = 20 a block's scratch takes
 # about 2 MB, one core's L2 on the 2-core AVX-512 Xeon VM it was tuned on. With
@@ -72,14 +75,18 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_dtw.c")
 # No -ffast-math, which lets the compiler reorder and contract float operations
 # and so break the bitwise contract, and no -march=native, which would tie a
 # checkout's library to the CPU that built it; the source's target_clones pick
-# AVX-512, AVX2 or baseline code when the library loads.
-_CFLAGS = ("-O3", "-shared", "-fPIC")
+# AVX-512, AVX2 or baseline code when the library loads. -ffp-contract=off
+# keeps the z-scores' squares and sign products out of fused multiply-adds,
+# which GCC forms by default where the clones have FMA, and
+# -fno-math-errno makes sqrt one instruction, so the library needs no libm.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 
 def _load_kernel() -> tuple | None:
-    """`_dtw.c`'s `dtw_pairs`, its pair group size and `dtw_edges`, the edge
-    search of `networks.day_metrics`, or None where the library cannot be
-    built or loaded: both exports or neither.
+    """`_dtw.c`'s `dtw_pairs`, its pair group size, `dtw_edges`, the edge
+    search of `networks.day_metrics`, and `dtw_block`, a run's z-scores and
+    DTW of a block of dates, or None where the library cannot be built or
+    loaded: all exports or none.
 
     The library is built on first use with the machine's `cc` into this
     package's __pycache__, and named by the CRC-32 of the source, the flags,
@@ -98,15 +105,16 @@ def _load_kernel() -> tuple | None:
         return None
     try:
         lib = ctypes.CDLL(path)
-        dtw_pairs, dtw_edges = lib.dtw_pairs, lib.dtw_edges
+        dtw_pairs, dtw_edges, dtw_block = lib.dtw_pairs, lib.dtw_edges, lib.dtw_block
         group = ctypes.c_int64.in_dll(lib, "dtw_group").value
     except (OSError, AttributeError, ValueError):
         return None
     pointer, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     dtw_pairs.argtypes = (pointer, count, count, count, pointer, pointer, count, count, pointer, pointer)
     dtw_edges.argtypes = (pointer, pointer, count, count, count, pointer, pointer, real, real, pointer, pointer, pointer)
-    dtw_pairs.restype = dtw_edges.restype = ctypes.c_int
-    return dtw_pairs, group, dtw_edges
+    dtw_block.argtypes = (pointer, count, count, count, count, pointer, pointer, pointer, pointer, pointer, count, count, pointer, pointer)
+    dtw_pairs.restype = dtw_edges.restype = dtw_block.restype = ctypes.c_int
+    return dtw_pairs, group, dtw_edges, dtw_block
 
 
 def _complete(path: str) -> bool:
@@ -285,7 +293,7 @@ def _pair_distances(
                 block = slice(start, start + _PAIR_BLOCK)
                 _batched_dtw(Zd, ii[block], jj[block], plan, work, od[block])
         return
-    dtw_pairs, group, _ = _kernel
+    dtw_pairs, group = _kernel[:2]
     days = Z.shape[0] if Z.ndim == 3 else 1
     w, n = Z.shape[-2:]
     # what the kernel reads and writes through raw pointers
@@ -305,6 +313,87 @@ def _pair_distances(
         Z.ctypes.data, days, w, n, ii.ctypes.data, jj.ctypes.data, k, band, work.ctypes.data, out.ctypes.data
     ):
         raise IndexError(f"a pair index is outside 0 .. {n - 1}")
+
+
+def _block_distances(
+    values: np.ndarray, signs: np.ndarray, ii: np.ndarray, jj: np.ndarray, w: int, band: int | None
+) -> Callable[[int, int], tuple[tuple[np.ndarray, np.ndarray, np.ndarray], Callable[[], None]]]:
+    """A run's block step: `block(start, days)` allocates the arrays of the
+    dates start .. start + days - 1 of `values`, a (dates, n) panel, and
+    returns them, `(Z, flags, out)`, with `fill()`, which fills them: Z,
+    (days, w, n), the windows of width w ending on those dates, z-scored
+    and times `signs`, the (n,) direction signs; flags, (days, n) uint8,
+    each window's `preprocess.CONSTANT` and `NON_FINITE`; and out, (days,
+    k), the DTW distances of pairs (ii[p], jj[p]) under `band`, unless a
+    window's mean or std is not finite, which leaves out unset. `fill`
+    warns of nothing and raises nothing for the flags: the caller reads
+    them. A pool thread may run `fill` while this thread, which allocated
+    the arrays, goes on.
+
+    Where the library loaded, `fill` is one `dtw_block` call, with the GIL
+    released, into one array that holds the kernel's scratch too, and the
+    addresses of `values`, `signs`, ii and jj are taken here, once for
+    every block; else `_zscore_flags` and `_pair_distances` fill them.
+    Either way each date gets the bits of `preprocess._zscored` and of
+    `_pair_distances` on that date alone.
+    """
+    n, k = values.shape[1], ii.size
+    if _kernel is None:
+
+        def block(start: int, days: int):
+            Z, flags, out = np.empty((days, w, n)), np.empty((days, n), np.uint8), np.empty((days, k))
+
+            def fill() -> None:
+                rows = _window_rows(values, start, start + days, w)
+                flags[...] = _zscore_flags(rows)
+                rows *= signs[:, None]
+                np.copyto(Z, rows.transpose(0, 2, 1))
+                if not (flags & NON_FINITE).any():
+                    _pair_distances(Z, ii, jj, band, out)
+
+            return (Z, flags, out), fill
+
+        return block
+    _, group, _, dtw_block = _kernel
+    held = values, signs, ii, jj  # referenced by the step, so alive while it passes their addresses
+    # what the kernel reads through raw pointers, for every block of the run
+    if not (
+        values.dtype == signs.dtype == np.float64
+        and ii.dtype == jj.dtype == np.int64
+        and signs.shape == (n,)
+        and ii.shape == jj.shape == (k,)
+        and all(a.flags.c_contiguous for a in held)
+    ):
+        raise ValueError("the DTW kernel takes C-contiguous float64 values and signs and int64 indices")
+    band = w if band is None else min(band, w)
+    at = [a.ctypes.data for a in held]
+    # doubles of scratch, shared by the z-scores and the sweep
+    scratch = max((4 * w + 2) * group, (10 + w.bit_length()) * n)
+
+    def block(start: int, days: int):
+        if not w - 1 <= start <= start + days <= len(held[0]):
+            raise ValueError(f"dates {start} .. {start + days - 1} hold no complete windows of {w}")
+        # One array, for one address lookup (1.3-2.7 us each): the scratch
+        # from a 64-byte boundary (see _aligned), then Z, out and the flags.
+        # It is allocated here, by the thread that hands the block out, and
+        # not in `fill`: from a pool thread, in that thread's own malloc
+        # arena, it raised backfill_wide's peak RSS by about 1.2 MB.
+        buf = np.empty(scratch + days * (w * n + k) + -(-days * n // 8) + 7)
+        address = buf.ctypes.data
+        pad = (-address) % 64 // 8
+        z, o, f = (pad + scratch + x for x in (0, days * w * n, days * (w * n + k)))
+
+        def fill() -> None:
+            if dtw_block(
+                at[0], n, start, days, w, at[1], address + 8 * z, address + 8 * f,
+                at[2], at[3], k, band, address + 8 * pad, address + 8 * o,
+            ) < 0:
+                raise IndexError(f"a pair index is outside 0 .. {n - 1}")
+
+        flags = buf[f:].view(np.uint8)[: days * n]
+        return (buf[z:o].reshape(days, w, n), flags.reshape(days, n), buf[o:f].reshape(days, k)), fill
+
+    return block
 
 
 def _aligned(size: int) -> np.ndarray:

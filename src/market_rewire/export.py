@@ -119,13 +119,17 @@ def export_graph(
     and rendered as a one-date `DaySnapshot` (a `SignedGraph`'s with no
     co-occurrence edges) by `_snapshot_texts`, the renderer of
     `snapshot_files` and `write_export_bundle`, so a graph and the snapshot
-    it was built from give the same text.
+    it was built from give the same text. The snapshot is built unchecked:
+    the graph's own check has already found its date, distinct str nodes
+    and distinct edges between them, and red and blue disjoint.
     """
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"graph format must be one of {GRAPH_FORMATS}, got {fmt!r}")
     runs = [(), g.red_edges, g.blue_edges] if isinstance(g, SignedGraph) else [g.edges]
     positions = [_pair_positions(len(g.nodes), *_places(g.nodes, edges)) for edges in runs]
-    snap = DaySnapshot(g.end_date, g.nodes, *positions)
+    for p in positions:
+        p.setflags(write=False)
+    snap = DaySnapshot._unchecked(g.end_date, g.nodes, *positions)
     return list(_snapshot_texts([snap], [fmt], _checked_classes(classes)))[-1][1]
 
 

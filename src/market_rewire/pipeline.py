@@ -1,9 +1,11 @@
 """Per-day orchestration: panel -> z-scored windows -> pair distances -> metrics.
 
 For every date index t from window_w - 1 onward the pipeline z-scores and
-direction-signs every asset's trailing window (`preprocess._zscored`) and
-computes the DTW distance of every asset pair, in `np.triu_indices` order
-(`dtw._pair_distances`). It reads the date's metrics straight off those
+direction-signs every asset's trailing window and computes the DTW distance
+of every asset pair, in `np.triu_indices` order, in one block step
+(`dtw._block_distances`): where the compiled library loaded, one kernel
+call per block of dates does both, else `preprocess`'s numpy z-scores and
+`dtw._pair_distances`. It reads the date's metrics straight off those
 distances and, from the second analyzable date on, off their change from the
 previous date's (`networks.day_metrics`). On the dates in
 `PipelineConfig.snapshot_dates` it also keeps the positions of the date's
@@ -12,15 +14,16 @@ positions (`DaySnapshot`). No window object, distance matrix or graph is
 built on the way.
 
 The dates go in blocks of consecutive dates, as many as _BLOCK_DOUBLES
-holds (one date a block from 110 assets at w = 20 on): each of the three
-steps is one array operation, or one kernel call, per block, and gives each
-date the bytes it would give that date alone.
+holds (one date a block from 110 assets at w = 20 on): each step is one
+array operation, or one kernel call, per block, and gives each date the
+bytes it would give that date alone.
 
-`_run_days` is the one day loop. The calling thread z-scores the blocks and
-reads their metrics, both in date order, so every warning and error comes
-as in a serial run. With more than one worker it hands each block's kernel
-call to a pool of that many threads and keeps at most one more block than
-that in flight; the compiled kernel releases the GIL while it runs.
+`_run_days` is the one day loop. With one worker it runs each block step
+inline; with more it hands the steps to a pool of that many threads and
+keeps at most one more block than that in flight; the compiled kernel
+releases the GIL while it runs. Either way the calling thread only reads
+each block's flags and metrics, in date order, so every constant-window
+warning and non-finite error comes as in a serial run.
 """
 
 import os
@@ -34,10 +37,10 @@ from typing import Literal
 
 import numpy as np
 
-from .dtw import _pair_distances, _pair_indices
+from .dtw import _block_distances, _pair_indices
 from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_ids, _check_int, _check_real, fill_missing
 from .networks import Graph, MetricsRow, SignedGraph, _pair_edges, day_metrics
-from .preprocess import _zscored
+from .preprocess import _check_flags, _window_names
 
 
 @dataclass
@@ -159,18 +162,25 @@ class RunResult:
     snapshots: dict[date, DaySnapshot] = field(default_factory=dict)
 
 
-# The least DTW work of a block of dates, the table cells its kernel call
-# sweeps, at which a run hands its blocks to a thread pool: each handoff
-# costs 0.1-0.2 ms, and the calling thread's own work slows while the pool
-# threads share its cores. Time of threads=2 over threads=1, fastest of
-# 30-40 alternated calls per run, 120 days at w = 20 (2-core AVX-512 Xeon
-# VM, busy host): 0.89-1.34 at 20 assets (27 dates a block, 2.05M cells;
-# above 1 in four of six runs), 0.95-1.08 at 25 (2.40M), 0.81-1.17 at 30
-# (2.61M), 0.90-1.09 at 40 (3.12M), 0.81-1.01 at 60 (3.54M), 0.77-0.97 at
-# 80 (3.79M), 0.85 at 110 (one date a block, 2.40M) and 0.88 at 115 (2.62M);
-# at 100 assets 0.95-1.21 with band 0 (0.20M) and 0.82-1.00 with band 2
-# (0.93M). The bound keeps 20-asset blocks inline and pools 110-asset dates.
-_POOL_MIN_WORK = 2_200_000
+# The least DTW work of a block of dates at which a run hands its blocks to
+# a thread pool, counted per pair as the table cells its kernel call sweeps
+# plus 4w for its set-up (2w window values copied in and 2(w + 1) row cells
+# set; `_pair_work`): each handoff costs 0.1-0.2 ms, and the calling
+# thread's own work slows while the pool threads share its cores. Time of
+# threads=2, always pooled, over threads=1, fastest of 30 alternated calls
+# (12 from 100 assets on) in each of three runs, 120 days at w = 20 (2-core
+# AVX-512 Xeon VM, busy host), with each block z-scored in its kernel call:
+# 1.10-1.44 at 20 assets (27 dates a block, 2.46M), 1.06-1.29 at 25
+# (2.88M), 1.02-1.12 at 30 (3.13M), 0.85-0.99 at 40 (3.74M), 0.69-0.78 at
+# 60 (4.25M), 0.70-0.83 at 80 (4.55M) and 0.63-0.73 at 110 (one date a
+# block, 2.88M); with a band, 0.97-1.19 at 100 assets and band 0 (0.99M),
+# 1.02-1.17 at 150 and band 0 (1.12M), 0.79-1.10 at 100 and band 2
+# (1.72M), 0.86-0.98 at 200 and band 0 (1.99M) and 0.72-0.88 at 200 and
+# band 1 (2.75M). The bound keeps 20-asset blocks and band-0 dates inline
+# and pools 110-asset dates and 200-asset dates at band 1. A per-block
+# bound cannot also keep 25 assets inline: their blocks hold as much work
+# as a 110-asset date, but a run has few of them.
+_POOL_MIN_WORK = 2_600_000
 
 # Doubles per block of dates, where a date takes n·w z-scored window values
 # and one distance per pair. Fastest of 25 alternated `run` calls at w = 20
@@ -195,6 +205,12 @@ def _band_cells(w: int, band: int | None) -> int:
     return sum(min(w, i + b) - max(1, i - b) + 1 for i in range(1, w + 1))
 
 
+def _pair_work(w: int, band: int | None) -> int:
+    """The DTW work of one pair of width-w windows under `band`: its table
+    cells and 4w for its set-up, which outweighs the cells at narrow bands."""
+    return _band_cells(w, band) + 4 * w
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -204,8 +220,8 @@ def _usable_cpus() -> int:
 def _worker_count(threads: int | None, blocks: int, work: int) -> int:
     """Resolve the worker count: `threads`, or 1 for None or 0, capped by
     the blocks of dates and by the usable CPUs, so no request starts more
-    threads than can run at once; and 1 where a block's DTW work, in table
-    cells, is below _POOL_MIN_WORK."""
+    threads than can run at once; and 1 where a block's DTW work
+    (`_pair_work` a pair) is below _POOL_MIN_WORK."""
     n = min(_check_int(threads, "threads", 0, none_ok=True) or 1, blocks, _usable_cpus())
     return n if work >= _POOL_MIN_WORK else 1
 
@@ -243,29 +259,35 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
             )
     n, days = panel.n_assets, panel.n_dates - w + 1
     span = min(_block_span(n, w), days)
-    work = span * n * (n - 1) // 2 * _band_cells(w, config.band_halfwidth)
+    work = span * n * (n - 1) // 2 * _pair_work(w, config.band_halfwidth)
     return _run_days(panel, config, span, _worker_count(threads, -(-days // span), work))
 
 
 def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int) -> RunResult:
-    """The rows and snapshots of every analyzable date. This thread z-scores
-    each block of `span` dates and reads its metrics, in date order; the block's
-    kernel call runs inline with one worker, else in a pool of `workers`
-    threads with at most `workers` + 1 calls outstanding. Each date's
-    differential is taken against the date before it, so the first row has
-    none."""
-    n, w, band = panel.n_assets, config.window_w, config.band_halfwidth
+    """The rows and snapshots of every analyzable date. Each block of `span`
+    dates is z-scored and swept in one block step (`dtw._block_distances`),
+    inline with one worker, else in a pool of `workers` threads with at most
+    `workers` + 1 steps outstanding; this thread then reads each block's
+    flags and metrics, in date order. Each date's differential is taken
+    against the date before it, so the first row has none."""
+    n, w = panel.n_assets, config.window_w
     ids = panel.asset_ids  # one tuple, shared by every snapshot
     pairs = _pair_indices(n)
     ii, jj = pairs
-    signs = np.array([[float(a.direction)] for a in panel.assets])
+    signs = np.array([float(a.direction) for a in panel.assets])
+    values = np.ascontiguousarray(panel.values)  # C order, which a column slice lacks
+    block = _block_distances(values, signs, ii, jj, w, config.band_halfwidth)
     result = RunResult()
-    in_flight = deque()  # (first date index, the block's distances, its kernel call)
+    in_flight = deque()  # (first date index, the block's arrays, the call filling them)
     prev = None
 
-    def finish(start, dist):
-        """Append the block's rows, and the snapshots of the dates that want one."""
+    def finish(start, arrays):
+        """Issue the block's constant-window warnings and raise its
+        non-finite error from its flags, as a serial run does; else append
+        its rows, and the snapshots of the dates that want one."""
         nonlocal prev
+        _, flags, dist = arrays
+        _check_flags(flags, _window_names(panel, start), stacklevel=2)
         end_dates = panel.dates[start : start + len(dist)]
         rows, at, starts = day_metrics(
             end_dates, n, pairs, dist, prev,
@@ -286,26 +308,22 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for start in range(w - 1, panel.n_dates, span):
-            stop = min(start + span, panel.n_dates)
-            Z = np.ascontiguousarray(_zscored(panel, start, stop, w, signs).transpose(0, 2, 1))
-            dist = np.empty((stop - start, ii.size))
+            arrays, fill = block(start, min(span, panel.n_dates - start))
             if pool is None:
-                _pair_distances(Z, ii, jj, band, dist)
-                del Z  # a block's windows live no longer than its kernel call
-                finish(start, dist)
+                fill()
+                finish(start, arrays)
                 continue
-            # One block waits queued behind the running calls, so a thread that
+            # One block waits queued behind the running steps, so a thread that
             # finishes one starts the next without waiting for this thread. The
-            # oldest block's call returns before the next is handed out, and
+            # oldest block's step returns before the next is handed out, and
             # its metrics are read after, while the threads run.
             oldest = in_flight.popleft() if len(in_flight) > workers else None
             if oldest is not None:
                 oldest[2].result()
-            in_flight.append((start, dist, pool.submit(_pair_distances, Z, ii, jj, band, dist)))
-            del Z
+            in_flight.append((start, arrays, pool.submit(fill)))
             if oldest is not None:
                 finish(*oldest[:2])
-        for start, dist, call in in_flight:
+        for start, arrays, call in in_flight:
             call.result()
-            finish(start, dist)
+            finish(start, arrays)
     return result

@@ -1,9 +1,13 @@
 """Trailing-window extraction, within-window z-scoring, and risk-direction correction.
 
-A run z-scores the windows of a block of consecutive dates in one array
+The windows of a block of consecutive dates are z-scored in one array
 (`_zscored`), one window per row, and each row gets the bytes that
 `window_zscore` gives that window alone. `windows_at` is the one-date case
-of the same function.
+of the same function. Where the compiled DTW library loaded, a run instead
+z-scores each block inside its kernel call (`_dtw.c`'s `dtw_block`), with
+the same steps and the same bits, and the calling thread only reads the
+block's flags: `_check_flags` issues the constant-window warnings and
+raises the non-finite error from them, as `_zscore_rows` does.
 """
 
 import warnings
@@ -26,11 +30,15 @@ class StandardizedWindow:
     values: np.ndarray
 
 
-def _zscore_rows(
-    x: np.ndarray, where: Callable[[int, int], str] = lambda date, row: "the window", stacklevel: int = 3
-) -> np.ndarray:
+# Per-(date, row) flags of a z-scored block: a constant window, and a
+# window whose mean or std is not finite. `_dtw.c`'s dtw_block sets the same.
+CONSTANT, NON_FINITE = 1, 2
+
+
+def _zscore_flags(x: np.ndarray) -> np.ndarray:
     """Z-score each row of a C-contiguous (dates, rows, w) float array by its
-    own mean and sample std, in place; return the array.
+    own mean and sample std, in place; return the (dates, rows) uint8 flags,
+    CONSTANT and NON_FINITE, and warn of nothing.
 
     Reducing the (dates·rows, w) view along its last, contiguous axis sums
     each row with numpy's pairwise summation, exactly as the 1-D call does,
@@ -39,12 +47,8 @@ def _zscore_rows(
     and the std is taken from those deviations by `np.std`'s own steps
     (square, sum, divide by w - 1, square root), so it has `np.std`'s bits.
     A row is constant when every value equals its first (0.0 equals -0.0)
-    or its std is 0.0, and its z-scores are zeros. Each date with a
-    constant row gives one warning, in date order, pointing `stacklevel`
-    frames up, as `warnings.warn` counts them from here. The first date
-    with a row whose mean or std is not finite (a NaN, or magnitudes that
-    overflow) raises a ValueError naming `where(date, row)`, after the
-    warnings of the dates before it.
+    or its std is 0.0, and its z-scores are zeros. A row whose mean or std
+    is not finite (a NaN, or magnitudes that overflow) holds no z-scores.
     """
     days, rows, w = x.shape
     flat = x.reshape(days * rows, w)  # a view, so the z-scores land in x
@@ -59,24 +63,46 @@ def _zscore_rows(
         sd = np.square(flat).sum(axis=1, keepdims=True)
         sd /= w - 1
         np.sqrt(sd, out=sd)
-    bad = ~(np.isfinite(mean) & np.isfinite(sd))[:, 0]
-    # the dates before the first one with a bad row
-    good = int(np.argmax(bad.reshape(days, rows).any(axis=1))) if bad.any() else days
-    # a std that underflows to zero (spreads below about 1e-161) counts as
-    # constant too
-    constant |= sd[:, 0] == 0.0
-    if constant.any():
-        for _ in range(np.count_nonzero(constant.reshape(days, rows)[:good].any(axis=1))):
-            warnings.warn("constant window: standardized values set to zero", stacklevel=stacklevel)
+        bad = ~(np.isfinite(mean) & np.isfinite(sd))[:, 0]
+        # a std that underflows to zero (spreads below about 1e-161) counts
+        # as constant too
+        constant |= sd[:, 0] == 0.0
         sd[constant] = 1.0
-    if good < days:
-        row = int(np.argmax(bad.reshape(days, rows)[good]))
+        flat /= sd
+    flat[constant] = 0.0
+    flags = constant.view(np.uint8)
+    flags[bad] |= NON_FINITE
+    return flags.reshape(days, rows)
+
+
+def _check_flags(flags: np.ndarray, where: Callable[[int, int], str], stacklevel: int) -> None:
+    """Warn and raise as the (dates, rows) flags of a z-scored block say:
+    one warning for each date with a constant row, in date order, pointing
+    `stacklevel` frames up, as `warnings.warn` counts them from here; then,
+    at the first date with a non-finite row, a ValueError naming
+    `where(date, row)`, after the warnings of the dates before it."""
+    if not flags.any():
+        return
+    bad = (flags & NON_FINITE).any(axis=1)
+    # the dates before the first one with a bad row
+    good = int(np.argmax(bad)) if bad.any() else len(flags)
+    for _ in range(np.count_nonzero((flags[:good] & CONSTANT).any(axis=1))):
+        warnings.warn("constant window: standardized values set to zero", stacklevel=stacklevel)
+    if good < len(flags):
+        row = int(np.argmax(flags[good] & NON_FINITE))
         raise ValueError(
             f"non-finite mean or standard deviation in {where(good, row)} "
             "(a missing value, or magnitudes that overflow)"
         )
-    flat /= sd
-    flat[constant] = 0.0
+
+
+def _zscore_rows(
+    x: np.ndarray, where: Callable[[int, int], str] = lambda date, row: "the window", stacklevel: int = 3
+) -> np.ndarray:
+    """Z-score each row of a C-contiguous (dates, rows, w) float array in
+    place (`_zscore_flags`), warn and raise as its flags say
+    (`_check_flags`, `stacklevel` counted from here); return the array."""
+    _check_flags(_zscore_flags(x), where, stacklevel + 1)
     return x
 
 
@@ -102,6 +128,29 @@ def apply_direction(window, direction: int) -> np.ndarray:
     return x * float(_check_direction(direction, "direction"))
 
 
+def _window_rows(values: np.ndarray, start: int, stop: int, w: int) -> np.ndarray:
+    """The (stop - start, n, w) array of each column's window of `values`,
+    a (dates, n) array, ending at each date index start .. stop - 1, one
+    row per column, as a C-contiguous copy; the caller checks the indices
+    and w."""
+    step, across = values.strides
+    # row (d, a) is asset a's window ending at date index start + d: a sliding
+    # window over the dates, copied in C order so that every row is
+    # contiguous; a copy in the view's own axis order would leave rows strided
+    shape = (stop - start, values.shape[1], w)
+    view = as_strided(values[start - w + 1 :], shape, (step, across, step), writeable=False)
+    return np.array(view, dtype=float, order="C")
+
+
+def _window_names(panel: PricePanel, start: int) -> Callable[[int, int], str]:
+    """What names the window of asset `row` ending at date index start + `date`."""
+
+    def where(date, row):
+        return f"the window of asset {panel.assets[row].asset_id!r} ending {panel.dates[start + date]}"
+
+    return where
+
+
 def _zscored(
     panel: PricePanel, start: int, stop: int, w: int, signs: np.ndarray, stacklevel: int = 3
 ) -> np.ndarray:
@@ -109,19 +158,7 @@ def _zscored(
     date index start .. stop - 1, one row per asset, z-scored and times
     `signs`, the (n, 1) direction signs; the caller checks the indices and
     w. `stacklevel` is `_zscore_rows`' own."""
-    values = panel.values
-    step, across = values.strides
-    # row (d, a) is asset a's window ending at date index start + d: a sliding
-    # window over the dates, copied in C order so that every row is
-    # contiguous; a copy in the view's own axis order would leave rows strided
-    shape = (stop - start, values.shape[1], w)
-    view = as_strided(values[start - w + 1 :], shape, (step, across, step), writeable=False)
-    rows = np.array(view, dtype=float, order="C")
-
-    def where(date, row):
-        return f"the window of asset {panel.assets[row].asset_id!r} ending {panel.dates[start + date]}"
-
-    z = _zscore_rows(rows, where, stacklevel)
+    z = _zscore_rows(_window_rows(panel.values, start, stop, w), _window_names(panel, start), stacklevel)
     z *= signs
     return z
 

@@ -488,15 +488,38 @@ def test_compiled_kernel_call_checks_its_arrays():
 
 
 @pytest.mark.usefixtures("c_kernel")
+def test_the_compiled_block_step_checks_its_arrays_and_dates():
+    values = np.random.default_rng(4).normal(size=(12, 4))
+    signs = np.ones(4)
+    ii, jj = dtw._pair_indices(4)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        dtw._block_distances(np.asfortranarray(values), signs, ii, jj, 5, None)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        dtw._block_distances(values, np.ones(3), ii, jj, 5, None)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        dtw._block_distances(values, signs, ii.astype(np.int32), jj, 5, None)
+    block = dtw._block_distances(values, signs, ii, jj, 5, None)
+    for start, days in [(3, 1), (4, 9), (11, 2)]:  # a window before the first date, or past the last
+        with pytest.raises(ValueError, match="no complete windows"):
+            block(start, days)
+    with pytest.raises(IndexError, match="outside 0 .. 3"):
+        dtw._block_distances(values, signs, ii, jj + 1, 5, None)(4, 2)[1]()
+    (Z, flags, out), fill = block(4, 8)
+    fill()
+    assert Z.shape == (8, 5, 4) and flags.shape == (8, 4) and out.shape == (8, 6)
+    assert Z.flags.c_contiguous and out.flags.c_contiguous and not flags.any()
+
+
+@pytest.mark.usefixtures("c_kernel")
 def test_compiled_kernel_work_buffer_is_cache_line_aligned(monkeypatch):
-    call, group, edges = dtw._kernel
+    call, group, *rest = dtw._kernel
     works = []
 
     def record(*args):
         works.append(args[8])
         return call(*args)
 
-    monkeypatch.setattr(dtw, "_kernel", (record, group, edges))
+    monkeypatch.setattr(dtw, "_kernel", (record, group, *rest))
     rng = np.random.default_rng(5)
     ii, jj = dtw._pair_indices(6)
     held = []

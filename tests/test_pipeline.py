@@ -26,7 +26,7 @@ from market_rewire import (
     run,
     window_zscore,
 )
-from market_rewire import pipeline
+from market_rewire import dtw, pipeline
 from market_rewire.pipeline import _POOL_MIN_WORK, _worker_count
 
 
@@ -329,6 +329,82 @@ def test_block_warnings_and_error_come_in_date_order(panel_factory, dates, monke
         )
 
 
+# The three tests above run on the compiled kernel where it loaded, which
+# z-scores a block inside its kernel call; these run them again on the numpy
+# kernel, which z-scores with numpy.
+@pytest.mark.usefixtures("numpy_kernel")
+def test_numpy_kernel_worker_errors_name_the_serial_runs_asset_and_date(panel_factory):
+    test_worker_errors_name_the_serial_runs_asset_and_date(panel_factory)
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+def test_numpy_kernel_relays_the_warnings_issued_before_a_failing_ranges_error(panel_factory):
+    test_a_failing_range_relays_the_warnings_issued_before_its_error(panel_factory)
+
+
+@pytest.mark.usefixtures("numpy_kernel")
+@pytest.mark.parametrize("dates", [16, 8, 10, 1])
+def test_numpy_kernel_block_warnings_and_error_come_in_date_order(panel_factory, dates, monkeypatch):
+    test_block_warnings_and_error_come_in_date_order(panel_factory, dates, monkeypatch)
+
+
+def _warned_and_raised(panel, config, threads):
+    """The warnings, as (category, message, filename, line), and the error
+    message of a run that raises."""
+    with warnings.catch_warnings(record=True) as log, pytest.raises(ValueError) as err:
+        warnings.simplefilter("always")
+        run(panel, config, threads=threads)
+    return [(w.category, str(w.message), w.filename, w.lineno) for w in log], str(err.value)
+
+
+@pytest.mark.usefixtures("c_kernel", "pooled")
+@pytest.mark.parametrize("dates", [16, 3, 1])
+def test_both_kernels_warn_and_raise_alike(panel_factory, dates, monkeypatch):
+    """The same warnings, with the same filename and line, and the same error
+    on the compiled and the numpy kernel, at one and at two workers."""
+    values = np.random.default_rng(8).uniform(90, 110, (20, 3))
+    values[6:14, 2] = 100.37
+    values[14:, 1] = [(-1) ** i * 1e308 for i in range(6)]
+    panel = panel_factory(values)
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(dates, 3, 5))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    config = PipelineConfig(window_w=5)
+    seen = [_warned_and_raised(panel, config, threads) for threads in (1, 2)]
+    monkeypatch.setattr(dtw, "_kernel", None)
+    seen += [_warned_and_raised(panel, config, threads) for threads in (1, 2)]
+    assert len(seen[0][0]) == 4
+    assert seen[1:] == seen[:1] * 3
+
+
+@pytest.mark.usefixtures("pooled")
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+def test_a_failing_block_after_later_ones_were_handed_out(panel_factory, kernel, request, monkeypatch):
+    """A block with a non-finite window raises the serial run's error even
+    when the blocks after it are already running, and none of their
+    constant windows gives a warning."""
+    request.getfixturevalue(kernel)
+    values = np.random.default_rng(3).uniform(90, 110, (20, 3))
+    values[2:8, 2] = 100.37  # the windows ending on dates 6 and 7 are constant
+    values[10, 1] = 1e308  # those ending on dates 10 .. 14 overflow
+    values[8:20, 0] = 70.0  # and those ending on dates 12 .. 19 are constant
+    panel = panel_factory(values)
+    config = PipelineConfig(window_w=5)
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(1, 3, 5))  # a date a block
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    serial = _warned_and_raised(panel, config, 1)
+    pools = []
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _recording_pool(pools))
+    assert _warned_and_raised(panel, config, 2) == serial
+    assert [message for _, message, _, _ in serial[0]] == ["constant window: standardized values set to zero"] * 2
+    assert serial[1] == (
+        f"non-finite mean or standard deviation in the window of asset 'a01' ending {panel.dates[10]} "
+        "(a missing value, or magnitudes that overflow)"
+    )
+    # the blocks of dates 11 .. 13 were handed out before date 10's was read
+    [pool] = pools
+    assert pool.calls == 13 - 4 + 1
+
+
 def test_a_long_runs_peak_memory_does_not_grow_with_its_dates():
     """A block holds a bounded number of dates: beyond the rows the result
     keeps, a 20-asset run traces the same peak at 2,000 dates as at 500."""
@@ -485,6 +561,20 @@ def test_a_narrow_band_counts_only_the_cells_it_sweeps(monkeypatch):
     assert banded.metrics == run(panel, PipelineConfig(band_halfwidth=0), threads=1).metrics
     assert pipeline._band_cells(20, 0) == 20 and pipeline._band_cells(20, None) == 400
     assert pipeline._band_cells(5, 1) == 13 and pipeline._band_cells(5, 4) == pipeline._band_cells(5, 9) == 25
+
+
+def test_a_pairs_set_up_counts_toward_the_pool_bound(monkeypatch):
+    # at band 1 a pair sweeps 58 cells and takes 80 more to set up: a
+    # 200-asset date's cells alone are under the bound, its work is not
+    pools = []
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _recording_pool(pools))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    panel = build_panel(np.random.default_rng(2).uniform(90, 110, (22, 200)))
+    pairs = 200 * 199 // 2
+    assert pairs * pipeline._band_cells(20, 1) < _POOL_MIN_WORK <= pairs * pipeline._pair_work(20, 1)
+    config = PipelineConfig(band_halfwidth=1)
+    assert run(panel, config, threads=2).metrics == run(panel, config, threads=1).metrics
+    assert len(pools) == 1 and pools[0].calls == 3
 
 
 def test_negative_threads_rejected(shock_panel):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_panel
-from market_rewire import apply_direction, window_zscore, windows_at
-from market_rewire.preprocess import _zscored
+from market_rewire import apply_direction, dtw, window_zscore, windows_at
+from market_rewire.preprocess import NON_FINITE, _window_rows, _zscore_flags, _zscore_rows, _zscored
 
 nonconstant_windows = (
     st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=40)
@@ -207,3 +207,54 @@ def test_windows_at_rejects_non_finite(panel_factory):
     values[10, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         windows_at(panel_factory(values), t=24, w=20)
+
+
+# Magnitudes near 1e-170 square to subnormals and zeros, near 1e154 their
+# squares overflow, and near 1e308 their sums do.
+_SCALES = [1.0, 1e-3, 1e6, 1e-170, 1e-160, 1e154, 1e300, 1e307]
+
+
+@pytest.mark.skipif(dtw.KERNEL != "c", reason="the compiled DTW kernel did not build or load here")
+@settings(max_examples=150, deadline=None)
+@given(
+    w=st.one_of(st.sampled_from([2, 3, 7, 8, 9, 16, 127, 128, 129, 136, 257, 300]), st.integers(2, 300)),
+    days=st.integers(1, 3),
+    directions=st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=5),
+    scale=st.sampled_from(_SCALES),
+    shift=st.sampled_from([0.0, 100.37, -2.5e300]),
+    stale=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 302), st.integers(1, 302)), max_size=3),
+    ties=st.booleans(),
+    holes=st.sets(st.tuples(st.integers(0, 302), st.integers(0, 4)), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_compiled_block_z_scores_as_zscore_rows(w, days, directions, scale, shift, stale, ties, holes, seed):
+    """`dtw_block`'s z-scores have the bits of `_zscore_rows`, and it flags the
+    same constant and non-finite rows, for w on either side of numpy's
+    8- and 128-value pairwise blocks."""
+    n, dates = len(directions), w - 1 + days
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 1.0, (dates, n)) * scale + shift
+    if ties:  # few distinct values, with 0.0 and -0.0 among them
+        values = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 3.0]) * scale, (dates, n))
+    for col, at, length in stale:  # constant stretches
+        if col < n:
+            values[at : at + length, col] = values[min(at, dates - 1), col]
+    for at, col in holes:  # a missing value
+        if col < n and at < dates:
+            values[at, col] = np.nan
+    signs = np.array(directions)
+    ii, jj = dtw._pair_indices(n)
+    with np.errstate(all="ignore"):
+        (Z, flags, _), fill = dtw._block_distances(values, signs, ii, jj, w, None)(w - 1, days)
+        fill()
+    rows = _window_rows(values, w - 1, w - 1 + days, w)
+    expected = _zscore_flags(rows)
+    assert flags.tobytes() == expected.tobytes()
+    rows *= signs[:, None]
+    finite = (flags & NON_FINITE) == 0
+    assert Z.transpose(0, 2, 1)[finite].tobytes() == rows[finite].tobytes()
+    if finite.all():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant windows
+            z = _zscore_rows(_window_rows(values, w - 1, w - 1 + days, w))
+        assert Z.transpose(0, 2, 1).tobytes() == (z * signs[:, None]).tobytes()
