@@ -1,7 +1,8 @@
 /* Pair-interleaved DTW, the recurrence of dtw.py for many pairs at once, the
- * z-scoring of a run's windows, and the edge search that networks.day_metrics
- * reads from its distances: the library's three exports, dtw_pairs,
- * dtw_block and dtw_edges, which dtw.py loads all or none.
+ * z-scoring of a run's windows, the edge search that networks.day_metrics
+ * reads from its distances, and the writer of export.py's snapshot files:
+ * the library's four exports, dtw_pairs, dtw_block, dtw_edges and
+ * write_files, which dtw.py loads all or none.
  *
  * dtw_pairs computes, for every date d < days and every p < k, the DTW
  * distance between column ii[p] and column jj[p] of Z[d], a C-contiguous
@@ -32,9 +33,13 @@
  * dtw_pairs does. Its squares and signs are multiplies: the library is
  * built with -ffp-contract=off, so that none is fused into an add.
  */
+#include <errno.h>
+#include <fcntl.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
+#include <unistd.h>
 
 /* Pairs per group. The fastest of 300 200-asset, w = 20 days, in two runs on
  * a 2-core AVX-512 Xeon VM, took 0.93-0.95 ns per cell at 8, 0.23-0.28 at 16,
@@ -363,4 +368,82 @@ int dtw_edges(const double *dist, const double *prev, int64_t days, int64_t m, i
         }
     }
     return 0;
+}
+
+/* Piece i of `table`, bytes offsets[i] .. offsets[i + 1] - 1, copied to p;
+ * the byte after the copy. */
+static char *piece(char *p, const char *table, const int64_t *offsets, int32_t i)
+{
+    size_t size = (size_t)(offsets[i + 1] - offsets[i]);
+    memcpy(p, table + offsets[i], size);
+    return p + size;
+}
+
+/* The snapshot files of export.py's piece table, in the directory dirfd:
+ * file f < files holds pieces[starts[f]] .. pieces[starts[f + 1] - 1] of
+ * `table`, in that order, and is named by the pieces names[2f] and
+ * names[2f + 1], the second ending in a NUL. Each file's bytes are copied
+ * into buf, its name after them, and written to the file as
+ * export.write_file writes them: opened without O_TRUNC, a new file with
+ * mode 0666 less the umask, overwritten, and cut at the new end only where
+ * a seek to its end reads it longer. Calls that a signal interrupts are
+ * retried. It returns -1 when every file is written; else the index of the
+ * file that failed, with errno in *error, having written the files before
+ * it and part of that one at most. With buf NULL, the call writes nothing
+ * and returns the bytes buf must hold: the most that a file and its name
+ * take. */
+int64_t write_files(int64_t dirfd, const char *table, const int64_t *offsets, const int32_t *pieces,
+                    const int64_t *starts, const int32_t *names, int64_t files, char *buf, int64_t *error)
+{
+    if (buf == NULL) {
+        int64_t most = 0;
+        for (int64_t f = 0; f < files; f++) {
+            int64_t size = 0;
+            for (int64_t q = starts[f]; q < starts[f + 1]; q++)
+                size += offsets[pieces[q] + 1] - offsets[pieces[q]];
+            for (int k = 0; k < 2; k++)
+                size += offsets[names[2 * f + k] + 1] - offsets[names[2 * f + k]];
+            most = size > most ? size : most;
+        }
+        return most;
+    }
+    for (int64_t f = 0; f < files; f++) {
+        char *end = buf;
+        for (int64_t q = starts[f]; q < starts[f + 1]; q++)
+            end = piece(end, table, offsets, pieces[q]);
+        piece(piece(end, table, offsets, names[2 * f]), table, offsets, names[2 * f + 1]);
+        const size_t size = (size_t)(end - buf);
+        int fd;
+        do
+            fd = openat((int)dirfd, end, O_WRONLY | O_CREAT | O_CLOEXEC, 0666);
+        while (fd < 0 && errno == EINTR);
+        if (fd < 0) {
+            *error = errno;
+            return f;
+        }
+        int ok = 1;
+        for (const char *p = buf; ok && p < end;) {
+            ssize_t n = write(fd, p, (size_t)(end - p));
+            if (n >= 0)
+                p += n;
+            else
+                ok = errno == EINTR;
+        }
+        if (ok) {
+            off_t at = lseek(fd, 0, SEEK_END);
+            ok = at >= 0;
+            while (ok && (size_t)at > size && ftruncate(fd, (off_t)size) < 0)
+                ok = errno == EINTR;
+        }
+        if (!ok) {
+            *error = errno;
+            close(fd);
+            return f;
+        }
+        if (close(fd) < 0 && errno != EINTR) {
+            *error = errno;
+            return f;
+        }
+    }
+    return -1;
 }

@@ -24,12 +24,15 @@ __pycache__ and loaded with ctypes; later imports load it from there. Its
 scratch, (4w + 2) doubles per pair of a group, is a numpy array that each
 call allocates. The same library exports `dtw_block`, which z-scores a
 run's block of dates straight from the panel with numpy's steps and bits
-and then sweeps it, all in the one call that `_block_distances` makes, and
-`networks.day_metrics`' edge search; `_load_kernel` loads all three
-exports or none. Where no library can be built or loaded (no compiler, a
-directory that cannot be written, a toolchain that rejects the source),
-`KERNEL` reads "numpy", and `preprocess`'s numpy z-scores, the numpy
-wavefront and `networks._numpy_edges` run instead.
+and then sweeps it, all in the one call that `_block_distances` makes,
+`dtw_edges`, `networks.day_metrics`' edge search, and `write_files`, which
+assembles an export block's snapshot files from `export`'s piece table and
+writes them; `_load_kernel` loads all four exports or none. Where no
+library can be built or loaded (no compiler, a directory that cannot be
+written, a toolchain that rejects the source), `KERNEL` reads "numpy", and
+`preprocess`'s numpy z-scores, the numpy wavefront and
+`networks._numpy_edges` run instead, and the export joins each file's
+pieces in Python.
 
 The numpy wavefront keeps pairs on the last axis and sweeps the table by
 anti-diagonals, holding three of them. It takes the pairs in blocks of
@@ -84,9 +87,10 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 def _load_kernel() -> tuple | None:
     """`_dtw.c`'s `dtw_pairs`, its pair group size, `dtw_edges`, the edge
-    search of `networks.day_metrics`, and `dtw_block`, a run's z-scores and
-    DTW of a block of dates, or None where the library cannot be built or
-    loaded: all exports or none.
+    search of `networks.day_metrics`, `dtw_block`, a run's z-scores and DTW
+    of a block of dates, and `write_files`, the writer of an export block's
+    snapshot files, or None where the library cannot be built or loaded:
+    all exports or none.
 
     The library is built on first use with the machine's `cc` into this
     package's __pycache__, and named by the CRC-32 of the source, the flags,
@@ -106,6 +110,7 @@ def _load_kernel() -> tuple | None:
     try:
         lib = ctypes.CDLL(path)
         dtw_pairs, dtw_edges, dtw_block = lib.dtw_pairs, lib.dtw_edges, lib.dtw_block
+        write_files = lib.write_files
         group = ctypes.c_int64.in_dll(lib, "dtw_group").value
     except (OSError, AttributeError, ValueError):
         return None
@@ -113,8 +118,10 @@ def _load_kernel() -> tuple | None:
     dtw_pairs.argtypes = (pointer, count, count, count, pointer, pointer, count, count, pointer, pointer)
     dtw_edges.argtypes = (pointer, pointer, count, count, count, pointer, pointer, real, real, pointer, pointer, pointer)
     dtw_block.argtypes = (pointer, count, count, count, count, pointer, pointer, pointer, pointer, pointer, count, count, pointer, pointer)
+    write_files.argtypes = (count, ctypes.c_char_p, pointer, pointer, pointer, pointer, count, pointer, pointer)
     dtw_pairs.restype = dtw_edges.restype = dtw_block.restype = ctypes.c_int
-    return dtw_pairs, group, dtw_edges, dtw_block
+    write_files.restype = count
+    return dtw_pairs, group, dtw_edges, dtw_block, write_files
 
 
 def _complete(path: str) -> bool:
@@ -159,8 +166,8 @@ def _build(path: str) -> bool:
 
 
 _kernel = _load_kernel()
-# "c" where the compiled library loaded, for the DTW kernel and the edge
-# search alike, else "numpy"
+# "c" where the compiled library loaded, for the DTW kernel, the edge
+# search and the snapshot writer alike, else "numpy"
 KERNEL = "numpy" if _kernel is None else "c"
 
 
@@ -354,7 +361,7 @@ def _block_distances(
             return (Z, flags, out), fill
 
         return block
-    _, group, _, dtw_block = _kernel
+    _, group, _, dtw_block, _ = _kernel
     held = values, signs, ii, jj  # referenced by the step, so alive while it passes their addresses
     # what the kernel reads through raw pointers, for every block of the run
     if not (

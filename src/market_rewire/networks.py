@@ -22,8 +22,8 @@ import math
 from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 from datetime import date
-from functools import lru_cache
-from typing import NamedTuple, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,10 +264,13 @@ def _hubs(n: int, a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(degree >= k)
 
 
+# `search(dist, prev, theta, delta)` of a block: its `at`, `starts` and counts
+_EdgeSearch = Callable[[np.ndarray, np.ndarray | None, float, float], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 def day_metrics(
     end_dates: Sequence[date],
-    n: int,
-    pairs: tuple[np.ndarray, np.ndarray],
+    search: _EdgeSearch,
     dist: np.ndarray,
     prev: np.ndarray | None,
     theta: float,
@@ -278,13 +281,14 @@ def day_metrics(
     upper triangles of their matrices, and the edges they were counted
     from.
 
-    Entry (d, p) of `dist` is the distance on end_dates[d] between assets
-    pairs[0][p] and pairs[1][p] of n; `prev` holds the distances of the date
-    before the block, None where the block starts at the first analyzable
-    date, whose row then has no differential. Each row equals the one read
-    off `cooccurrence_network`, `connected_components`,
-    `graph_based_entropy`, `differential_network` and `count_hubs` with the
-    same thresholds, taken as float64, without building a graph.
+    `search` is the `_edge_search` of the pairs (ii, jj) of n assets, and
+    entry (d, p) of `dist` the distance on end_dates[d] between assets
+    ii[p] and jj[p]; `prev` holds the distances of the date before the
+    block, None where the block starts at the first analyzable date, whose
+    row then has no differential. Each row equals the one read off
+    `cooccurrence_network`, `connected_components`, `graph_based_entropy`,
+    `differential_network` and `count_hubs` with the same thresholds, taken
+    as float64, without building a graph.
 
     The edges come back as `(rows, at, starts)`: `at` holds the pair
     positions p of every edge, network by network (co-occurrence, red,
@@ -292,16 +296,9 @@ def day_metrics(
     the edges of network c on date d are at[starts[c·dates + d] :
     starts[c·dates + d + 1]]. A row without differential has empty red and
     blue runs.
-
-    The edge search, components and degrees come from `_dtw.c`'s
-    `dtw_edges` where the compiled DTW kernel loaded (`dtw.KERNEL`), else
-    from `_numpy_edges`; both take the same comparisons of the same
-    values, so they give the same rows, `at` and `starts`.
     """
     days = dist.shape[0]
-    search = _numpy_edges if dtw._kernel is None else _compiled_edges
-    at, starts, counts = search(n, pairs, dist, prev, float(theta), float(delta))
-    counts = counts.reshape(3, days, n)
+    at, starts, counts = search(dist, prev, float(theta), float(delta))
     sizes = counts[0].tolist()
     n_near, n_red, n_blue = np.diff(starts).reshape(3, days).tolist()
     farther, closer = np.count_nonzero(counts[1:] >= k, axis=2).tolist()
@@ -323,40 +320,63 @@ def day_metrics(
     return rows, at, starts
 
 
-def _compiled_edges(
-    n: int, pairs: tuple[np.ndarray, np.ndarray], dist: np.ndarray, prev: np.ndarray | None, theta: float, delta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_numpy_edges` by two calls of `dtw_edges`: one counts each run's
-    edges, so `at` is allocated at its exact size, and one fills it."""
+def _edge_search(
+    n: int, pairs: tuple[np.ndarray, np.ndarray]
+) -> _EdgeSearch:
+    """The edge search of `day_metrics` over the pairs (ii, jj) of n
+    assets, built once for every block of a run: `search(dist, prev,
+    theta, delta)` gives the block's `at` and `starts` and its counts,
+    (3, dates, n): the size of each co-occurrence component at its lowest
+    node, else 0, and each node's red and blue degree.
+
+    The search, components and degrees are two calls of `_dtw.c`'s
+    `dtw_edges` where the compiled DTW kernel loaded (`dtw.KERNEL`), and
+    `_numpy_edges` where it did not; both take the same comparisons of the
+    same values, so they give the same rows, `at` and `starts`. The
+    compiled search checks ii and jj and takes their addresses here, and
+    the addresses of a block's arrays once a block.
+    """
+    if dtw._kernel is None:
+        return partial(_numpy_edges, n, pairs)
     dtw_edges = dtw._kernel[2]
-    ii, jj = pairs
-    days, m = dist.shape
-    # what the library reads through raw pointers
-    if not (
-        dist.dtype == np.float64
-        and ii.dtype == jj.dtype == np.int64
-        and ii.shape == jj.shape == (m,)
-        and all(a.flags.c_contiguous for a in (dist, ii, jj))
-        and (prev is None or prev.dtype == np.float64 and prev.shape == (m,) and prev.flags.c_contiguous)
-    ):
+    held = ii, jj = pairs  # referenced by the search, so alive while it passes their addresses
+    m = ii.size
+    # what the library reads through raw pointers, for every block of the run
+    if not (ii.dtype == jj.dtype == np.int64 and ii.shape == jj.shape == (m,) and all(a.flags.c_contiguous for a in held)):
         raise ValueError("the edge search takes C-contiguous float64 distances and int64 pair indices")
-    starts = np.empty(3 * days + 1, np.int64)
-    args = (
-        dist.ctypes.data, None if prev is None else prev.ctypes.data, days, m, n,
-        ii.ctypes.data, jj.ctypes.data, theta, delta, starts.ctypes.data,
-    )
-    dtw_edges(*args, None, None)
-    at, counts = np.empty(starts[-1], np.intp), np.empty(3 * days * n, np.int64)
-    if dtw_edges(*args, at.ctypes.data, counts.ctypes.data):
-        raise IndexError(f"a pair index is outside 0 .. {n - 1}")
-    return at, starts, counts
+    at_ii, at_jj = (a.ctypes.data for a in held)
+
+    def search(dist, prev, theta, delta):
+        days = len(dist)
+        if not (
+            dist.dtype == np.float64
+            and dist.shape == (days, held[0].size)
+            and dist.flags.c_contiguous
+            and (prev is None or prev.dtype == np.float64 and prev.shape == (m,) and prev.flags.c_contiguous)
+        ):
+            raise ValueError("the edge search takes C-contiguous float64 distances and int64 pair indices")
+        # one array for `starts` and the counts, for one address lookup
+        buf = np.empty(3 * days * (n + 1) + 1, np.int64)
+        address = buf.ctypes.data
+        args = (
+            dist.ctypes.data, None if prev is None else prev.ctypes.data, days, m, n,
+            at_ii, at_jj, theta, delta, address,
+        )
+        dtw_edges(*args, None, None)
+        starts = buf[: 3 * days + 1]
+        at = np.empty(starts[-1], np.intp)
+        if dtw_edges(*args, at.ctypes.data, address + 8 * (3 * days + 1)):
+            raise IndexError(f"a pair index is outside 0 .. {n - 1}")
+        return at, starts, buf[3 * days + 1 :].reshape(3, days, n)
+
+    return search
 
 
 def _numpy_edges(
     n: int, pairs: tuple[np.ndarray, np.ndarray], dist: np.ndarray, prev: np.ndarray | None, theta: float, delta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges of a block's networks as `day_metrics` returns them, `at`
-    and `starts`, and the 3·dates·n counts of its networks' nodes: the
+    and `starts`, and the (3, dates, n) counts of its networks' nodes: the
     size of each co-occurrence component at its lowest node, else 0, and
     each node's red and blue degree.
 
@@ -392,4 +412,4 @@ def _numpy_edges(
     near = int(edges[:days].sum())
     labels = _component_labels(days * n, a[:near], b[:near])
     counts = np.bincount(np.concatenate((labels, a[near:], b[near:])), minlength=3 * days * n)
-    return at, starts, counts
+    return at, starts, counts.reshape(3, days, n)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dtw import _block_distances, _pair_indices
 from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_ids, _check_int, _check_real, fill_missing
-from .networks import Graph, MetricsRow, SignedGraph, _pair_edges, day_metrics
+from .networks import Graph, MetricsRow, SignedGraph, _edge_search, _pair_edges, day_metrics
 from .preprocess import _check_flags, _window_names
 
 
@@ -277,6 +277,7 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
     signs = np.array([float(a.direction) for a in panel.assets])
     values = np.ascontiguousarray(panel.values)  # C order, which a column slice lacks
     block = _block_distances(values, signs, ii, jj, w, config.band_halfwidth)
+    search = _edge_search(n, pairs)
     result = RunResult()
     in_flight = deque()  # (first date index, the block's arrays, the call filling them)
     prev = None
@@ -290,7 +291,7 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
         _check_flags(flags, _window_names(panel, start), stacklevel=2)
         end_dates = panel.dates[start : start + len(dist)]
         rows, at, starts = day_metrics(
-            end_dates, n, pairs, dist, prev,
+            end_dates, search, dist, prev,
             config.cooc_threshold, config.diff_threshold, config.hub_min_degree,
         )
         result.metrics.extend(rows)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import errno
 import gc
 import json
 import os
@@ -29,7 +30,7 @@ from market_rewire import (
     run,
 )
 from market_rewire.cli import _build_parser, main
-from market_rewire import export
+from market_rewire import dtw, export
 from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
 from market_rewire.ingest import FILL_POLICIES
 from market_rewire.networks import MetricsRow
@@ -317,6 +318,70 @@ def test_write_file_leaves_exactly_the_new_bytes_and_the_mode(tmp_path, monkeypa
         assert path.stat().st_mtime_ns > 0
 
 
+def _snapshot_result(days=12):
+    """A run over 6 assets with a snapshot on every date."""
+    panel = generate(SynthSpec(n_assets=6, n_days=days + 4, seed=3, shocks=[Shock(8, 12, 0.9)]))
+    return run(panel, PipelineConfig(window_w=5, snapshot_dates="all"))
+
+
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+def test_export_rewrites_snapshots_to_exactly_the_new_bytes_keeping_the_mode(tmp_path, kernel, request):
+    """Each snapshot file the export rewrites was missing, longer, the same
+    size or shorter: it ends up with exactly the new bytes, an existing one
+    keeps its mode and every one gets a new mtime."""
+    request.getfixturevalue(kernel)
+    result = _snapshot_result()
+    umask = os.umask(0o022)
+    try:
+        export.write_export_bundle(result, tmp_path / "fresh")
+        expected = {p.name: p.read_bytes() for p in (tmp_path / "fresh" / "networks").iterdir()}
+        net = tmp_path / "rerun" / "networks"
+        net.mkdir(parents=True)
+        for i, (name, data) in enumerate(sorted(expected.items())):
+            if i % 4:
+                (net / name).write_bytes(b"#" * [0, len(data) + 37, len(data), len(data) // 2][i % 4])
+                (net / name).chmod(0o640)
+                os.utime(net / name, ns=(0, 0))
+        export.write_export_bundle(result, tmp_path / "rerun")
+    finally:
+        os.umask(umask)
+    assert sorted(p.name for p in net.iterdir()) == sorted(expected)
+    for i, (name, data) in enumerate(sorted(expected.items())):
+        assert (net / name).read_bytes() == data, name
+        assert (net / name).stat().st_mode & 0o777 == (0o640 if i % 4 else 0o644), name
+        assert (net / name).stat().st_mtime_ns > 0, name
+
+
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+def test_a_snapshot_that_cannot_be_written_raises_after_the_files_before_it(tmp_path, kernel, request, capsys):
+    """With a directory where a snapshot goes, either writer raises the
+    IsADirectoryError that opening the path raises, having written the
+    files before it, and the CLI reports it as an export error."""
+    request.getfixturevalue(kernel)
+    result = _snapshot_result()
+    dates = sorted(result.snapshots)
+    export.write_export_bundle(result, tmp_path / "fresh")
+    path = tmp_path / "out" / "networks" / f"{dates[2]}.cooc.dot"
+    path.mkdir(parents=True)
+    with pytest.raises(IsADirectoryError) as caught:
+        export.write_export_bundle(result, tmp_path / "out")
+    assert str(caught.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'"
+    # the DOT files of the first two dates, the first without a differential
+    before = {f"{d}.{tag}.dot" for d in dates[:2] for tag in ("cooc", "diff")} - {f"{dates[0]}.diff.dot"}
+    written = {p.name: p.read_bytes() for p in path.parent.iterdir() if p.is_file()}
+    assert written == {name: (tmp_path / "fresh" / "networks" / name).read_bytes() for name in before}
+
+    src = tmp_path / "data"
+    main(gen_args(src, days=30, shock="15:25:0.9"))
+    assert main(run_args(src, tmp_path / "probe")) == 0
+    day = read_metrics_rows(tmp_path / "probe")[3].split(",")[0]
+    path = tmp_path / "cli" / "networks" / f"{day}.cooc.dot"
+    path.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(run_args(src, tmp_path / "cli", ["--snapshots", "all"])) == 2
+    assert capsys.readouterr().err == f"error [export]: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'\n"
+
+
 def test_classes_ratio_flag(tmp_path):
     src = tmp_path / "data"
     assert main(gen_args(src, assets=8) + ["--classes", "2:1:1"]) == 0
@@ -525,12 +590,12 @@ def _expected_files(snap, classes):
     }
 
 
-def _written_networks(snaps, classes):
+def _written_networks(snaps, classes, formats=GRAPH_FORMATS):
     """The files `write_export_bundle` writes under networks/ for a result
-    holding `snaps`, by name, decoded."""
+    holding `snaps`, in `formats`, by name, decoded."""
     result = RunResult(snapshots={s.end_date: s for s in reversed(snaps)})
     with tempfile.TemporaryDirectory() as out:
-        export.write_export_bundle(result, out, classes)
+        export.write_export_bundle(result, out, classes, formats)
         return {p.name: p.read_bytes().decode("utf-8") for p in (Path(out) / "networks").iterdir()}
 
 
@@ -548,6 +613,25 @@ def test_block_renderer_writes_each_dates_graphs(case):
         expected.update(alone)
     with mock.patch.object(export, "_EXPORT_BLOCK_EDGES", limit):
         assert _written_networks(snaps, classes) == expected
+
+
+@pytest.mark.skipif(dtw.KERNEL != "c", reason="the compiled DTW kernel did not build or load here")
+@settings(max_examples=100, deadline=None)
+@given(snapshot_runs(), st.booleans(), st.sampled_from([("dot",), ("json",), ("dot", "json"), ("json", "dot")]))
+def test_compiled_writer_writes_the_joined_pieces(case, first_alone, formats):
+    """The compiled writer's tree is the one the pieces joined in Python
+    give, compared as strict UTF-8 text: over ids that DOT and JSON escape, empty
+    networks, a first date without differential, one format or both, in
+    blocks of every size."""
+    snaps, classes, limit = case
+    if first_alone:
+        snaps[0] = DaySnapshot(snaps[0].end_date, snaps[0].asset_ids, snaps[0].cooc_pairs)
+    with mock.patch.object(export, "_EXPORT_BLOCK_EDGES", limit):
+        compiled = _written_networks(snaps, classes, formats)
+        with mock.patch.object(dtw, "_kernel", None):
+            joined = _written_networks(snaps, classes, formats)
+    assert compiled == joined
+    assert len(compiled) == len(formats) * sum(1 if s.red_pairs is None else 2 for s in snaps)
 
 
 def test_snapshots_over_other_ids_render_in_their_own_blocks():

@@ -20,7 +20,7 @@ from market_rewire import (
     graph_based_entropy,
 )
 from market_rewire import networks
-from market_rewire.networks import day_metrics
+from market_rewire.networks import _edge_search, day_metrics
 
 D0 = date(2020, 3, 2)
 
@@ -403,14 +403,14 @@ def test_day_metrics_equal_the_graph_path(case):
                 } == edges
         return rows
 
-    [first] = edge_runs(day_metrics([D0], n, pairs, upper[None], None, 2.0, 1.0, k), [no_differential])
+    [first] = edge_runs(day_metrics([D0], _edge_search(n, pairs), upper[None], None, 2.0, 1.0, k), [no_differential])
     assert first == graph_metrics_row(g, None, k)
-    [later] = edge_runs(day_metrics([D0], n, pairs, upper[None], earlier, 2.0, 1.0, k), [later_date])
+    [later] = edge_runs(day_metrics([D0], _edge_search(n, pairs), upper[None], earlier, 2.0, 1.0, k), [later_date])
     assert later == graph_metrics_row(g, sg, k)
     # the same two dates as one block: the first has no differential, and
     # the second's is taken against the first
     D1 = D0 + timedelta(days=1)
-    block = day_metrics([D0, D1], n, pairs, np.stack((earlier, upper)), None, 2.0, 1.0, k)
+    block = day_metrics([D0, D1], _edge_search(n, pairs), np.stack((earlier, upper)), None, 2.0, 1.0, k)
     assert edge_runs(block, [first_date, later_date]) == [
         graph_metrics_row(cooccurrence_network(before, 2.0), None, k),
         dataclasses.replace(graph_metrics_row(g, sg, k), end_date=D1),
@@ -465,10 +465,10 @@ def test_compiled_edge_search_equals_the_numpy_path(case):
     n, dist, prev, theta, delta, k = case
     dates = [D0 + timedelta(days=d) for d in range(len(dist))]
     pairs = np.triu_indices(n, k=1)
-    compiled = day_metrics(dates, n, pairs, dist, prev, theta, delta, k)
+    compiled = day_metrics(dates, _edge_search(n, pairs), dist, prev, theta, delta, k)
     kernel, networks.dtw._kernel = networks.dtw._kernel, None
     try:
-        numpy_path = day_metrics(dates, n, pairs, dist, prev, theta, delta, k)
+        numpy_path = day_metrics(dates, _edge_search(n, pairs), dist, prev, theta, delta, k)
     finally:
         networks.dtw._kernel = kernel
     rows, at, starts = compiled
@@ -485,7 +485,7 @@ def test_day_metrics_compare_against_the_thresholds_as_floats(kernel, request):
     third = float(Fraction(1, 3))
     pairs = np.triu_indices(2, k=1)
     for theta, delta in [(Fraction(1, 3), Fraction(1, 3)), (third, third)]:
-        [row], at, starts = day_metrics([D0], 2, pairs, np.array([[third]]), np.array([0.0]), theta, delta, 1)
+        [row], at, starts = day_metrics([D0], _edge_search(2, pairs), np.array([[third]]), np.array([0.0]), theta, delta, 1)
         # not a co-occurrence edge, and a change of exactly delta is no red edge
         assert (row.n_cooc_edges, row.n_red_edges, row.n_farther_hubs) == (0, 0, 0)
         assert at.tolist() == [] and starts.tolist() == [0, 0, 0, 0]
@@ -504,8 +504,8 @@ def test_compiled_edge_search_checks_its_arrays():
         (pairs, dist, np.zeros(12)[::2]),
     ]:
         with pytest.raises(ValueError, match="edge search takes"):
-            day_metrics([D0, D0 + timedelta(days=1)][: len(args[1])], 4, *args, 2.0, 1.0, 1)
+            day_metrics([D0, D0 + timedelta(days=1)][: len(args[1])], _edge_search(4, args[0]), *args[1:], 2.0, 1.0, 1)
     # a pair index outside the assets, past either end
     for ii in ([0, 0, 0, 1, 1, 4], [0, 0, 0, 1, 1, -1]):
         with pytest.raises(IndexError, match="outside 0 .. 3"):
-            day_metrics([D0, D0], 4, (np.array(ii), pairs[1]), dist, prev, 9.0, 1.0, 1)
+            day_metrics([D0, D0], _edge_search(4, (np.array(ii), pairs[1])), dist, prev, 9.0, 1.0, 1)
