@@ -28,7 +28,7 @@
  * if an index is outside 0 .. n-1, and 0 otherwise.
  *
  * dtw_block z-scores a block's windows straight from the panel's rows with
- * the steps of preprocess._zscore_rows, numpy's pairwise sums included, so
+ * the steps of preprocess._zscore_flags, numpy's pairwise sums included, so
  * every z-score has the bits of the numpy path, and then sweeps them as
  * dtw_pairs does. Its squares and signs are multiplies: the library is
  * built with -ffp-contract=off, so that none is fused into an add.
@@ -194,7 +194,7 @@ static void pairwise(const double *x, int64_t n, int64_t m, int square, double *
 /* A block of a run in one call: for every date d < days and asset a < n,
  * the window of the w values of column a of `values`, a C-contiguous
  * (dates, n) array of float64, in rows start + d - w + 1 .. start + d,
- * z-scored by the steps of preprocess._zscore_rows and times signs[a] into
+ * z-scored by the steps of preprocess._zscore_flags and times signs[a] into
  * Z[d][.][a], Z being (days, w, n), and its flags into flags[d][a]; then,
  * unless a window's mean or std is not finite, the DTW distances of
  * dtw_pairs from Z into out. The mean is the pairwise sum, added to 0.0,

@@ -85,12 +85,20 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_dtw.c")
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 
-def _load_kernel() -> tuple | None:
-    """`_dtw.c`'s `dtw_pairs`, its pair group size, `dtw_edges`, the edge
-    search of `networks.day_metrics`, `dtw_block`, a run's z-scores and DTW
-    of a block of dates, and `write_files`, the writer of an export block's
-    snapshot files, or None where the library cannot be built or loaded:
-    all exports or none.
+# `_dtw.c`'s exports, described above, by name, with their argument and result types
+_P, _I, _R = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_EXPORTS = {
+    "dtw_pairs": ((_P, _I, _I, _I, _P, _P, _I, _I, _P, _P), ctypes.c_int),
+    "dtw_block": ((_P, _I, _I, _I, _I, _P, _P, _P, _P, _P, _I, _I, _P, _P), ctypes.c_int),
+    "dtw_edges": ((_P, _P, _I, _I, _I, _P, _P, _R, _R, _P, _P, _P), ctypes.c_int),
+    "write_files": ((_I, ctypes.c_char_p, _P, _P, _P, _P, _I, _P, _P), _I),
+}
+
+
+def _load_kernel() -> ctypes.CDLL | None:
+    """The compiled library, with the types of each of `_EXPORTS` set and
+    its pair group size `dtw_group` defined, or None where it cannot be
+    built or loaded: all exports or none.
 
     The library is built on first use with the machine's `cc` into this
     package's __pycache__, and named by the CRC-32 of the source, the flags,
@@ -109,19 +117,13 @@ def _load_kernel() -> tuple | None:
         return None
     try:
         lib = ctypes.CDLL(path)
-        dtw_pairs, dtw_edges, dtw_block = lib.dtw_pairs, lib.dtw_edges, lib.dtw_block
-        write_files = lib.write_files
-        group = ctypes.c_int64.in_dll(lib, "dtw_group").value
+        for name, (argtypes, restype) in _EXPORTS.items():
+            function = getattr(lib, name)
+            function.argtypes, function.restype = argtypes, restype
+        ctypes.c_int64.in_dll(lib, "dtw_group")
     except (OSError, AttributeError, ValueError):
         return None
-    pointer, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    dtw_pairs.argtypes = (pointer, count, count, count, pointer, pointer, count, count, pointer, pointer)
-    dtw_edges.argtypes = (pointer, pointer, count, count, count, pointer, pointer, real, real, pointer, pointer, pointer)
-    dtw_block.argtypes = (pointer, count, count, count, count, pointer, pointer, pointer, pointer, pointer, count, count, pointer, pointer)
-    write_files.argtypes = (count, ctypes.c_char_p, pointer, pointer, pointer, pointer, count, pointer, pointer)
-    dtw_pairs.restype = dtw_edges.restype = dtw_block.restype = ctypes.c_int
-    write_files.restype = count
-    return dtw_pairs, group, dtw_edges, dtw_block, write_files
+    return lib
 
 
 def _complete(path: str) -> bool:
@@ -166,6 +168,8 @@ def _build(path: str) -> bool:
 
 
 _kernel = _load_kernel()
+# pairs per group of the compiled sweep, which lays each group out pair-minor
+_GROUP = 0 if _kernel is None else ctypes.c_int64.in_dll(_kernel, "dtw_group").value
 # "c" where the compiled library loaded, for the DTW kernel, the edge
 # search and the snapshot writer alike, else "numpy"
 KERNEL = "numpy" if _kernel is None else "c"
@@ -300,7 +304,6 @@ def _pair_distances(
                 block = slice(start, start + _PAIR_BLOCK)
                 _batched_dtw(Zd, ii[block], jj[block], plan, work, od[block])
         return
-    dtw_pairs, group = _kernel[:2]
     days = Z.shape[0] if Z.ndim == 3 else 1
     w, n = Z.shape[-2:]
     # what the kernel reads and writes through raw pointers
@@ -315,8 +318,8 @@ def _pair_distances(
     ):
         raise ValueError("the DTW kernel takes C-contiguous float64 Z and out and int64 indices")
     band = w if band is None else min(band, w)
-    work = _aligned((4 * w + 2) * group)
-    if dtw_pairs(
+    work = _aligned((4 * w + 2) * _GROUP)
+    if _kernel.dtw_pairs(
         Z.ctypes.data, days, w, n, ii.ctypes.data, jj.ctypes.data, k, band, work.ctypes.data, out.ctypes.data
     ):
         raise IndexError(f"a pair index is outside 0 .. {n - 1}")
@@ -341,7 +344,7 @@ def _block_distances(
     released, into one array that holds the kernel's scratch too, and the
     addresses of `values`, `signs`, ii and jj are taken here, once for
     every block; else `_zscore_flags` and `_pair_distances` fill them.
-    Either way each date gets the bits of `preprocess._zscored` and of
+    Either way each date gets the bits of `preprocess.windows_at` and of
     `_pair_distances` on that date alone.
     """
     n, k = values.shape[1], ii.size
@@ -361,7 +364,6 @@ def _block_distances(
             return (Z, flags, out), fill
 
         return block
-    _, group, _, dtw_block, _ = _kernel
     held = values, signs, ii, jj  # referenced by the step, so alive while it passes their addresses
     # what the kernel reads through raw pointers, for every block of the run
     if not (
@@ -375,7 +377,7 @@ def _block_distances(
     band = w if band is None else min(band, w)
     at = [a.ctypes.data for a in held]
     # doubles of scratch, shared by the z-scores and the sweep
-    scratch = max((4 * w + 2) * group, (10 + w.bit_length()) * n)
+    scratch = max((4 * w + 2) * _GROUP, (10 + w.bit_length()) * n)
 
     def block(start: int, days: int):
         if not w - 1 <= start <= start + days <= len(held[0]):
@@ -391,7 +393,10 @@ def _block_distances(
         z, o, f = (pad + scratch + x for x in (0, days * w * n, days * (w * n + k)))
 
         def fill() -> None:
-            if dtw_block(
+            # naming buf and held here keeps them alive while the kernel writes
+            # and reads them through raw addresses, whatever the caller still holds
+            buf, held
+            if _kernel.dtw_block(
                 at[0], n, start, days, w, at[1], address + 8 * z, address + 8 * f,
                 at[2], at[3], k, band, address + 8 * pad, address + 8 * o,
             ) < 0:

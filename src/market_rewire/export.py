@@ -517,13 +517,12 @@ def _write_files(dirfd: int, prefix: str, t: _PieceTable) -> None:
     """Write the files of `t` into the directory `dirfd`, whose path is
     `prefix`, by one call of the compiled `write_files`, from a scratch
     array sized by a first call to hold the largest file and its name."""
-    write = dtw._kernel[4]
     args = (
         dirfd, t.table, t.offsets.ctypes.data, t.index.ctypes.data, t.starts.ctypes.data,
         t.names.ctypes.data, len(t.starts) - 1,
     )
-    buf, error = np.empty(write(*args, None, None), np.uint8), np.zeros(1, np.int64)
-    f = write(*args, buf.ctypes.data, error.ctypes.data)
+    buf, error = np.empty(dtw._kernel.write_files(*args, None, None), np.uint8), np.zeros(1, np.int64)
+    f = dtw._kernel.write_files(*args, buf.ctypes.data, error.ctypes.data)
     if f >= 0:
         code = int(error[0])
         raise OSError(code, os.strerror(code), prefix + t.name(f))

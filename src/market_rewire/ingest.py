@@ -153,7 +153,10 @@ class PricePanel:
 
 def _load_meta(meta_path) -> dict[str, AssetMeta]:
     with open(meta_path, encoding="utf-8-sig") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as e:  # the latter: nested too deeply to parse
+            raise ValueError(f"{meta_path}: not valid JSON: {e}") from None
     if not isinstance(raw, list):
         raise ValueError(f"{meta_path}: metadata must be a JSON array of asset records")
     metas: dict[str, AssetMeta] = {}
@@ -180,6 +183,16 @@ def _load_meta(meta_path) -> dict[str, AssetMeta]:
     return metas
 
 
+def _csv_rows(fh, csv_path):
+    """The rows of the CSV file `fh`, with a malformed one, such as a field
+    past `csv.field_size_limit()`, raised as a ValueError naming its row."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise ValueError(f"{csv_path}: row {reader.line_num}: {e}") from None
+
+
 def load_panel(csv_path, meta_path) -> PricePanel:
     """Load a price CSV joined with its asset metadata file.
 
@@ -192,7 +205,7 @@ def load_panel(csv_path, meta_path) -> PricePanel:
     """
     metas = _load_meta(meta_path)
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, csv_path)
         header = next(reader, None)
         if header is None or not header or header[0].strip() != "date":
             raise ValueError(f"{csv_path}: first header column must be 'date'")

@@ -338,7 +338,6 @@ def _edge_search(
     """
     if dtw._kernel is None:
         return partial(_numpy_edges, n, pairs)
-    dtw_edges = dtw._kernel[2]
     held = ii, jj = pairs  # referenced by the search, so alive while it passes their addresses
     m = ii.size
     # what the library reads through raw pointers, for every block of the run
@@ -362,10 +361,10 @@ def _edge_search(
             dist.ctypes.data, None if prev is None else prev.ctypes.data, days, m, n,
             at_ii, at_jj, theta, delta, address,
         )
-        dtw_edges(*args, None, None)
+        dtw._kernel.dtw_edges(*args, None, None)
         starts = buf[: 3 * days + 1]
         at = np.empty(starts[-1], np.intp)
-        if dtw_edges(*args, at.ctypes.data, address + 8 * (3 * days + 1)):
+        if dtw._kernel.dtw_edges(*args, at.ctypes.data, address + 8 * (3 * days + 1)):
             raise IndexError(f"a pair index is outside 0 .. {n - 1}")
         return at, starts, buf[3 * days + 1 :].reshape(3, days, n)
 

@@ -1,13 +1,13 @@
 """Trailing-window extraction, within-window z-scoring, and risk-direction correction.
 
-The windows of a block of consecutive dates are z-scored in one array
-(`_zscored`), one window per row, and each row gets the bytes that
-`window_zscore` gives that window alone. `windows_at` is the one-date case
-of the same function. Where the compiled DTW library loaded, a run instead
-z-scores each block inside its kernel call (`_dtw.c`'s `dtw_block`), with
-the same steps and the same bits, and the calling thread only reads the
-block's flags: `_check_flags` issues the constant-window warnings and
-raises the non-finite error from them, as `_zscore_rows` does.
+The windows of a block of consecutive dates are copied into one array, one
+per row (`_window_rows`), and `_zscore_flags` z-scores each row in place with
+the bits that `window_zscore` gives it alone; `_check_flags` warns and raises
+as its flags say. `window_zscore` and `windows_at` are the one-window and
+one-date cases of these steps, which a run's numpy leg takes a block at a
+time (`dtw._block_distances`). Where the compiled DTW library loaded, a run
+z-scores each block inside its kernel call (`_dtw.c`'s `dtw_block`), with the
+same steps and bits, and only reads the flags with `_check_flags`.
 """
 
 import warnings
@@ -96,16 +96,6 @@ def _check_flags(flags: np.ndarray, where: Callable[[int, int], str], stacklevel
         )
 
 
-def _zscore_rows(
-    x: np.ndarray, where: Callable[[int, int], str] = lambda date, row: "the window", stacklevel: int = 3
-) -> np.ndarray:
-    """Z-score each row of a C-contiguous (dates, rows, w) float array in
-    place (`_zscore_flags`), warn and raise as its flags say
-    (`_check_flags`, `stacklevel` counted from here); return the array."""
-    _check_flags(_zscore_flags(x), where, stacklevel + 1)
-    return x
-
-
 def window_zscore(raw_window) -> np.ndarray:
     """Standardize a window by its own mean and sample standard deviation.
 
@@ -118,7 +108,7 @@ def window_zscore(raw_window) -> np.ndarray:
         raise ValueError(f"window must be one-dimensional, got shape {x.shape}")
     if x.size < 2:
         raise ValueError(f"window must have at least 2 observations, got {x.size}")
-    _zscore_rows(x[None, None, :])
+    _check_flags(_zscore_flags(x[None, None, :]), lambda date, row: "the window", stacklevel=3)
     return x
 
 
@@ -151,18 +141,6 @@ def _window_names(panel: PricePanel, start: int) -> Callable[[int, int], str]:
     return where
 
 
-def _zscored(
-    panel: PricePanel, start: int, stop: int, w: int, signs: np.ndarray, stacklevel: int = 3
-) -> np.ndarray:
-    """The (stop - start, n, w) array of each asset's window ending at each
-    date index start .. stop - 1, one row per asset, z-scored and times
-    `signs`, the (n, 1) direction signs; the caller checks the indices and
-    w. `stacklevel` is `_zscore_rows`' own."""
-    z = _zscore_rows(_window_rows(panel.values, start, stop, w), _window_names(panel, start), stacklevel)
-    z *= signs
-    return z
-
-
 def windows_at(panel: PricePanel, t: int, w: int) -> list[StandardizedWindow]:
     """Standardized, direction-corrected windows for every asset at date index `t`.
 
@@ -176,8 +154,10 @@ def windows_at(panel: PricePanel, t: int, w: int) -> list[StandardizedWindow]:
             f"insufficient history: window of width {w} ending at index {t} "
             f"needs t >= {w - 1}"
         )
-    z = _zscored(panel, t, t + 1, w, np.array([[float(a.direction)] for a in panel.assets]), stacklevel=4)[0]
+    rows = _window_rows(panel.values, t, t + 1, w)
+    _check_flags(_zscore_flags(rows), _window_names(panel, t), stacklevel=3)
+    rows *= np.array([[float(a.direction)] for a in panel.assets])
     return [
         StandardizedWindow(asset_id=meta.asset_id, end_date=panel.dates[t], values=row)
-        for meta, row in zip(panel.assets, z)
+        for meta, row in zip(panel.assets, rows[0])
     ]

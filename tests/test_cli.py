@@ -135,6 +135,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                  "--threads", "-3"]) == 1
     err = capsys.readouterr().err
     assert "error [usage]" in err
+    for args, message in [
+        (["run", "--input", "x", "--meta", "y", "--out", str(tmp_path), "--snapshots", ","],
+         "--snapshots: empty date list"),
+        (gen_args(tmp_path, shock="1:x"), "--shock #1: expected start:end[:loading], got '1:x'"),
+        (gen_args(tmp_path) + ["--classes", "1:1"],
+         "--classes: expected stock:bond:fx ratio like 1:1:1, got '1:1'"),
+        (gen_args(tmp_path) + ["--classes", "1:a:1"], "--classes: ratio parts must be integers, got '1:a:1'"),
+    ]:
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error [usage]: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -172,6 +182,31 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
                "--meta", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error [ingest]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["csv", "meta"])
+def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, bad):
+    # a cell past the csv module's field limit raised _csv.Error, and deep
+    # nesting a RecursionError from json: both exited 3 as internal errors
+    src = tmp_path / "data"
+    main(gen_args(src, assets=3, days=30, shock=None))
+    if bad == "csv":
+        path = src / "prices.csv"
+        path.write_text(path.read_text() + "2021-01-01,1," + "9" * (csv.field_size_limit() + 1) + ",1\n")
+        message = f"{path}: row 32: field larger than field limit ({csv.field_size_limit()})"
+    else:
+        path = src / "assets.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        message = f"{path}: not valid JSON: maximum recursion depth exceeded"
+    assert main(run_args(src, tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(f"error [ingest]: {message}")
+
+
+def test_gen_into_an_existing_file_exits_2(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    assert main(gen_args(tmp_path / "taken")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [export]: ") and str(tmp_path / "taken") in err
 
 
 def test_too_few_dates_exits_2_naming_pipeline(tmp_path, capsys):
@@ -380,6 +415,18 @@ def test_a_snapshot_that_cannot_be_written_raises_after_the_files_before_it(tmp_
     capsys.readouterr()
     assert main(run_args(src, tmp_path / "cli", ["--snapshots", "all"])) == 2
     assert capsys.readouterr().err == f"error [export]: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'\n"
+
+
+def test_a_two_row_runs_lone_hub_points_are_circles(tmp_path):
+    # the first row has no differential, so each hub series is one point
+    src, out = tmp_path / "data", tmp_path / "out"
+    assert main(gen_args(src, assets=4, days=21, shock=None)) == 0
+    assert main(run_args(src, out, ["--charts"])) == 0
+    assert len(read_metrics_rows(out)) == 2
+    svg = (out / "hubs.svg").read_text()
+    points = re.findall(r'<circle cx="([\d.]+)" cy="[\d.]+" r="2" fill="(\w+)"/>', svg)
+    x = f"{export.CHART_WIDTH - 24:.2f}"  # the last date, at the plot's right edge
+    assert points == [(x, "red"), (x, "blue")] and "<polyline" not in svg
 
 
 def test_classes_ratio_flag(tmp_path):

@@ -1,5 +1,7 @@
+import gc
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
@@ -94,6 +96,11 @@ def test_input_validation():
         dtw_distance([], [1.0])
     with pytest.raises(ValueError, match="non-finite"):
         dtw_distance([1.0, np.inf], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^sequences must be one-dimensional$"):
+        dtw_distance([[1.0, 2.0]], [1.0, 2.0])
+    # row 2 of a 3 x 2 table has no cell within band 0
+    with pytest.raises(ValueError, match="^band half-width 0 admits no complete warping path$"):
+        dtw_distance([1.0, 2.0, 3.0], [1.0, 2.0], band=0)
 
 
 def _windows(arrays, end=date(2020, 6, 1)):
@@ -144,6 +151,20 @@ def test_matrix_rejects_mismatched_lengths():
     wins = _windows([[1.0, 2.0], [1.0, 2.0, 3.0]])
     with pytest.raises(ValueError, match="lengths"):
         distance_matrix(wins)
+
+
+@pytest.mark.parametrize(
+    "arrays, message",
+    [
+        ([], "need at least one window"),
+        ([[], []], "windows must be non-empty"),
+        ([[1.0, 2.0], [np.nan, 2.0]], "windows contain non-finite values"),
+    ],
+)
+def test_matrix_rejects_no_windows_empty_windows_and_non_finite_ones(arrays, message):
+    with pytest.raises(ValueError) as err:
+        distance_matrix(_windows(arrays))
+    assert str(err.value) == message
 
 
 def test_distance_matrix_type_validation():
@@ -390,7 +411,7 @@ def test_on_the_numpy_wavefront(test, numpy_kernel):
 )
 def test_compiled_kernel_equals_scalar_at_pair_group_edges(groups, extra, w, band):
     """Any pairs, an asset with itself among them, in one call of the kernel."""
-    k = groups * dtw._kernel[1] + extra
+    k = groups * dtw._GROUP + extra
     rng = np.random.default_rng(31 * k + w)
     Z = rng.normal(size=(w, 12))
     ii, jj = rng.integers(0, 12, size=(2, k))
@@ -510,16 +531,32 @@ def test_the_compiled_block_step_checks_its_arrays_and_dates():
     assert Z.flags.c_contiguous and out.flags.c_contiguous and not flags.any()
 
 
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+def test_a_block_step_keeps_what_it_reads_and_writes_alive(kernel, request):
+    """`fill` may run after its caller dropped the step, its inputs and the
+    block's arrays: the compiled step's `fill` once held only their raw
+    addresses, and the kernel wrote into freed memory."""
+    request.getfixturevalue(kernel)
+    values = np.random.default_rng(4).normal(size=(12, 4))
+    ii, jj = (a.copy() for a in dtw._pair_indices(4))
+    (Z, flags, out), fill = dtw._block_distances(values, np.ones(4), ii, jj, 5, None)(4, 8)
+    alive = [weakref.ref(a) for a in (values, jj, Z if Z.base is None else Z.base)]
+    del values, jj, Z, flags, out
+    gc.collect()
+    assert all(a() is not None for a in alive)
+    fill()
+
+
 @pytest.mark.usefixtures("c_kernel")
 def test_compiled_kernel_work_buffer_is_cache_line_aligned(monkeypatch):
-    call, group, *rest = dtw._kernel
+    call = dtw._kernel.dtw_pairs
     works = []
 
     def record(*args):
         works.append(args[8])
         return call(*args)
 
-    monkeypatch.setattr(dtw, "_kernel", (record, group, *rest))
+    monkeypatch.setattr(dtw._kernel, "dtw_pairs", record)
     rng = np.random.default_rng(5)
     ii, jj = dtw._pair_indices(6)
     held = []

@@ -66,6 +66,23 @@ def test_load_panel_empty_header_column_names_its_position(tmp_path):
         load_panel(csv_path, meta_path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("when,spx\n2007-01-01,100\n", "first header column must be 'date'"),
+        ("", "first header column must be 'date'"),
+        ("date\n2007-01-01\n", "no asset columns in header"),
+        ("date,spx, spx\n2007-01-01,100,100\n", "duplicate asset columns in header"),
+        ("date,spx,jgb\n\n , \n", "no data rows"),
+    ],
+)
+def test_load_panel_rejects_a_csv_without_its_header_or_rows(tmp_path, text, message):
+    csv_path, meta_path = write_inputs(tmp_path, text)
+    with pytest.raises(ValueError) as err:
+        load_panel(csv_path, meta_path)
+    assert str(err.value) == f"{csv_path}: {message}"
+
+
 def test_load_panel_sorts_rows_by_date(tmp_path):
     csv_path, meta_path = write_inputs(
         tmp_path,
@@ -154,6 +171,15 @@ def test_meta_validation(tmp_path):
         with pytest.raises(ValueError, match="direction"):
             load_panel(csv_path, bad)
 
+    for raw, message in [
+        ({"spx": META[0]}, "metadata must be a JSON array of asset records"),
+        ([META[0], "jgb"], "entry 1 is not an object"),
+    ]:
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_panel(csv_path, bad)
+        assert str(err.value) == f"{bad}: {message}"
+
 
 
 @pytest.mark.parametrize("key", ["asset_id", "name", "asset_class"])
@@ -219,6 +245,12 @@ def test_fill_forward_missing_first_date_errors(panel_factory):
         fill_missing(panel, "forward_fill")
 
 
+def test_fill_drop_date_that_drops_every_date_errors(panel_factory):
+    panel = panel_factory([[np.nan, 1.0], [101.0, np.nan]])
+    with pytest.raises(ValueError, match="^drop_date removed every date: no complete rows in panel$"):
+        fill_missing(panel, "drop_date")
+
+
 def test_fill_policy_validated(panel_factory):
     panel = panel_factory([[1.0], [2.0]])
 
@@ -266,6 +298,12 @@ def test_panel_validation():
             assets=[AssetMeta("a", "A", "stock", 1)],
             values=np.zeros((2, 1)),
         )
+    with pytest.raises(ValueError, match="^panel values must not contain infinities$"):
+        PricePanel(
+            dates=[date(2020, 1, 1)],
+            assets=[AssetMeta("a", "A", "stock", 1)],
+            values=[[-np.inf]],
+        )
 
 
 def test_panel_values_read_only(panel_factory):
@@ -280,6 +318,8 @@ def test_asset_meta_validation():
             AssetMeta("a", "A", "stock", direction)
     with pytest.raises(ValueError, match="asset_class"):
         AssetMeta("a", "A", "crypto", 1)
+    with pytest.raises(ValueError, match="^asset_id must be a non-empty string$"):
+        AssetMeta("", "A", "stock", 1)
 
 
 _D0 = date(2020, 1, 1)

@@ -184,6 +184,11 @@ def test_differential_network_rejects_non_finite_changes(bad):
         differential_network(diff, 1.0, ("a", "b", "c"), D0)
 
 
+def test_differential_network_rejects_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"^difference matrix shape \(2, 2\) does not match 3 assets$"):
+        differential_network(np.zeros((2, 2)), 1.0, ("a", "b", "c"), D0)
+
+
 def test_differential_network_rejects_an_asymmetric_matrix():
     # read from its upper triangle alone, this would give one red edge
     with pytest.raises(ValueError, match="difference matrix must be symmetric"):
@@ -298,6 +303,8 @@ def test_edges_must_be_pairs_of_ids(edges, what):
 
 
 def test_graph_type_validation():
+    with pytest.raises(ValueError, match="^duplicate node ids$"):
+        Graph(end_date=D0, nodes=("a", "b", "a"), edges=set())
     with pytest.raises(ValueError, match="self-loop"):
         Graph(end_date=D0, nodes=("a", "b"), edges={("a", "a")})
     with pytest.raises(ValueError, match="outside the node set"):

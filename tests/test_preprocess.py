@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_panel
 from market_rewire import apply_direction, dtw, window_zscore, windows_at
-from market_rewire.preprocess import NON_FINITE, _window_rows, _zscore_flags, _zscore_rows, _zscored
+from market_rewire.preprocess import NON_FINITE, _window_rows, _zscore_flags
 
 nonconstant_windows = (
     st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=40)
@@ -55,6 +56,20 @@ def test_window_nonfinite():
         window_zscore([1.0, np.nan, 3.0])
 
 
+def test_window_must_be_one_dimensional():
+    with pytest.raises(ValueError, match=r"^window must be one-dimensional, got shape \(2, 2\)$"):
+        window_zscore([[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_constant_window_warnings_point_at_the_caller(panel_factory):
+    panel = panel_factory(np.column_stack([np.full(5, 7.0), np.arange(5.0)]))
+    line = inspect.currentframe().f_lineno
+    with pytest.warns(UserWarning, match="constant window") as record:
+        windows_at(panel, 4, 3)
+        window_zscore([2.0, 2.0, 2.0])
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line + 2), (__file__, line + 3)]
+
+
 def test_apply_direction():
     np.testing.assert_array_equal(apply_direction([1, -2, 3], 1), [1, -2, 3])
     np.testing.assert_array_equal(apply_direction([1, -2, 3], -1), [-1, 2, -3])
@@ -78,6 +93,13 @@ def test_windows_at_index_coverage(panel_factory):
     assert wins[0].end_date == panel.dates[19]
     expected = window_zscore(values[0:20, 0])
     np.testing.assert_array_equal(wins[0].values, expected)
+
+
+@pytest.mark.parametrize("t", [-1, 25])
+def test_windows_at_rejects_a_date_index_out_of_range(panel_factory, t):
+    panel = panel_factory(np.random.default_rng(0).uniform(90, 110, (25, 2)))
+    with pytest.raises(ValueError, match=f"^date index {t} out of range for panel with 25 dates$"):
+        windows_at(panel, t=t, w=20)
 
 
 def test_windows_at_insufficient_history(panel_factory):
@@ -187,12 +209,20 @@ def test_a_block_of_dates_z_scores_each_date_as_alone(w):
     values[:, 6] = np.where(np.arange(w + 12) % 3, 0.0, -0.0)  # constant: -0.0 == 0.0
     panel = build_panel(values, directions=directions)
     signs = np.array([[float(d)] for d in directions])
+
+    def zscored(start, stop):
+        """The dates start .. stop - 1 z-scored as a run's numpy leg does."""
+        rows = _window_rows(panel.values, start, stop, w)
+        _zscore_flags(rows)
+        rows *= signs
+        return rows
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        block = _zscored(panel, w - 1, panel.n_dates, w, signs)
+        block = zscored(w - 1, panel.n_dates)
         assert block.shape == (13, 7, w) and block.flags.c_contiguous
         for d, t in enumerate(range(w - 1, panel.n_dates)):
-            assert block[d].tobytes() == _zscored(panel, t, t + 1, w, signs)[0].tobytes()
+            assert block[d].tobytes() == zscored(t, t + 1)[0].tobytes()
             for a, direction in enumerate(directions):
                 raw = values[t - w + 1 : t + 1, a]
                 assert block[d, a].tobytes() == apply_direction(window_zscore(raw), direction).tobytes()
@@ -227,8 +257,8 @@ _SCALES = [1.0, 1e-3, 1e6, 1e-170, 1e-160, 1e154, 1e300, 1e307]
     holes=st.sets(st.tuples(st.integers(0, 302), st.integers(0, 4)), max_size=2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_the_compiled_block_z_scores_as_zscore_rows(w, days, directions, scale, shift, stale, ties, holes, seed):
-    """`dtw_block`'s z-scores have the bits of `_zscore_rows`, and it flags the
+def test_the_compiled_block_z_scores_as_zscore_flags(w, days, directions, scale, shift, stale, ties, holes, seed):
+    """`dtw_block`'s z-scores have the bits of `_zscore_flags`, and it flags the
     same constant and non-finite rows, for w on either side of numpy's
     8- and 128-value pairwise blocks."""
     n, dates = len(directions), w - 1 + days
@@ -254,7 +284,6 @@ def test_the_compiled_block_z_scores_as_zscore_rows(w, days, directions, scale, 
     finite = (flags & NON_FINITE) == 0
     assert Z.transpose(0, 2, 1)[finite].tobytes() == rows[finite].tobytes()
     if finite.all():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # constant windows
-            z = _zscore_rows(_window_rows(values, w - 1, w - 1 + days, w))
+        z = _window_rows(values, w - 1, w - 1 + days, w)
+        _zscore_flags(z)
         assert Z.transpose(0, 2, 1).tobytes() == (z * signs[:, None]).tobytes()

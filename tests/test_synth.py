@@ -99,6 +99,8 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError, match="class_assignment"):
         generate(SynthSpec(n_assets=3, n_days=10, seed=0, class_assignment=("stock",)))
+    with pytest.raises(ValueError, match="^unknown asset class 'crypto'$"):
+        generate(SynthSpec(n_assets=3, n_days=10, seed=0, class_assignment=("stock", "crypto", "bond")))
 
 
 def test_round_trip_through_csv(tmp_path):
