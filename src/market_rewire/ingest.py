@@ -185,12 +185,15 @@ def _load_meta(meta_path) -> dict[str, AssetMeta]:
 
 def _csv_rows(fh, csv_path):
     """The rows of the CSV file `fh`, with a malformed one, such as a field
-    past `csv.field_size_limit()`, raised as a ValueError naming its row."""
+    past `csv.field_size_limit()`, raised as a ValueError naming its row,
+    and bytes that are not UTF-8 as one naming the file."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as e:
         raise ValueError(f"{csv_path}: row {reader.line_num}: {e}") from None
+    except UnicodeDecodeError as e:  # raised per chunk read, so no row is known
+        raise ValueError(f"{csv_path}: not valid UTF-8 text ({e.reason})") from None
 
 
 def load_panel(csv_path, meta_path) -> PricePanel:

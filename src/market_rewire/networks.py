@@ -10,12 +10,12 @@ moved closer a blue edge. Hubs are counted per edge color.
 `day_metrics` gives the counts and entropy straight from the upper
 triangle of the distance matrices, without building a graph, and hands
 back the sorted positions of its edges; the pipeline uses it on every date
-and copies the runs of those positions that belong to snapshot dates. Its
-edge search, components and degrees are one compiled call of `_dtw.c`'s
-`dtw_edges` where the DTW library loaded (`dtw.KERNEL == "c"`), and numpy
-array code (`_numpy_edges`) where it did not; both give the same edges
-and counts. The graph functions map ids to their places in the node tuple
-and call the numpy array code.
+and keeps read-only slices of the runs of those positions that belong to
+snapshot dates. Its edge search, components and degrees are one compiled
+call of `_dtw.c`'s `dtw_edges` where the DTW library loaded
+(`dtw.KERNEL == "c"`), and numpy array code (`_numpy_edges`) where it did
+not; both give the same edges and counts. The graph functions map ids to
+their places in the node tuple and call the numpy array code.
 """
 
 import math
@@ -168,20 +168,13 @@ def _component_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = label[label]
 
 
-def _size_entropy(sizes: Sequence[int]) -> float:
-    """Shannon entropy, in bits, of cluster sizes taken as frequencies."""
-    # summed largest first, so `graph_based_entropy` gives the same bits
-    # whatever order the clusters come in
-    return _sorted_size_entropy(tuple(sorted((s for s in sizes if s > 0), reverse=True)))
-
-
 # The same few size lists recur from date to date (73 distinct among the
 # 233 dates of a 20-asset year), so their entropies are kept: the log loop
 # took 0.45 ms for those dates and the cached lookups 0.14 ms. A key holds
 # one int per cluster, so 256 keys stay under 1 MB at 500 assets.
 @lru_cache(maxsize=256)
 def _sorted_size_entropy(sizes: tuple[int, ...]) -> float:
-    """`_size_entropy` of positive sizes sorted largest first."""
+    """Shannon entropy, in bits, of positive cluster sizes sorted largest first."""
     total = sum(sizes)
     if total == 0:
         return 0.0
@@ -200,7 +193,8 @@ def graph_based_entropy(components: Sequence[set[str]]) -> float:
     n equal clusters give log2(n). An empty partition (zero nodes) returns
     0 by convention.
     """
-    return _size_entropy([len(c) for c in components])
+    # summed largest first, so the bits do not depend on the clusters' order
+    return _sorted_size_entropy(tuple(sorted((len(c) for c in components if c), reverse=True)))
 
 
 def difference_matrix(x_t: DistanceMatrix, x_prev: DistanceMatrix) -> np.ndarray:
@@ -295,28 +289,19 @@ def day_metrics(
     blue), date by date within each and ascending within each date, and
     the edges of network c on date d are at[starts[c·dates + d] :
     starts[c·dates + d + 1]]. A row without differential has empty red and
-    blue runs.
+    blue runs. `at` owns its data, so a read-only flag on it holds for its
+    slices.
     """
     days = dist.shape[0]
     at, starts, counts = search(dist, prev, float(theta), float(delta))
-    sizes = counts[0].tolist()
     n_near, n_red, n_blue = np.diff(starts).reshape(3, days).tolist()
     farther, closer = np.count_nonzero(counts[1:] >= k, axis=2).tolist()
-    rows = []
-    for d, end_date in enumerate(end_dates):
-        day_sizes = [s for s in sizes[d] if s]
-        differential = {}
-        if d or prev is not None:
-            differential = dict(
-                n_red_edges=n_red[d], n_blue_edges=n_blue[d], n_farther_hubs=farther[d], n_closer_hubs=closer[d]
-            )
-        rows.append(MetricsRow(
-            end_date=end_date,
-            gbe=_size_entropy(day_sizes),
-            n_components=len(day_sizes),
-            n_cooc_edges=n_near[d],
-            **differential,
-        ))
+    if prev is None:  # the first analyzable date has no differential
+        n_red[0] = n_blue[0] = farther[0] = closer[0] = None
+    sizes = np.sort(counts[0])[:, ::-1].tolist()  # each date's component sizes, largest first, then zeros
+    n_components = np.count_nonzero(counts[0], axis=1).tolist()
+    gbe = [_sorted_size_entropy(tuple(s[:c])) for s, c in zip(sizes, n_components)]
+    rows = list(map(MetricsRow, end_dates, gbe, n_components, n_near, n_red, n_blue, farther, closer))
     return rows, at, starts
 
 
@@ -403,7 +388,7 @@ def _numpy_edges(
     starts = np.searchsorted(at, np.arange(3 * days + 1) * m)
     edges = np.diff(starts)
     q = np.repeat(np.arange(3 * days), edges)
-    at -= q * m  # each edge's pair
+    at = at - q * m  # each edge's pair, in an array of its own: `flatnonzero` gives a view
     q *= n  # the first node of its date and network
     a, b = pairs[0][at], pairs[1][at]
     a += q

@@ -9,9 +9,9 @@ call per block of dates does both, else `preprocess`'s numpy z-scores and
 distances and, from the second analyzable date on, off their change from the
 previous date's (`networks.day_metrics`). On the dates in
 `PipelineConfig.snapshot_dates` it also keeps the positions of the date's
-co-occurrence, red and blue pairs, copied out of the block's sorted edge
-positions (`DaySnapshot`). No window object, distance matrix or graph is
-built on the way.
+co-occurrence, red and blue pairs, as read-only slices of the block's
+sorted edge positions (`DaySnapshot`). No window object, distance matrix
+or graph is built on the way.
 
 The dates go in blocks of consecutive dates, as many as _BLOCK_DOUBLES
 holds (one date a block from 110 assets at w = 20 on): each step is one
@@ -91,8 +91,10 @@ class DaySnapshot:
     A snapshot is checked once, when built: a date, distinct str ids, and
     positions that are integers in 0 .. n(n-1)/2 - 1, none twice in a
     network; it keeps read-only intp copies. A run's snapshots, which share
-    one `asset_ids` tuple, are built unchecked. `cooccurrence` and
-    `differential` build a `Graph` and a `SignedGraph` on each read.
+    one `asset_ids` tuple, are built unchecked, from read-only slices of
+    their block's edge positions, so each keeps that block's array alive.
+    `cooccurrence` and `differential` build a `Graph` and a `SignedGraph`
+    on each read.
     Snapshots are equal when their date, ids and edge positions are.
     """
 
@@ -295,15 +297,13 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
             config.cooc_threshold, config.diff_threshold, config.hub_min_degree,
         )
         result.metrics.extend(rows)
+        at.setflags(write=False)  # read-only, and so is every snapshot's slice of it
         starts = starts.tolist()
         days = len(rows)
         for d, (end_date, row) in enumerate(zip(end_dates, rows)):
             if config.wants_snapshot(end_date):
-                # copies, so a snapshot holds its own edges and not the block's
                 runs = range(d, 3 * days if row.has_differential else days, days)
-                positions = [at[starts[q] : starts[q + 1]].copy() for q in runs]
-                for p in positions:
-                    p.setflags(write=False)
+                positions = (at[starts[q] : starts[q + 1]] for q in runs)
                 result.snapshots[end_date] = DaySnapshot._unchecked(end_date, ids, *positions)
         prev = dist[-1]
 

@@ -30,13 +30,15 @@ def pooled(monkeypatch):
     monkeypatch.setattr(pipeline, "_POOL_MIN_WORK", 0)
 
 
-def dtw_bruteforce(p, q):
+def dtw_bruteforce(p, q, band=None):
     """Exhaustive minimum over all monotone warping paths.
 
     Walks every path from (0, 0) to (l-1, m-1) built from right, down and
     diagonal steps, summing |p_i - q_j| at each visited cell. Exponential on
     purpose: this is the independent oracle, kept free of any dynamic
     programming so it cannot share a bug with the implementation under test.
+    With `band`, a path may visit only cells with |i - j| <= band; inf where
+    none reaches the end.
     """
     p = [float(v) for v in p]
     q = [float(v) for v in q]
@@ -44,6 +46,8 @@ def dtw_bruteforce(p, q):
     best = [float("inf")]
 
     def walk(i, j, acc):
+        if band is not None and abs(i - j) > band:
+            return
         acc += abs(p[i] - q[j])
         if i == l - 1 and j == m - 1:
             if acc < best[0]:

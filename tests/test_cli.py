@@ -184,16 +184,21 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "error [ingest]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["csv", "meta"])
+@pytest.mark.parametrize("bad", ["csv", "utf8", "meta"])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, bad):
     # a cell past the csv module's field limit raised _csv.Error, and deep
-    # nesting a RecursionError from json: both exited 3 as internal errors
+    # nesting a RecursionError from json: both exited 3 as internal errors;
+    # a byte that is not UTF-8 exited 2 naming no file
     src = tmp_path / "data"
     main(gen_args(src, assets=3, days=30, shock=None))
     if bad == "csv":
         path = src / "prices.csv"
         path.write_text(path.read_text() + "2021-01-01,1," + "9" * (csv.field_size_limit() + 1) + ",1\n")
         message = f"{path}: row 32: field larger than field limit ({csv.field_size_limit()})"
+    elif bad == "utf8":
+        path = src / "prices.csv"
+        path.write_bytes(path.read_bytes().split(b"\n")[0] + b"\n2021-01-01,1,\xff,1\n")
+        message = f"{path}: not valid UTF-8 text (invalid start byte)"
     else:
         path = src / "assets.json"
         path.write_text("[" * 100_000 + "]" * 100_000)

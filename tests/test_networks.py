@@ -120,8 +120,9 @@ def test_cached_size_entropy_gives_the_plain_loops_bits(sizes):
         p = s / total
         h -= p * math.log2(p)
     expected = (h + 0.0).hex()
-    assert networks._size_entropy(sizes).hex() == expected
-    assert networks._size_entropy(sizes[::-1]).hex() == expected
+    clusters = [set(range(s)) for s in sizes]
+    assert graph_based_entropy(clusters).hex() == expected
+    assert graph_based_entropy(clusters[::-1]).hex() == expected
     assert networks._sorted_size_entropy.__wrapped__(tuple(positive)).hex() == expected
     assert networks._sorted_size_entropy.cache_info().maxsize is not None  # bounded
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import os
 import signal
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import build_panel, graph_metrics_row
+from conftest import build_panel, dtw_bruteforce, graph_metrics_row
 from market_rewire import (
     DaySnapshot,
     DistanceMatrix,
@@ -21,10 +22,8 @@ from market_rewire import (
     StandardizedWindow,
     SynthSpec,
     count_hubs,
-    dtw_distance,
     generate,
     run,
-    window_zscore,
 )
 from market_rewire import dtw, pipeline
 from market_rewire.pipeline import _POOL_MIN_WORK, _worker_count
@@ -200,11 +199,21 @@ def test_every_range_boundary_row_equals_the_serial_row(threads, monkeypatch):
         rest[-1].red_pairs[:1] = 0
 
 
+def _reference_zscore(x):
+    """A window's z-scores from `np.mean` and `np.std(ddof=1)`; a constant
+    window, every value equal to the first or a zero std, gives zeros."""
+    sd = np.std(x, ddof=1)
+    if (x == x[0]).all() or sd == 0.0:
+        return np.zeros_like(x)
+    return (x - np.mean(x)) / sd
+
+
 def _reference_run(values, directions, config):
     """Rows and snapshot edge positions of a run over the panel, straight
-    from the panel: a forward fill, `window_zscore` of each asset's window
-    times its direction, the scalar `dtw_distance` of every pair in
-    `np.triu_indices` order, and conftest's union-find and degree counts."""
+    from the panel and sharing no code with the library's run: a forward
+    fill, the z-scores of each asset's window times its direction,
+    conftest's brute-force DTW of every pair in `np.triu_indices` order,
+    and conftest's union-find and degree counts."""
     values = np.array(values, dtype=float)
     for r in range(1, len(values)):
         values[r] = np.where(np.isnan(values[r]), values[r - 1], values[r])
@@ -214,8 +223,8 @@ def _reference_run(values, directions, config):
     rows, snapshots, prev = [], {}, None
     for t in range(w - 1, len(values)):
         day = panel.dates[t]
-        z = [window_zscore(values[t - w + 1 : t + 1, a]) * directions[a] for a in range(n)]
-        dist = [dtw_distance(z[i], z[j], config.band_halfwidth) for i, j in pairs]
+        z = [_reference_zscore(values[t - w + 1 : t + 1, a]) * directions[a] for a in range(n)]
+        dist = [dtw_bruteforce(z[i], z[j], config.band_halfwidth) for i, j in pairs]
         near = [p for p, d in enumerate(dist) if d < config.cooc_threshold]
         g = Graph(day, ids, [(ids[pairs[p][0]], ids[pairs[p][1]]) for p in near])
         sg, positions = None, [near]
@@ -228,12 +237,27 @@ def _reference_run(values, directions, config):
         rows.append(graph_metrics_row(g, sg, config.hub_min_degree))
         snapshots[day] = positions
         prev = dist
-    return panel, rows, snapshots
+    return rows, snapshots
 
 
 _REFERENCE_VALUES = np.random.default_rng(21).uniform(90, 110, (24, 5))
 _REFERENCE_VALUES[:, 2] = 100.37  # a constant asset
 _REFERENCE_VALUES[[4, 9, 10, 17], [0, 3, 3, 4]] = np.nan  # blanks, forward-filled
+_REFERENCE_DIRECTIONS = [1, -1, 1, -1, 1]
+
+
+def _reference_config(band):
+    return PipelineConfig(
+        window_w=6, cooc_threshold=5.0, diff_threshold=0.4, hub_min_degree=2,
+        band_halfwidth=band, snapshot_dates="all",
+    )
+
+
+@functools.cache
+def _reference(n, band):
+    """`_reference_run` over the first n reference assets, once per (n, band):
+    the brute-force DTW takes about 0.2 s a run."""
+    return _reference_run(_REFERENCE_VALUES[:, :n], _REFERENCE_DIRECTIONS[:n], _reference_config(band))
 
 
 @pytest.mark.usefixtures("pooled")
@@ -245,16 +269,11 @@ _REFERENCE_VALUES[[4, 9, 10, 17], [0, 3, 3, 4]] = np.nan  # blanks, forward-fill
 def test_run_equals_a_scalar_reference(kernel, threads, n, band, request, monkeypatch):
     request.getfixturevalue(kernel)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    values = _REFERENCE_VALUES[:, :n]
-    directions = [1, -1, 1, -1, 1][:n]
-    config = PipelineConfig(
-        window_w=6, cooc_threshold=5.0, diff_threshold=0.4, hub_min_degree=2,
-        band_halfwidth=band, snapshot_dates="all",
-    )
+    rows, snapshots = _reference(n, band)
+    panel = build_panel(_REFERENCE_VALUES[:, :n], _REFERENCE_DIRECTIONS[:n])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the constant asset's windows
-        panel, rows, snapshots = _reference_run(values, directions, config)
-        result = run(build_panel(values, directions), config, threads=threads)
+        result = run(panel, _reference_config(band), threads=threads)
     assert 0 < sum(r.n_cooc_edges for r in rows) < len(rows) * n * (n - 1) // 2
     assert sum(r.n_red_edges or 0 for r in rows) > 0
     assert result.metrics == rows
@@ -590,11 +609,19 @@ def test_non_integer_threads_rejected(shock_panel, threads):
         run(shock_panel, threads=threads)
 
 
-def test_snapshots_all_list_and_none(shock_panel):
-    none = run(shock_panel)
+@pytest.mark.usefixtures("pooled")
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_snapshots_all_list_and_none(shock_panel, kernel, threads, request, monkeypatch):
+    """Blocks of 5 dates put each chosen date inside a block, so that its
+    snapshot is read off the middle of the block's edges."""
+    request.getfixturevalue(kernel)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(5, 8, 20))
+    none = run(shock_panel, threads=threads)
     assert none.snapshots == {}
 
-    every = run(shock_panel, PipelineConfig(snapshot_dates="all"))
+    every = run(shock_panel, PipelineConfig(snapshot_dates="all"), threads=threads)
     assert sorted(every.snapshots) == [m.end_date for m in every.metrics]
     first_date = every.metrics[0].end_date
     assert every.snapshots[first_date].differential is None
@@ -602,8 +629,14 @@ def test_snapshots_all_list_and_none(shock_panel):
     assert every.snapshots[later].differential is not None
 
     chosen = [every.metrics[3].end_date, every.metrics[8].end_date]
-    some = run(shock_panel, PipelineConfig(snapshot_dates=chosen))
+    some = run(shock_panel, PipelineConfig(snapshot_dates=chosen), threads=threads)
     assert sorted(some.snapshots) == sorted(chosen)
+    for day in chosen:
+        snap = some.snapshots[day]
+        assert snap == every.snapshots[day]
+        for p in (snap.cooc_pairs, snap.red_pairs, snap.blue_pairs):
+            with pytest.raises(ValueError):
+                p.setflags(write=True)
 
 
 
@@ -738,6 +771,23 @@ def test_snapshots_retain_at_most_16_bytes_per_edge():
     edges = sum(r.n_cooc_edges + (r.n_red_edges or 0) + (r.n_blue_edges or 0) for r in rows)
     assert edges > 1000 * len(rows)
     assert with_all - without <= 16 * edges + 2048 * len(rows)
+
+
+def test_a_one_date_snapshot_keeps_at_most_its_blocks_edges(monkeypatch):
+    """A run's snapshot positions are read-only slices of its block's edge
+    array, so a one-date snapshot keeps that array alive and nothing more."""
+    panel = generate(SynthSpec(n_assets=20, n_days=80, seed=5, shocks=[Shock(40, 60, 0.9)]))
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(10, 20, 20))
+    config = PipelineConfig(snapshot_dates=[panel.dates[19 + 14]])  # inside the second block
+    run(panel, config)  # fill the per-run caches first
+    without, _ = _retained_bytes(panel, PipelineConfig())
+    with_one, result = _retained_bytes(panel, config)
+    edges = sum(r.n_cooc_edges + r.n_red_edges + r.n_blue_edges for r in result.metrics[10:20])
+    (snap,) = result.snapshots.values()
+    assert snap.cooc_pairs.base.nbytes == np.dtype(np.intp).itemsize * edges
+    # beyond the array: the snapshot, its three views and its dict entry,
+    # 856 bytes on Python 3.11 with numpy 2.4
+    assert with_one - without <= np.dtype(np.intp).itemsize * edges + 1536
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
