@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 
 import argparse
 import dataclasses
+import os
 import sys
 from datetime import date
 from typing import Sequence
@@ -86,14 +87,27 @@ def _cmd_run(args) -> int:
         print(f"error [export]: {e}", file=sys.stderr)
         return 2
 
-    rows = result.metrics
-    min_gbe = min(rows, key=lambda r: r.gbe)
-    hub_rows = [r for r in rows if r.n_closer_hubs is not None]
-    max_closer = max(hub_rows, key=lambda r: r.n_closer_hubs)
-    print(
-        f"analyzed {len(rows)} dates | min GBE {min_gbe.gbe:.4f} on {min_gbe.end_date} | "
-        f"max closer hubs {max_closer.n_closer_hubs} on {max_closer.end_date}"
+    columns = result._metric_columns()
+    dates, gbe, closer = columns.end_dates, columns.gbe, columns.counts[5]
+    low, top = int(gbe.argmin()), int(closer.argmax())  # the first of each; an absent count, -1, is never the top
+    return _summary(
+        f"analyzed {len(dates)} dates | min GBE {gbe[low]:.4f} on {dates[low]} | "
+        f"max closer hubs {closer[top]} on {dates[top]}"
     )
+
+
+def _summary(line: str) -> int:
+    """Print a command's summary line: 0, or 2 where stdout cannot take it,
+    such as a pipe whose reader has gone, reported as an export error."""
+    try:
+        print(line, flush=True)
+    except OSError as e:
+        print(f"error [export]: stdout: {e}", file=sys.stderr)
+        # stdout still holds the line; the interpreter's flush at exit would fail on it too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return 0
 
 
@@ -142,8 +156,7 @@ def _cmd_gen(args) -> int:
     except OSError as e:
         print(f"error [export]: {e}", file=sys.stderr)
         return 2
-    print(f"wrote {csv_path} and {meta_path}")
-    return 0
+    return _summary(f"wrote {csv_path} and {meta_path}")
 
 
 def _build_parser() -> _Parser:

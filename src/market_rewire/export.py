@@ -1,6 +1,10 @@
 """Output formats: the metrics CSV, DOT/JSON network snapshots and SVG
 charts, and the layout of the output directory they are written to.
 
+A run's result reaches the files as arrays: the CSV and the charts are
+rendered from its metric columns and the snapshot files from its blocks'
+edge positions, with no `MetricsRow` or `DaySnapshot` built.
+
 Every renderer is deterministic: lists are sorted and numbers are formatted
 the same way every time, so one run's outputs are identical bytes whatever
 the thread count.
@@ -11,16 +15,15 @@ import os
 from dataclasses import fields
 from datetime import date
 from functools import lru_cache
-from itertools import groupby
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import dtw
 from .dtw import _pair_indices, _pair_positions
-from .networks import Graph, MetricsRow, SignedGraph, _places
-from .pipeline import DaySnapshot, RunResult
+from .networks import Graph, MetricsRow, SignedGraph, _Columns, _places
+from .pipeline import DaySnapshot, RunResult, _edge_block, _EdgeBlock
 
 # node fill colors per asset class, following the usual market palette:
 # stocks red, government bonds orange, exchange rates green-yellow,
@@ -28,8 +31,7 @@ from .pipeline import DaySnapshot, RunResult
 CLASS_COLORS = {"stock": "red", "bond": "orange", "fx": "greenyellow", "other": "black"}
 
 # one column per MetricsRow field, in field order; end_date is headed "date"
-_METRICS_FIELDS = tuple(f.name for f in fields(MetricsRow))
-METRICS_COLUMNS = ("date",) + _METRICS_FIELDS[1:]
+METRICS_COLUMNS = ("date",) + tuple(f.name for f in fields(MetricsRow))[1:]
 
 GRAPH_FORMATS = ("dot", "json")
 
@@ -142,21 +144,19 @@ def export_graph(
     sorted, so the same graph always serializes to identical bytes.
 
     The edges are mapped to their positions among the pairs of `g.nodes`
-    and rendered as a one-date `DaySnapshot` (a `SignedGraph`'s with no
+    and rendered as a one-date `_EdgeBlock` (a `SignedGraph`'s with no
     co-occurrence edges) by `_snapshot_texts`, the renderer of
     `snapshot_files` and `write_export_bundle`, so a graph and the snapshot
-    it was built from give the same text. The snapshot is built unchecked:
-    the graph's own check has already found its date, distinct str nodes
-    and distinct edges between them, and red and blue disjoint.
+    it was built from give the same text. Nothing more is checked: the
+    graph's own check has already found its date, distinct str nodes and
+    distinct edges between them, and red and blue disjoint.
     """
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"graph format must be one of {GRAPH_FORMATS}, got {fmt!r}")
     runs = [(), g.red_edges, g.blue_edges] if isinstance(g, SignedGraph) else [g.edges]
     positions = [_pair_positions(len(g.nodes), *_places(g.nodes, edges)) for edges in runs]
-    for p in positions:
-        p.setflags(write=False)
-    snap = DaySnapshot._unchecked(g.end_date, g.nodes, *positions)
-    return list(_snapshot_texts([snap], [fmt], _checked_classes(classes)).files())[-1][1].decode()
+    block = _edge_block(g.nodes, g.end_date, *positions)
+    return list(_snapshot_texts([block], [fmt], _checked_classes(classes)).files())[-1][1].decode()
 
 
 def _check_formats(formats, name: str) -> None:
@@ -196,13 +196,13 @@ def _id_order(ids: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _snapshot_texts(
-    snaps: Sequence[DaySnapshot], formats: Sequence[str], classes: Mapping[str, str]
+    blocks: Sequence[_EdgeBlock], formats: Sequence[str], classes: Mapping[str, str]
 ) -> _PieceTable:
-    """The snapshot files of the snapshots `snaps`, which share one
-    `asset_ids` tuple, as one piece table: format by format and within a
-    format date by date, `<date>.cooc.<fmt>`, and `<date>.diff.<fmt>` for a
-    snapshot with a differential. This is the one edge renderer:
-    `export_graph`, `snapshot_files` and `write_export_bundle` all call it.
+    """The snapshot files of the dates of `blocks`, consecutive blocks over
+    one ids tuple, as one piece table: format by format and within a format
+    date by date, `<date>.cooc.<fmt>`, and `<date>.diff.<fmt>` for a date
+    with a differential. This is the one edge renderer: `export_graph`,
+    `snapshot_files` and `write_export_bundle` all call it.
 
     Each edge is keyed by its file, its pair's rank among the sorted ids
     (`_id_order`) and its end, so one sort of integer keys puts every edge
@@ -217,24 +217,20 @@ def _snapshot_texts(
     built once and shifted for each format. Nothing is checked here: a
     snapshot is checked when it is built, and `classes` by the entry point
     (`_checked_classes`)."""
-    ids = snaps[0].asset_ids
-    n, days, m = len(ids), len(snaps), len(ids) * (len(ids) - 1) // 2
+    ids = blocks[0].ids
+    n, days, m = len(ids), sum(len(b.dates) for b in blocks), len(ids) * (len(ids) - 1) // 2
     nodes, rank = _id_order(ids)
     node_classes = tuple([classes.get(i, "other") for i in nodes])
     # File slot 2d is date d's co-occurrence network and 2d + 1 its
-    # differential, where it has one; an edge's end is 0 for a co-occurrence
-    # edge, 1 for a red one and 2 for a blue one.
-    diffs = [d for d, s in enumerate(snaps) if s.red_pairs is not None]
-    arrays = [s.cooc_pairs for s in snaps]
-    arrays += [snaps[d].red_pairs for d in diffs] + [snaps[d].blue_pairs for d in diffs]
-    sizes = np.fromiter(map(len, arrays), np.intp, len(arrays))
-    slots = np.concatenate((2 * np.arange(days), 2 * np.array(diffs, np.intp) + 1))
-    counts = np.zeros(2 * days, np.intp)
-    counts[slots] = sizes[: len(slots)]
-    counts[slots[days:]] += sizes[len(slots) :]
-    ends = np.repeat([0, 1, 2], [days, len(diffs), len(diffs)])
-    key = np.repeat(4 * m * np.concatenate((slots, slots[days:])) + ends, sizes)
-    key += rank[np.concatenate(arrays)]
+    # differential, where it has one. Run q of a block of k dates is network
+    # c = q // k of its date q % k, and an edge's end is c: 0 for a
+    # co-occurrence edge, 1 for a red one and 2 for a blue one.
+    key, first = [], 0
+    for b in blocks:
+        network, day = np.divmod(np.arange(3 * len(b.dates)), len(b.dates))
+        key.append(np.repeat(4 * m * (2 * (first + day) + (network > 0)) + network, np.diff(b.starts)) + rank[b.at])
+        first += len(b.dates)
+    key = np.concatenate(key)
     key.sort()
     end = key & 3
     key >>= 2
@@ -254,8 +250,9 @@ def _snapshot_texts(
     # file's start, 5f plus twice the edges before it, plus 4 + 2k, and its
     # pair text is the first-edge variant for k = 0. Row 0 of `index` holds
     # the first format's piece numbers, row k the same shifted by k tables.
-    slots.sort()
-    edges = counts[slots]
+    slots = np.flatnonzero(np.column_stack((np.ones(days, bool), np.concatenate([b.diff for b in blocks]))))
+    sizes = np.concatenate([np.diff(b.starts).reshape(3, -1) for b in blocks], axis=1)
+    edges = np.column_stack((sizes[0], sizes[1] + sizes[2])).ravel()[slots]
     starts = np.zeros(len(slots) + 1, np.int64)
     np.cumsum(2 * edges + 5, out=starts[1:])
     shift = (_DATE_PIECES + days + 2 * len(ranks)) * np.arange(len(formats), dtype=np.int32)[:, None]
@@ -279,7 +276,7 @@ def _snapshot_texts(
     names[:, 1] = 8 + (slots & 1)
     del key, pair, at, end  # freed before the texts are built
 
-    dates = [s.end_date.isoformat().encode() for s in snaps]
+    dates = [d.isoformat().encode() for b in blocks for d in b.dates]
     date_lengths = np.fromiter(map(len, dates), np.int64, days)
     pieces, lengths = [], []
     for fmt in formats:
@@ -314,18 +311,14 @@ def snapshot_files(
     analyzable date. Each text is the one `export_graph` gives for the
     snapshot's graph, rendered from its edge positions without building it."""
     _check_formats(formats, "formats")
-    files = _snapshot_texts([snap], formats, _checked_classes(classes)).files()
+    block = _edge_block(snap.asset_ids, snap.end_date, snap.cooc_pairs, snap.red_pairs, snap.blue_pairs)
+    files = _snapshot_texts([block], formats, _checked_classes(classes)).files()
     return [(name, data.decode()) for name, data in files]
 
 
 # ---------------------------------------------------------------------------
 # metrics CSV
 # ---------------------------------------------------------------------------
-
-
-def _csv_cell(v) -> str:
-    # a float's str is its shortest round-trip repr, a date's its ISO form
-    return "" if v is None else str(v)
 
 
 def metrics_csv_text(rows: Sequence[MetricsRow]) -> str:
@@ -335,10 +328,16 @@ def metrics_csv_text(rows: Sequence[MetricsRow]) -> str:
     differential fields that are absent (first analyzable date) serialize
     as empty fields, not zero.
     """
-    out = [",".join(METRICS_COLUMNS)]
-    for r in rows:
-        out.append(",".join([_csv_cell(getattr(r, name)) for name in _METRICS_FIELDS]))
-    return "\n".join(out) + "\n"
+    return _csv_text(_Columns.of(rows))
+
+
+def _csv_text(columns: _Columns) -> str:
+    """The metrics CSV of `columns`: a float's str is its shortest
+    round-trip repr, a date's its ISO form, and an absent count is empty."""
+    values, at = np.unique(columns.counts, return_inverse=True)  # each distinct count formatted once
+    counts = np.array(["" if v < 0 else str(v) for v in values.tolist()], object)[at].reshape(6, -1).tolist()
+    lines = map(",".join, zip(map(date.isoformat, columns.end_dates), map(str, columns.gbe.tolist()), *counts))
+    return "\n".join([",".join(METRICS_COLUMNS), *lines]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +348,23 @@ def metrics_csv_text(rows: Sequence[MetricsRow]) -> str:
 def _svg_line_chart(
     title: str,
     dates: Sequence[date],
-    series: Sequence[tuple[str, str, Sequence[float | None]]],
+    series: Sequence[tuple[str, str, np.ndarray]],
 ) -> str:
-    """Minimal deterministic SVG line chart; gaps (None) break the line."""
+    """Minimal deterministic SVG line chart; gaps (NaN) break the line. The
+    coordinates are numpy's float64 operations in Python's order."""
     ml, mr, mt, mb = 60, 24, 34, 42
     plot_w, plot_h = CHART_WIDTH - ml - mr, CHART_HEIGHT - mt - mb
     n = len(dates)
 
-    present = [v for _, _, vals in series for v in vals if v is not None]
-    lo = min(present) if present else 0.0
-    hi = max(present) if present else 1.0
+    present = np.concatenate([vals for _, _, vals in series])
+    present = present[~np.isnan(present)]
+    lo = present.min().item() if present.size else 0.0
+    hi = present.max().item() if present.size else 1.0
     if hi == lo:
         hi = lo + 1.0
+    x = ml + (plot_w * np.arange(n) / (n - 1) if n > 1 else np.full(n, plot_w / 2))
 
-    def x(i: int) -> float:
-        return ml + (plot_w * i / (n - 1) if n > 1 else plot_w / 2)
-
-    def y(v: float) -> float:
+    def y(v: np.ndarray) -> np.ndarray:
         return mt + (hi - v) * plot_h / (hi - lo)
 
     parts = [
@@ -375,9 +374,8 @@ def _svg_line_chart(
         f'<text x="{ml}" y="20" font-family="sans-serif" font-size="14">{title}</text>',
     ]
     # frame and horizontal gridlines with y labels
-    for k in range(5):
-        v = lo + (hi - lo) * k / 4
-        yy = y(v)
+    grid = lo + (hi - lo) * np.arange(5) / 4
+    for v, yy in zip(grid.tolist(), y(grid).tolist()):
         parts.append(
             f'<line x1="{ml}" y1="{yy:.2f}" x2="{CHART_WIDTH - mr}" y2="{yy:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>'
@@ -390,12 +388,15 @@ def _svg_line_chart(
     for i in sorted({0, n // 2, n - 1}):
         if 0 <= i < n:
             parts.append(
-                f'<text x="{x(i):.2f}" y="{CHART_HEIGHT - 14}" text-anchor="middle" '
+                f'<text x="{x[i]:.2f}" y="{CHART_HEIGHT - 14}" text-anchor="middle" '
                 f'font-family="sans-serif" font-size="11">{dates[i].isoformat()}</text>'
             )
     for si, (label, color, vals) in enumerate(series):
-        runs = groupby(enumerate(vals), key=lambda iv: iv[1] is None)
-        for seg in [[f"{x(i):.2f},{y(v):.2f}" for i, v in run] for gap, run in runs if not gap]:
+        at = np.flatnonzero(~np.isnan(vals))
+        points = list(map("{:.2f},{:.2f}".format, x[at].tolist(), y(vals[at]).tolist()))
+        # where each run of consecutive dates with a value starts in `points`, then its length
+        cuts = np.flatnonzero(np.diff(at, prepend=-2, append=n + 1) > 1).tolist()
+        for seg in [points[a:b] for a, b in zip(cuts, cuts[1:])]:
             if len(seg) == 1:
                 cx, cy = seg[0].split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
@@ -414,17 +415,14 @@ def _svg_line_chart(
 
 def write_charts(result: RunResult, out_dir: Path) -> list[Path]:
     """Write gbe.svg and hubs.svg from a run's metrics series."""
-    rows = result.metrics
+    columns = result._metric_columns()
+    farther, closer = np.where(columns.counts[4:] < 0, np.nan, columns.counts[4:])
     charts = [
-        ("gbe.svg", "Graph-based entropy (bits)", [("GBE", "green", [r.gbe for r in rows])]),
-        ("hubs.svg", "Differential-network hubs", [
-            ("farther hubs", "red", [r.n_farther_hubs for r in rows]),
-            ("closer hubs", "blue", [r.n_closer_hubs for r in rows]),
-        ]),
+        ("gbe.svg", "Graph-based entropy (bits)", [("GBE", "green", columns.gbe)]),
+        ("hubs.svg", "Differential-network hubs", [("farther hubs", "red", farther), ("closer hubs", "blue", closer)]),
     ]
-    dates = [r.end_date for r in rows]
     for name, title, series in charts:
-        write_file(out_dir / name, _svg_line_chart(title, dates, series))
+        write_file(out_dir / name, _svg_line_chart(title, columns.end_dates, series))
     return [out_dir / name for name, _, _ in charts]
 
 
@@ -444,19 +442,21 @@ def write_charts(result: RunResult, out_dir: Path) -> list[Path]:
 _EXPORT_BLOCK_EDGES = 16_384
 
 
-def _export_blocks(snaps: Sequence[DaySnapshot]) -> Iterator[list[DaySnapshot]]:
-    """The snapshots, in their order, in runs that share one `asset_ids`
-    tuple and hold at most _EXPORT_BLOCK_EDGES edges, or one snapshot."""
-    block, edges = [], 0
-    for snap in snaps:
-        k = sum(len(p) for p in (snap.cooc_pairs, snap.red_pairs, snap.blue_pairs) if p is not None)
-        if block and (edges + k > _EXPORT_BLOCK_EDGES or snap.asset_ids != block[0].asset_ids):
-            yield block
-            block, edges = [], 0
-        block.append(snap)
+def _export_blocks(blocks: Iterable[_EdgeBlock]) -> Iterator[list[_EdgeBlock]]:
+    """The blocks, in their order, in groups that share one ids tuple and
+    hold at most _EXPORT_BLOCK_EDGES edges, or one block. A run's block is
+    not split: a date has at most two edges a pair, so a block of more than
+    one date holds at most 2 x `pipeline._BLOCK_DOUBLES`."""
+    group, edges = [], 0
+    for b in blocks:
+        k = int(b.starts[-1])
+        if group and (edges + k > _EXPORT_BLOCK_EDGES or b.ids != group[0].ids):
+            yield group
+            group, edges = [], 0
+        group.append(b)
         edges += k
-    if block:
-        yield block
+    if group:
+        yield group
 
 
 def write_export_bundle(
@@ -473,12 +473,13 @@ def write_export_bundle(
     requested format; the first analyzable date has no differential network,
     so it gets only the co-occurrence files.
 
-    The snapshots are rendered a block of consecutive dates at a time
-    (`_export_blocks`), as one piece table (`_snapshot_texts`). Where the
-    compiled library loaded, its `write_files` assembles and writes all of
-    a block's files in one call, with no text built per file in Python;
-    else each file's pieces are joined in Python and written by
-    `write_file`. Either way a file left by an earlier run is rewritten in
+    The metrics CSV and the charts are read off the result's metric
+    columns, and the snapshots off its edge blocks (`RunResult`), rendered
+    a block of consecutive dates at a time (`_export_blocks`), as one
+    piece table (`_snapshot_texts`). Where the compiled library loaded, its
+    `write_files` assembles and writes all of a block's files in one call,
+    with no text built per file in Python; else each file's pieces are
+    joined in Python and written by `write_file`. Either way a file left by an earlier run is rewritten in
     place as `write_file` does it and ends up with the same bytes as in a
     fresh directory, and a file that cannot be written raises the OSError
     that opening it with `os.open` raises, after the files before it.
@@ -490,13 +491,14 @@ def write_export_bundle(
     classes = _checked_classes(classes)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_file(out_dir / "metrics.csv", metrics_csv_text(result.metrics))
+    write_file(out_dir / "metrics.csv", _csv_text(result._metric_columns()))
 
-    if result.snapshots:
+    blocks = result._snapshot_blocks()
+    if blocks:
         net_dir = out_dir / "networks"
         net_dir.mkdir(exist_ok=True)
         prefix = os.path.join(net_dir, "")
-        blocks = _export_blocks([result.snapshots[d] for d in sorted(result.snapshots)])
+        blocks = _export_blocks(blocks)
         if dtw._kernel is None:
             for block in blocks:
                 for name, data in _snapshot_texts(block, graph_formats, classes).files():

@@ -7,11 +7,11 @@ differential network compares two consecutive distance matrices: pairs that
 moved apart by strictly more than a threshold get a red edge, pairs that
 moved closer a blue edge. Hubs are counted per edge color.
 
-`day_metrics` gives the counts and entropy straight from the upper
-triangle of the distance matrices, without building a graph, and hands
-back the sorted positions of its edges; the pipeline uses it on every date
-and keeps read-only slices of the runs of those positions that belong to
-snapshot dates. Its edge search, components and degrees are one compiled
+`day_metrics` gives a block of dates' counts and entropy straight from the
+upper triangles of their distance matrices, as columns (`_Columns`),
+without building a graph or a row, and hands back the sorted positions of
+its edges; the pipeline uses it on every date and keeps the positions of
+the snapshot dates. Its edge search, components and degrees are one compiled
 call of `_dtw.c`'s `dtw_edges` where the DTW library loaded
 (`dtw.KERNEL == "c"`), and numpy array code (`_numpy_edges`) where it did
 not; both give the same edges and counts. The graph functions map ids to
@@ -20,7 +20,7 @@ their places in the node tuple and call the numpy array code.
 
 import math
 from collections.abc import Iterable, Sized
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
@@ -106,6 +106,29 @@ class MetricsRow:
     @property
     def has_differential(self) -> bool:
         return self.n_red_edges is not None
+
+
+class _Columns(NamedTuple):
+    """The metrics of consecutive dates as columns: `gbe`, float64, and
+    `counts`, int64 (6, dates), the six count fields of `MetricsRow` in
+    field order, each -1 where it is absent (the differential of the first
+    analyzable date)."""
+
+    end_dates: Sequence[date]
+    gbe: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, rows: Sequence[MetricsRow]) -> "_Columns":
+        """The columns of `rows`: gbe taken as float64, None as -1."""
+        dates, gbe, *counts = ([getattr(r, f.name) for r in rows] for f in fields(MetricsRow))
+        counts = [[-1 if v is None else v for v in c] for c in counts]
+        return cls(dates, np.array(gbe, np.float64), np.array(counts, np.int64).reshape(6, len(dates)))
+
+    def rows(self) -> list[MetricsRow]:
+        """The MetricsRow of each date, with None where a count is absent."""
+        counts = np.where(self.counts < 0, None, self.counts).tolist()
+        return list(map(MetricsRow, self.end_dates, self.gbe.tolist(), *counts))
 
 
 class HubCounts(NamedTuple):
@@ -270,39 +293,39 @@ def day_metrics(
     theta: float,
     delta: float,
     k: int,
-) -> tuple[list[MetricsRow], np.ndarray, np.ndarray]:
-    """The metrics rows of a block of consecutive dates straight from the
-    upper triangles of their matrices, and the edges they were counted
-    from.
+) -> tuple[_Columns, np.ndarray, np.ndarray]:
+    """The metrics of a block of consecutive dates straight from the upper
+    triangles of their matrices, as columns, and the edges they were
+    counted from.
 
     `search` is the `_edge_search` of the pairs (ii, jj) of n assets, and
     entry (d, p) of `dist` the distance on end_dates[d] between assets
     ii[p] and jj[p]; `prev` holds the distances of the date before the
     block, None where the block starts at the first analyzable date, whose
-    row then has no differential. Each row equals the one read off
-    `cooccurrence_network`, `connected_components`, `graph_based_entropy`,
-    `differential_network` and `count_hubs` with the same thresholds, taken
-    as float64, without building a graph.
+    differential counts are then absent. Each date's metrics equal the row
+    read off `cooccurrence_network`, `connected_components`,
+    `graph_based_entropy`, `differential_network` and `count_hubs` with the
+    same thresholds, taken as float64, without building a graph.
 
-    The edges come back as `(rows, at, starts)`: `at` holds the pair
+    The edges come back as `(columns, at, starts)`: `at` holds the pair
     positions p of every edge, network by network (co-occurrence, red,
     blue), date by date within each and ascending within each date, and
     the edges of network c on date d are at[starts[c·dates + d] :
-    starts[c·dates + d + 1]]. A row without differential has empty red and
-    blue runs. `at` owns its data, so a read-only flag on it holds for its
-    slices.
+    starts[c·dates + d + 1]]. A date without differential has empty red
+    and blue runs. `at` owns its data, so a read-only flag on it holds for
+    its slices.
     """
     days = dist.shape[0]
-    at, starts, counts = search(dist, prev, float(theta), float(delta))
-    n_near, n_red, n_blue = np.diff(starts).reshape(3, days).tolist()
-    farther, closer = np.count_nonzero(counts[1:] >= k, axis=2).tolist()
+    at, starts, nodes = search(dist, prev, float(theta), float(delta))
+    counts = np.empty((6, days), np.int64)
+    counts[0] = np.count_nonzero(nodes[0], axis=1)
+    counts[1:4] = np.diff(starts).reshape(3, days)
+    counts[4:] = np.count_nonzero(nodes[1:] >= k, axis=2)
     if prev is None:  # the first analyzable date has no differential
-        n_red[0] = n_blue[0] = farther[0] = closer[0] = None
-    sizes = np.sort(counts[0])[:, ::-1].tolist()  # each date's component sizes, largest first, then zeros
-    n_components = np.count_nonzero(counts[0], axis=1).tolist()
-    gbe = [_sorted_size_entropy(tuple(s[:c])) for s, c in zip(sizes, n_components)]
-    rows = list(map(MetricsRow, end_dates, gbe, n_components, n_near, n_red, n_blue, farther, closer))
-    return rows, at, starts
+        counts[2:, 0] = -1
+    sizes = np.sort(nodes[0])[:, ::-1].tolist()  # each date's component sizes, largest first, then zeros
+    gbe = [_sorted_size_entropy(tuple(s[:c])) for s, c in zip(sizes, counts[0].tolist())]
+    return _Columns(end_dates, np.array(gbe), counts), at, starts
 
 
 def _edge_search(
@@ -317,7 +340,7 @@ def _edge_search(
     The search, components and degrees are two calls of `_dtw.c`'s
     `dtw_edges` where the compiled DTW kernel loaded (`dtw.KERNEL`), and
     `_numpy_edges` where it did not; both take the same comparisons of the
-    same values, so they give the same rows, `at` and `starts`. The
+    same values, so they give the same counts, `at` and `starts`. The
     compiled search checks ii and jj and takes their addresses here, and
     the addresses of a block's arrays once a block.
     """

@@ -7,11 +7,10 @@ of every asset pair, in `np.triu_indices` order, in one block step
 call per block of dates does both, else `preprocess`'s numpy z-scores and
 `dtw._pair_distances`. It reads the date's metrics straight off those
 distances and, from the second analyzable date on, off their change from the
-previous date's (`networks.day_metrics`). On the dates in
+previous date's (`networks.day_metrics`), as columns. On the dates in
 `PipelineConfig.snapshot_dates` it also keeps the positions of the date's
-co-occurrence, red and blue pairs, as read-only slices of the block's
-sorted edge positions (`DaySnapshot`). No window object, distance matrix
-or graph is built on the way.
+co-occurrence, red and blue pairs (`_EdgeBlock`). No window object,
+distance matrix, graph, metrics row or snapshot is built on the way.
 
 The dates go in blocks of consecutive dates, as many as _BLOCK_DOUBLES
 holds (one date a block from 110 assets at w = 20 on): each step is one
@@ -33,13 +32,13 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Literal
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .dtw import _block_distances, _pair_indices
 from .ingest import FILL_POLICIES, PricePanel, _check_date, _check_ids, _check_int, _check_real, fill_missing
-from .networks import Graph, MetricsRow, SignedGraph, _edge_search, _pair_edges, day_metrics
+from .networks import Graph, MetricsRow, SignedGraph, _Columns, _edge_search, _pair_edges, day_metrics
 from .preprocess import _check_flags, _window_names
 
 
@@ -75,11 +74,6 @@ class PipelineConfig:
                 _check_date(d, "snapshot_dates")
             self.snapshot_dates = frozenset(dates)
 
-    def wants_snapshot(self, d: date) -> bool:
-        if self.snapshot_dates is None:
-            return False
-        return self.snapshot_dates == "all" or d in self.snapshot_dates
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class DaySnapshot:
@@ -91,8 +85,9 @@ class DaySnapshot:
     A snapshot is checked once, when built: a date, distinct str ids, and
     positions that are integers in 0 .. n(n-1)/2 - 1, none twice in a
     network; it keeps read-only intp copies. A run's snapshots, which share
-    one `asset_ids` tuple, are built unchecked, from read-only slices of
-    their block's edge positions, so each keeps that block's array alive.
+    one `asset_ids` tuple, are built unchecked when `RunResult.snapshots`
+    is first read, from read-only slices of their block's edge positions
+    (`_EdgeBlock`), so each keeps that block's array alive.
     `cooccurrence` and `differential` build a `Graph` and a `SignedGraph`
     on each read.
     Snapshots are equal when their date, ids and edge positions are.
@@ -158,10 +153,65 @@ class DaySnapshot:
         return self._key() == other._key()
 
 
+class _EdgeBlock(NamedTuple):
+    """Snapshot dates over one `ids` tuple, laid out as `day_metrics` gives
+    a block's edges: those of network c (co-occurrence, red, blue) on
+    dates[d] are at[starts[c·days + d] : starts[c·days + d + 1]], and the
+    red and blue runs are empty where diff[d] is False, a date without
+    differential. `at` is read-only."""
+
+    ids: tuple[str, ...]
+    dates: Sequence[date]
+    diff: np.ndarray
+    at: np.ndarray
+    starts: np.ndarray
+
+    def positions(self, d: int) -> list[np.ndarray]:
+        """The edges of dates[d]'s co-occurrence network, then its red and blue ones if any."""
+        days, s = len(self.dates), self.starts
+        return [self.at[s[q] : s[q + 1]] for q in range(d, 3 * days if self.diff[d] else days, days)]
+
+
+def _edge_block(ids: tuple[str, ...], day: date, cooc, red=None, blue=None) -> _EdgeBlock:
+    """The one date `day` as a block: a read-only copy of the positions of
+    its co-occurrence edges, and of its red and blue ones unless red is None."""
+    runs = [cooc] if red is None else [cooc, red, blue]
+    at = np.concatenate(runs)
+    at.setflags(write=False)
+    return _EdgeBlock(ids, [day], np.array([red is not None]), at, np.cumsum([0, *map(len, runs), 0, 0][:4]))
+
+
 @dataclass
 class RunResult:
+    """A run's metrics rows, in date order, and the snapshots of the dates
+    that wanted one, by date. A run keeps them as arrays, `_Columns` and
+    `_EdgeBlock`s, and builds the list and the dict when each is first
+    read; until then the export reads the arrays."""
+
     metrics: list[MetricsRow] = field(default_factory=list)
     snapshots: dict[date, DaySnapshot] = field(default_factory=dict)
+
+    def __getattr__(self, name: str):
+        """`metrics` or `snapshots` of a run's result, built on the first read."""
+        if name not in ("metrics", "snapshots") or "_blocks" not in vars(self):
+            raise AttributeError(name)
+        if name == "metrics":
+            self.metrics = self._columns.rows()
+        else:
+            runs = [(b, d, day) for b in self._blocks for d, day in enumerate(b.dates)]
+            self.snapshots = {day: DaySnapshot._unchecked(day, b.ids, *b.positions(d)) for b, d, day in runs}
+        return vars(self)[name]
+
+    def _metric_columns(self) -> _Columns:
+        """The metrics as columns: the run's own until `metrics` is read or set."""
+        return _Columns.of(self.metrics) if "metrics" in vars(self) else self._columns
+
+    def _snapshot_blocks(self) -> list[_EdgeBlock]:
+        """The snapshots as blocks, in date order: the run's own until `snapshots` is read or set."""
+        if "snapshots" not in vars(self):
+            return self._blocks
+        snaps = [self.snapshots[d] for d in sorted(self.snapshots)]
+        return [_edge_block(s.asset_ids, s.end_date, s.cooc_pairs, s.red_pairs, s.blue_pairs) for s in snaps]
 
 
 # The least DTW work of a block of dates at which a run hands its blocks to
@@ -266,12 +316,13 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
 
 
 def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int) -> RunResult:
-    """The rows and snapshots of every analyzable date. Each block of `span`
-    dates is z-scored and swept in one block step (`dtw._block_distances`),
-    inline with one worker, else in a pool of `workers` threads with at most
-    `workers` + 1 steps outstanding; this thread then reads each block's
-    flags and metrics, in date order. Each date's differential is taken
-    against the date before it, so the first row has none."""
+    """The metrics of every analyzable date, as columns, and the edges of
+    the snapshot dates. Each block of `span` dates is z-scored and swept in
+    one block step (`dtw._block_distances`), inline with one worker, else
+    in a pool of `workers` threads with at most `workers` + 1 steps
+    outstanding; this thread then reads each block's flags and metrics, in
+    date order. Each date's differential is taken against the date before
+    it, so the first date has none."""
     n, w = panel.n_assets, config.window_w
     ids = panel.asset_ids  # one tuple, shared by every snapshot
     pairs = _pair_indices(n)
@@ -280,32 +331,33 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
     values = np.ascontiguousarray(panel.values)  # C order, which a column slice lacks
     block = _block_distances(values, signs, ii, jj, w, config.band_halfwidth)
     search = _edge_search(n, pairs)
-    result = RunResult()
+    columns, blocks = [], []
     in_flight = deque()  # (first date index, the block's arrays, the call filling them)
     prev = None
 
     def finish(start, arrays):
         """Issue the block's constant-window warnings and raise its
-        non-finite error from its flags, as a serial run does; else append
-        its rows, and the snapshots of the dates that want one."""
+        non-finite error from its flags, as a serial run does; else keep
+        its metrics, and the edges of the dates that want a snapshot."""
         nonlocal prev
         _, flags, dist = arrays
         _check_flags(flags, _window_names(panel, start), stacklevel=2)
         end_dates = panel.dates[start : start + len(dist)]
-        rows, at, starts = day_metrics(
+        cols, at, starts = day_metrics(
             end_dates, search, dist, prev,
             config.cooc_threshold, config.diff_threshold, config.hub_min_degree,
         )
-        result.metrics.extend(rows)
-        at.setflags(write=False)  # read-only, and so is every snapshot's slice of it
-        starts = starts.tolist()
-        days = len(rows)
-        for d, (end_date, row) in enumerate(zip(end_dates, rows)):
-            if config.wants_snapshot(end_date):
-                runs = range(d, 3 * days if row.has_differential else days, days)
-                positions = (at[starts[q] : starts[q + 1]] for q in runs)
-                result.snapshots[end_date] = DaySnapshot._unchecked(end_date, ids, *positions)
+        columns.append(cols)
         prev = dist[-1]
+        if config.snapshot_dates is not None:
+            at.setflags(write=False)
+            # `starts` is copied out of the search's buffer, which also holds its counts
+            edges = _EdgeBlock(ids, end_dates, cols.counts[2] >= 0, at, starts.copy())
+            if config.snapshot_dates == "all":
+                blocks.append(edges)
+            else:  # a copy of each chosen date's edges, which keeps no other date's
+                chosen = (d for d, day in enumerate(end_dates) if day in config.snapshot_dates)
+                blocks.extend(_edge_block(ids, end_dates[d], *edges.positions(d)) for d in chosen)
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for start in range(w - 1, panel.n_dates, span):
@@ -327,4 +379,8 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
         for start, arrays, call in in_flight:
             call.result()
             finish(start, arrays)
+    result = object.__new__(RunResult)
+    result._blocks = blocks
+    gbe, counts = np.concatenate([c.gbe for c in columns]), np.concatenate([c.counts for c in columns], axis=1)
+    result._columns = _Columns(panel.dates[w - 1 :], gbe, counts)
     return result

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -154,3 +156,88 @@ def build_panel(values, directions=None, classes=None, dates=None):
 @pytest.fixture
 def panel_factory():
     return build_panel
+
+
+def metrics_csv_reference(rows):
+    """The metrics CSV of `rows` as the row-by-row renderer wrote it, the
+    text `export.metrics_csv_text` must equal: each field's str, a None
+    empty, one row at a time."""
+    names = [f.name for f in dataclasses.fields(MetricsRow)]
+    out = [",".join(["date", *names[1:]])]
+    for r in rows:
+        out.append(",".join(["" if getattr(r, name) is None else str(getattr(r, name)) for name in names]))
+    return "\n".join(out) + "\n"
+
+
+def charts_reference(rows, width=960, height=320):
+    """gbe.svg and hubs.svg of `rows`, by name, as the row-by-row renderer
+    drew them, the texts `export.write_charts` must equal: every coordinate
+    from Python scalars, one point at a time, and a None a gap."""
+    dates = [r.end_date for r in rows]
+    charts = {
+        "gbe.svg": ("Graph-based entropy (bits)", [("GBE", "green", [r.gbe for r in rows])]),
+        "hubs.svg": ("Differential-network hubs", [
+            ("farther hubs", "red", [r.n_farther_hubs for r in rows]),
+            ("closer hubs", "blue", [r.n_closer_hubs for r in rows]),
+        ]),
+    }
+    return {name: _line_chart_reference(title, dates, series, width, height) for name, (title, series) in charts.items()}
+
+
+def _line_chart_reference(title, dates, series, width, height):
+    ml, mr, mt, mb = 60, 24, 34, 42
+    plot_w, plot_h = width - ml - mr, height - mt - mb
+    n = len(dates)
+
+    present = [v for _, _, vals in series for v in vals if v is not None]
+    lo = min(present) if present else 0.0
+    hi = max(present) if present else 1.0
+    if hi == lo:
+        hi = lo + 1.0
+
+    def x(i):
+        return ml + (plot_w * i / (n - 1) if n > 1 else plot_w / 2)
+
+    def y(v):
+        return mt + (hi - v) * plot_h / (hi - lo)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{ml}" y="20" font-family="sans-serif" font-size="14">{title}</text>',
+    ]
+    for k in range(5):
+        v = lo + (hi - lo) * k / 4
+        yy = y(v)
+        parts.append(
+            f'<line x1="{ml}" y1="{yy:.2f}" x2="{width - mr}" y2="{yy:.2f}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{ml - 6}" y="{yy + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{v:.3g}</text>'
+        )
+    for i in sorted({0, n // 2, n - 1}):
+        if 0 <= i < n:
+            parts.append(
+                f'<text x="{x(i):.2f}" y="{height - 14}" text-anchor="middle" '
+                f'font-family="sans-serif" font-size="11">{dates[i].isoformat()}</text>'
+            )
+    for si, (label, color, vals) in enumerate(series):
+        runs = groupby(enumerate(vals), key=lambda iv: iv[1] is None)
+        for seg in [[f"{x(i):.2f},{y(v):.2f}" for i, v in run] for gap, run in runs if not gap]:
+            if len(seg) == 1:
+                cx, cy = seg[0].split(",")
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
+            else:
+                parts.append(
+                    f'<polyline points="{" ".join(seg)}" fill="none" '
+                    f'stroke="{color}" stroke-width="1.5"/>'
+                )
+        parts.append(
+            f'<text x="{width - mr}" y="{mt + 14 * si}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="12" fill="{color}">{label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

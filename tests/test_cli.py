@@ -5,6 +5,8 @@ import gc
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -14,9 +16,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import graph_json_reference
+from conftest import charts_reference, graph_json_reference, metrics_csv_reference
 from market_rewire import (
     DaySnapshot,
     Graph,
@@ -30,7 +32,8 @@ from market_rewire import (
     run,
 )
 from market_rewire.cli import _build_parser, main
-from market_rewire import dtw, export
+import market_rewire
+from market_rewire import dtw, export, pipeline
 from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
 from market_rewire.ingest import FILL_POLICIES
 from market_rewire.networks import MetricsRow
@@ -698,8 +701,9 @@ def test_snapshots_over_other_ids_render_in_their_own_blocks():
         DaySnapshot(D0 + timedelta(days=2), ids, np.array([1]), np.array([], dtype=int), np.array([2])),
         DaySnapshot(D0 + timedelta(days=3), ids, np.array([], dtype=int)),
     ]
-    blocks = list(export._export_blocks(snaps))
-    assert blocks == [snaps[:1], snaps[1:2], snaps[2:]]
+    groups = export._export_blocks(RunResult(snapshots={s.end_date: s for s in snaps})._snapshot_blocks())
+    got = [[(b.ids, *b.dates) for b in group] for group in groups]
+    assert got == [[(s.asset_ids, s.end_date) for s in part] for part in (snaps[:1], snaps[1:2], snaps[2:])]
     classes = {"a": "bond", "c": "fx"}
     expected = {name: text for snap in snaps for name, text in _expected_files(snap, classes).items()}
     assert len(expected) == 14
@@ -725,7 +729,7 @@ def test_export_peak_memory_does_not_grow_with_the_dates(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(list(export._export_blocks(list(result.snapshots.values())))) > 3
+        assert len(list(export._export_blocks(result._snapshot_blocks()))) > 3
         return peak
 
     short, long = export_peak(150), export_peak(600)
@@ -964,3 +968,121 @@ def test_metrics_csv_empty_vs_zero():
     lines = text.strip().split("\n")
     assert lines[1] == "2020-05-04,1.5,3,2,,,,"
     assert lines[2] == "2020-05-05,0.0,1,4,0,2,0,1"
+
+
+# finite floats from 0 on, subnormals and values past 1e16 among them, up to
+# where a chart's scaling by its height would overflow
+GBE = st.floats(0, 1e300) | st.sampled_from([5e-324, 2.2250738585072014e-308, 1e16, 2.0**53 + 2, 1e300])
+
+
+@st.composite
+def metrics_rows(draw):
+    """Metrics rows of consecutive dates: any gbe of GBE, the first row with
+    or without its differential fields, and hub counts with gaps (None)
+    anywhere, lone ones too."""
+    rows = []
+    for d in range(draw(st.integers(0, 12))):
+        alone = d == 0 and draw(st.booleans())
+        counts = st.none() if alone else st.integers(0, 10**6)
+        hubs = st.none() if alone else st.none() | st.integers(0, 60)
+        rows.append(MetricsRow(
+            D0 + timedelta(days=d), draw(GBE), draw(st.integers(1, 10**6)), draw(st.integers(0, 10**6)),
+            n_red_edges=draw(counts), n_blue_edges=draw(counts), n_farther_hubs=draw(hubs), n_closer_hubs=draw(hubs),
+        ))
+    return rows
+
+
+@given(metrics_rows())
+def test_metrics_csv_equals_the_row_by_row_renderer(rows):
+    assert metrics_csv_text(rows) == metrics_csv_reference(rows)
+
+
+@settings(deadline=None)
+@given(metrics_rows())
+def test_charts_equal_the_row_by_row_renderer(rows):
+    """The charts, drawn from columns, are the row-by-row drawing's bytes:
+    every coordinate the same float64 operations, every gap and lone point
+    in place."""
+    try:
+        expected = charts_reference(rows)
+    except ZeroDivisionError:  # one value past 2**53, where lo + 1.0 == lo
+        assume(False)
+    with tempfile.TemporaryDirectory() as out:
+        paths = export.write_charts(RunResult(metrics=rows), Path(out))
+        assert {p.name: p.read_text(encoding="utf-8") for p in paths} == expected
+
+
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+def test_a_hand_built_result_writes_the_runs_tree(tmp_path, kernel, request, monkeypatch):
+    """The export reads a run's metric columns and edge arrays while its
+    rows and snapshots are unread, and the rows and snapshots once they are
+    read or when the result was built from them: in blocks of several dates,
+    with every date or chosen ones, all three write the same tree."""
+    request.getfixturevalue(kernel)
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", 4 * (15 + 6 * 5))  # 4 dates a block
+    panel = generate(SynthSpec(n_assets=6, n_days=30, seed=3, shocks=[Shock(12, 20, 0.9)]))
+    chosen = [panel.dates[4], panel.dates[9], panel.dates[10], panel.dates[20]]
+    for wanted in ("all", chosen):
+        config = PipelineConfig(window_w=5, snapshot_dates=wanted)
+        trees = []
+        for form in ("run", "read", "built"):
+            result = run(panel, config)
+            if form != "run":
+                rows, snaps = result.metrics, result.snapshots
+                if form == "built":
+                    result = RunResult(metrics=list(rows), snapshots=dict(snaps))
+            out = tmp_path / ("every" if wanted == "all" else "chosen") / form
+            export.write_export_bundle(result, out, charts=True)
+            trees.append({rel: path.read_bytes() for rel, path in output_files(out).items()})
+        assert trees[0] == trees[1] == trees[2]
+        assert len(trees[0]) == 3 + 4 * len(result.snapshots) - 2
+
+
+def test_a_cli_run_builds_no_metrics_row_and_no_snapshot(tmp_path, monkeypatch):
+    """A CLI run writes its CSV, snapshots, charts and summary from the
+    run's columns and edge arrays, without one MetricsRow or DaySnapshot."""
+    src = tmp_path / "data"
+    main(gen_args(src, days=60))
+    extra = ["--snapshots", "all", "--charts"]
+    assert main(run_args(src, tmp_path / "free", extra)) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI run built a metrics row or a snapshot")
+
+    monkeypatch.setattr(MetricsRow, "__init__", refuse)
+    monkeypatch.setattr(DaySnapshot, "__post_init__", refuse)
+    monkeypatch.setattr(DaySnapshot, "_unchecked", classmethod(refuse))
+    assert main(run_args(src, tmp_path / "out", extra)) == 0
+    free, out = output_files(tmp_path / "free"), output_files(tmp_path / "out")
+    assert free.keys() == out.keys() and all(free[k].read_bytes() == out[k].read_bytes() for k in free)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_is_an_export_error_after_every_file(tmp_path, unbuffered):
+    """With its stdout a pipe whose reader has gone, each command writes all
+    its files, then reports the summary line it cannot print as an export
+    error, exit 2, and nothing else: no data error, and no second error when
+    the interpreter flushes stdout at exit (exit 120)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(market_rewire.__file__).parent.parent), "PYTHONUNBUFFERED": unbuffered}
+
+    def closed_stdout(argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "market_rewire.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+
+    broken = f"error [export]: stdout: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+    src, extra = tmp_path / "data", ["--snapshots", "all", "--charts"]
+    gen = closed_stdout(gen_args(src))
+    assert (gen.returncode, gen.stderr) == (2, broken)
+    done = closed_stdout(run_args(src, tmp_path / "out", extra))
+    assert (done.returncode, done.stderr) == (2, broken)
+    assert main(run_args(src, tmp_path / "fresh", extra)) == 0
+    fresh, out = output_files(tmp_path / "fresh"), output_files(tmp_path / "out")
+    assert len(out) > 3 and fresh.keys() == out.keys()
+    assert all(fresh[k].read_bytes() == out[k].read_bytes() for k in fresh)

@@ -399,7 +399,8 @@ def test_day_metrics_equal_the_graph_path(case):
     def edge_runs(block, networks_by_date):
         """The rows of a block, after checking each date's runs of edge
         positions against the comparisons and edge sets of its networks."""
-        rows, at, starts = block
+        columns, at, starts = block
+        rows = columns.rows()
         days = len(rows)
         assert len(starts) == 3 * days + 1
         for d, networks in enumerate(networks_by_date):
@@ -479,8 +480,8 @@ def test_compiled_edge_search_equals_the_numpy_path(case):
         numpy_path = day_metrics(dates, _edge_search(n, pairs), dist, prev, theta, delta, k)
     finally:
         networks.dtw._kernel = kernel
-    rows, at, starts = compiled
-    assert rows == numpy_path[0]
+    columns, at, starts = compiled
+    assert columns.rows() == numpy_path[0].rows()
     assert at.dtype == numpy_path[1].dtype and at.tolist() == numpy_path[1].tolist()
     assert starts.tolist() == numpy_path[2].tolist()
 
@@ -493,7 +494,8 @@ def test_day_metrics_compare_against_the_thresholds_as_floats(kernel, request):
     third = float(Fraction(1, 3))
     pairs = np.triu_indices(2, k=1)
     for theta, delta in [(Fraction(1, 3), Fraction(1, 3)), (third, third)]:
-        [row], at, starts = day_metrics([D0], _edge_search(2, pairs), np.array([[third]]), np.array([0.0]), theta, delta, 1)
+        columns, at, starts = day_metrics([D0], _edge_search(2, pairs), np.array([[third]]), np.array([0.0]), theta, delta, 1)
+        [row] = columns.rows()
         # not a co-occurrence edge, and a change of exactly delta is no red edge
         assert (row.n_cooc_edges, row.n_red_edges, row.n_farther_hubs) == (0, 0, 0)
         assert at.tolist() == [] and starts.tolist() == [0, 0, 0, 0]

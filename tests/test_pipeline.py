@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import os
@@ -280,6 +281,43 @@ def test_run_equals_a_scalar_reference(kernel, threads, n, band, request, monkey
     got = {d: [p.tolist() for p in (s.cooc_pairs, s.red_pairs, s.blue_pairs) if p is not None]
            for d, s in result.snapshots.items()}
     assert got == snapshots
+
+
+@pytest.mark.usefixtures("pooled")
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_runs_columns_read_as_its_rows_and_snapshots(kernel, threads, request, monkeypatch):
+    """A run keeps its metrics as columns and its snapshots as its blocks'
+    edge arrays. Read, in blocks of four dates, they are the scalar
+    reference's list of rows and dict of snapshots, with every date or
+    with chosen ones: the first date, two of the second block and one of
+    the fourth."""
+    request.getfixturevalue(kernel)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(4, 5, 6))
+    rows, snapshots = _reference(5, None)
+    panel = build_panel(_REFERENCE_VALUES, _REFERENCE_DIRECTIONS)
+    dates = [r.end_date for r in rows]
+    for wanted in ("all", [dates[0], dates[5], dates[6], dates[13]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the constant asset's windows
+            result = run(panel, dataclasses.replace(_reference_config(None), snapshot_dates=wanted), threads=threads)
+        metrics = result.metrics
+        assert type(metrics) is list and metrics == rows and len(metrics) == len(rows) == 19
+        assert [metrics[i] for i in range(-1, len(rows))] == rows[-1:] + list(iter(metrics))
+        assert result.metrics is metrics
+        assert {type(v) for r in metrics for v in dataclasses.astuple(r)[1:]} == {float, int, type(None)}
+        snaps = result.snapshots
+        assert sorted(snaps) == (dates if wanted == "all" else wanted) and result.snapshots is snaps
+        for d, positions in snaps.items():
+            got = [p for p in (positions.cooc_pairs, positions.red_pairs, positions.blue_pairs) if p is not None]
+            assert [p.tolist() for p in got] == snapshots[d]
+            for p in got:
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    p.setflags(write=True)
+        for missing in [panel.dates[0]] + ([] if wanted == "all" else [dates[1], dates[4]]):
+            with pytest.raises(KeyError):
+                snaps[missing]
 
 
 @pytest.mark.usefixtures("pooled")
@@ -774,19 +812,24 @@ def test_snapshots_retain_at_most_16_bytes_per_edge():
 
 
 def test_a_one_date_snapshot_keeps_at_most_its_blocks_edges(monkeypatch):
-    """A run's snapshot positions are read-only slices of its block's edge
-    array, so a one-date snapshot keeps that array alive and nothing more."""
+    """A run keeps a chosen date's edges as a read-only copy of its runs of
+    its block's edge array, so a one-date snapshot keeps its own edges and
+    not the rest of its block's."""
     panel = generate(SynthSpec(n_assets=20, n_days=80, seed=5, shocks=[Shock(40, 60, 0.9)]))
     monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", _block_doubles(10, 20, 20))
     config = PipelineConfig(snapshot_dates=[panel.dates[19 + 14]])  # inside the second block
     run(panel, config)  # fill the per-run caches first
     without, _ = _retained_bytes(panel, PipelineConfig())
     with_one, result = _retained_bytes(panel, config)
+    row = result.metrics[14]
+    own = row.n_cooc_edges + row.n_red_edges + row.n_blue_edges
     edges = sum(r.n_cooc_edges + r.n_red_edges + r.n_blue_edges for r in result.metrics[10:20])
+    assert edges > 2 * own
     (snap,) = result.snapshots.values()
-    assert snap.cooc_pairs.base.nbytes == np.dtype(np.intp).itemsize * edges
-    # beyond the array: the snapshot, its three views and its dict entry,
-    # 856 bytes on Python 3.11 with numpy 2.4
+    assert snap.cooc_pairs.base.nbytes == np.dtype(np.intp).itemsize * own
+    assert snap.red_pairs.base is snap.cooc_pairs.base and not snap.cooc_pairs.base.flags.writeable
+    # beyond its own edges: its dates, flags and run starts, and tracing
+    # noise; 468-1588 bytes over 30 runs on Python 3.11 with numpy 2.4
     assert with_one - without <= np.dtype(np.intp).itemsize * edges + 1536
 
 
