@@ -11,7 +11,7 @@ CSV and SVG charts under demos/output/shock/.
 from pathlib import Path
 
 from market_rewire import PipelineConfig, Shock, SynthSpec, generate, run
-from market_rewire.export import metrics_csv_text, write_charts, write_file
+from market_rewire.export import write_export_bundle
 
 panel = generate(
     SynthSpec(
@@ -40,7 +40,5 @@ print(f"\nentropy trough : {trough.gbe:.3f} bits on {trough.end_date}")
 print(f"closer-hub peak: {burst.n_closer_hubs} on {burst.end_date}")
 
 out = Path(__file__).parent / "output" / "shock"
-out.mkdir(parents=True, exist_ok=True)
-write_file(out / "metrics.csv", metrics_csv_text(rows))
-write_charts(result, out)
+write_export_bundle(result, out, charts=True)
 print(f"\nwrote {out}/metrics.csv, gbe.svg, hubs.svg")

@@ -76,23 +76,17 @@ def _cmd_run(args) -> int:
 
     try:
         formats = GRAPH_FORMATS if args.graph_format == "both" else (args.graph_format,)
-        write_export_bundle(
-            result,
-            args.out,
-            classes={m.asset_id: m.asset_class for m in panel.assets},
-            graph_formats=formats,
-            charts=args.charts,
-        )
+        classes = {m.asset_id: m.asset_class for m in panel.assets}
+        write_export_bundle(result, args.out, classes, formats, charts=args.charts)
     except OSError as e:
         print(f"error [export]: {e}", file=sys.stderr)
         return 2
 
-    columns = result._metric_columns()
-    dates, gbe, closer = columns.end_dates, columns.gbe, columns.counts[5]
-    low, top = int(gbe.argmin()), int(closer.argmax())  # the first of each; an absent count, -1, is never the top
+    dates, gbe, counts = result._columns  # counts[5] is the closer hubs
+    low, top = int(gbe.argmin()), int(counts[5].argmax())  # the first of each; an absent count, -1, is never the top
     return _summary(
         f"analyzed {len(dates)} dates | min GBE {gbe[low]:.4f} on {dates[low]} | "
-        f"max closer hubs {closer[top]} on {dates[top]}"
+        f"max closer hubs {counts[5, top]} on {dates[top]}"
     )
 
 

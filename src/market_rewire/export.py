@@ -1,9 +1,9 @@
 """Output formats: the metrics CSV, DOT/JSON network snapshots and SVG
 charts, and the layout of the output directory they are written to.
 
-A run's result reaches the files as arrays: the CSV and the charts are
-rendered from its metric columns and the snapshot files from its blocks'
-edge positions, with no `MetricsRow` or `DaySnapshot` built.
+A `RunResult` holds only arrays, and the files are written from them: the
+CSV and the charts from its metric columns and the snapshot files from its
+blocks' edge positions, with no `MetricsRow` or `DaySnapshot` built.
 
 Every renderer is deterministic: lists are sorted and numbers are formatted
 the same way every time, so one run's outputs are identical bytes whatever
@@ -311,9 +311,8 @@ def snapshot_files(
     analyzable date. Each text is the one `export_graph` gives for the
     snapshot's graph, rendered from its edge positions without building it."""
     _check_formats(formats, "formats")
-    block = _edge_block(snap.asset_ids, snap.end_date, snap.cooc_pairs, snap.red_pairs, snap.blue_pairs)
-    files = _snapshot_texts([block], formats, _checked_classes(classes)).files()
-    return [(name, data.decode()) for name, data in files]
+    texts = _snapshot_texts(RunResult(snapshots={snap.end_date: snap})._blocks, formats, _checked_classes(classes))
+    return [(name, data.decode()) for name, data in texts.files()]
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +344,7 @@ def _csv_text(columns: _Columns) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _svg_line_chart(
-    title: str,
-    dates: Sequence[date],
-    series: Sequence[tuple[str, str, np.ndarray]],
-) -> str:
+def _svg_line_chart(title: str, dates: Sequence[date], series: Sequence[tuple[str, str, np.ndarray]]) -> str:
     """Minimal deterministic SVG line chart; gaps (NaN) break the line. The
     coordinates are numpy's float64 operations in Python's order."""
     ml, mr, mt, mb = 60, 24, 34, 42
@@ -360,8 +355,8 @@ def _svg_line_chart(
     present = present[~np.isnan(present)]
     lo = present.min().item() if present.size else 0.0
     hi = present.max().item() if present.size else 1.0
-    if hi == lo:
-        hi = lo + 1.0
+    if hi == lo:  # from 2**53 on, adding 1.0 may leave lo as it is; a relative step never does
+        hi = lo + 1.0 if lo + 1.0 != lo else lo + abs(lo) * 2**-52
     x = ml + (plot_w * np.arange(n) / (n - 1) if n > 1 else np.full(n, plot_w / 2))
 
     def y(v: np.ndarray) -> np.ndarray:
@@ -415,7 +410,7 @@ def _svg_line_chart(
 
 def write_charts(result: RunResult, out_dir: Path) -> list[Path]:
     """Write gbe.svg and hubs.svg from a run's metrics series."""
-    columns = result._metric_columns()
+    columns = result._columns
     farther, closer = np.where(columns.counts[4:] < 0, np.nan, columns.counts[4:])
     charts = [
         ("gbe.svg", "Graph-based entropy (bits)", [("GBE", "green", columns.gbe)]),
@@ -474,12 +469,13 @@ def write_export_bundle(
     so it gets only the co-occurrence files.
 
     The metrics CSV and the charts are read off the result's metric
-    columns, and the snapshots off its edge blocks (`RunResult`), rendered
-    a block of consecutive dates at a time (`_export_blocks`), as one
-    piece table (`_snapshot_texts`). Where the compiled library loaded, its
-    `write_files` assembles and writes all of a block's files in one call,
-    with no text built per file in Python; else each file's pieces are
-    joined in Python and written by `write_file`. Either way a file left by an earlier run is rewritten in
+    columns and the snapshots off its edge blocks, the one form a
+    `RunResult` keeps, rendered a block of consecutive dates at a time
+    (`_export_blocks`) as one piece table (`_snapshot_texts`). Where the
+    compiled library loaded, its `write_files` assembles and writes all of
+    a block's files in one call, with no text built per file in Python;
+    else each file's pieces are joined in Python and written by
+    `write_file`. Either way a file left by an earlier run is rewritten in
     place as `write_file` does it and ends up with the same bytes as in a
     fresh directory, and a file that cannot be written raises the OSError
     that opening it with `os.open` raises, after the files before it.
@@ -491,14 +487,13 @@ def write_export_bundle(
     classes = _checked_classes(classes)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_file(out_dir / "metrics.csv", _csv_text(result._metric_columns()))
+    write_file(out_dir / "metrics.csv", _csv_text(result._columns))
 
-    blocks = result._snapshot_blocks()
-    if blocks:
+    if result._blocks:
         net_dir = out_dir / "networks"
         net_dir.mkdir(exist_ok=True)
         prefix = os.path.join(net_dir, "")
-        blocks = _export_blocks(blocks)
+        blocks = _export_blocks(result._blocks)
         if dtw._kernel is None:
             for block in blocks:
                 for name, data in _snapshot_texts(block, graph_formats, classes).files():

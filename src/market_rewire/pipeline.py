@@ -9,8 +9,9 @@ call per block of dates does both, else `preprocess`'s numpy z-scores and
 distances and, from the second analyzable date on, off their change from the
 previous date's (`networks.day_metrics`), as columns. On the dates in
 `PipelineConfig.snapshot_dates` it also keeps the positions of the date's
-co-occurrence, red and blue pairs (`_EdgeBlock`). No window object,
-distance matrix, graph, metrics row or snapshot is built on the way.
+co-occurrence, red and blue pairs (`_EdgeBlock`), and its `RunResult`
+holds just those arrays: no window object, distance matrix, graph,
+metrics row or snapshot is built on the way.
 
 The dates go in blocks of consecutive dates, as many as _BLOCK_DOUBLES
 holds (one date a block from 110 assets at w = 20 on): each step is one
@@ -30,9 +31,9 @@ from collections import deque
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,37 +182,47 @@ def _edge_block(ids: tuple[str, ...], day: date, cooc, red=None, blue=None) -> _
     return _EdgeBlock(ids, [day], np.array([red is not None]), at, np.cumsum([0, *map(len, runs), 0, 0][:4]))
 
 
-@dataclass
 class RunResult:
-    """A run's metrics rows, in date order, and the snapshots of the dates
-    that wanted one, by date. A run keeps them as arrays, `_Columns` and
-    `_EdgeBlock`s, and builds the list and the dict when each is first
-    read; until then the export reads the arrays."""
+    """A run's metrics rows, in date order, and its snapshots by date, kept
+    only as the arrays the export reads: `_Columns` and `_EdgeBlock`s. A run
+    hands over its own (`_of`); `RunResult(metrics, snapshots)` converts rows
+    and snapshots, each filed under its own `end_date`. The read-only
+    `metrics` list and `snapshots` dict are built from them on first read."""
 
-    metrics: list[MetricsRow] = field(default_factory=list)
-    snapshots: dict[date, DaySnapshot] = field(default_factory=dict)
+    _metrics = _snapshots = None
 
-    def __getattr__(self, name: str):
-        """`metrics` or `snapshots` of a run's result, built on the first read."""
-        if name not in ("metrics", "snapshots") or "_blocks" not in vars(self):
-            raise AttributeError(name)
-        if name == "metrics":
-            self.metrics = self._columns.rows()
-        else:
+    def __init__(self, metrics: Sequence[MetricsRow] = (), snapshots: Mapping[date, DaySnapshot] | None = None):
+        for day, s in (snapshots or {}).items():
+            if not isinstance(s, DaySnapshot) or s.end_date != day:
+                got = f"the snapshot of {s.end_date}" if isinstance(s, DaySnapshot) else f"a {type(s).__name__}"
+                raise ValueError(f"{got} is filed under {day}; a date takes the DaySnapshot of that date")
+        snaps = [s for _, s in sorted((snapshots or {}).items())]
+        self._columns = _Columns.of(metrics)
+        self._blocks = [_edge_block(s.asset_ids, s.end_date, s.cooc_pairs, s.red_pairs, s.blue_pairs) for s in snaps]
+
+    @classmethod
+    def _of(cls, columns: _Columns, blocks: list[_EdgeBlock]) -> "RunResult":
+        result = object.__new__(cls)
+        result._columns, result._blocks = columns, blocks
+        return result
+
+    @property
+    def metrics(self) -> list[MetricsRow]:
+        if self._metrics is None:
+            self._metrics = self._columns.rows()
+        return self._metrics
+
+    @property
+    def snapshots(self) -> dict[date, DaySnapshot]:
+        if self._snapshots is None:
             runs = [(b, d, day) for b in self._blocks for d, day in enumerate(b.dates)]
-            self.snapshots = {day: DaySnapshot._unchecked(day, b.ids, *b.positions(d)) for b, d, day in runs}
-        return vars(self)[name]
+            self._snapshots = {day: DaySnapshot._unchecked(day, b.ids, *b.positions(d)) for b, d, day in runs}
+        return self._snapshots
 
-    def _metric_columns(self) -> _Columns:
-        """The metrics as columns: the run's own until `metrics` is read or set."""
-        return _Columns.of(self.metrics) if "metrics" in vars(self) else self._columns
-
-    def _snapshot_blocks(self) -> list[_EdgeBlock]:
-        """The snapshots as blocks, in date order: the run's own until `snapshots` is read or set."""
-        if "snapshots" not in vars(self):
-            return self._blocks
-        snaps = [self.snapshots[d] for d in sorted(self.snapshots)]
-        return [_edge_block(s.asset_ids, s.end_date, s.cooc_pairs, s.red_pairs, s.blue_pairs) for s in snaps]
+    def __eq__(self, other):
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return (self.metrics, self.snapshots) == (other.metrics, other.snapshots)
 
 
 # The least DTW work of a block of dates at which a run hands its blocks to
@@ -379,8 +390,5 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
         for start, arrays, call in in_flight:
             call.result()
             finish(start, arrays)
-    result = object.__new__(RunResult)
-    result._blocks = blocks
     gbe, counts = np.concatenate([c.gbe for c in columns]), np.concatenate([c.counts for c in columns], axis=1)
-    result._columns = _Columns(panel.dates[w - 1 :], gbe, counts)
-    return result
+    return RunResult._of(_Columns(panel.dates[w - 1 :], gbe, counts), blocks)

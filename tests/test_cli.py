@@ -10,6 +10,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
@@ -33,7 +34,7 @@ from market_rewire import (
 )
 from market_rewire.cli import _build_parser, main
 import market_rewire
-from market_rewire import dtw, export, pipeline
+from market_rewire import dtw, export, networks, pipeline
 from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
 from market_rewire.ingest import FILL_POLICIES
 from market_rewire.networks import MetricsRow
@@ -75,6 +76,24 @@ def test_gen_then_run_round_trip(tmp_path, capsys):
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     assert summary.startswith("analyzed 21 dates")
     assert "min GBE" in summary and "max closer hubs" in summary
+
+
+def test_the_run_summary_names_the_first_date_of_each_extreme(tmp_path, capsys):
+    """The summary line is the lowest GBE and the most closer hubs, each on
+    the first date that has it, as `min` and `max` over the run's rows give
+    them; on this panel both extremes come on several dates."""
+    src = tmp_path / "data"
+    assert main(gen_args(src, assets=6, days=50, seed=1, shock="20:35:1.0")) == 0
+    rows = run(load_panel(src / "prices.csv", src / "assets.json")).metrics
+    low = min(rows, key=lambda r: r.gbe)
+    top = max((r for r in rows if r.n_closer_hubs is not None), key=lambda r: r.n_closer_hubs)
+    assert [r.gbe for r in rows].count(low.gbe) > 1 and [r.n_closer_hubs for r in rows].count(top.n_closer_hubs) > 1
+    capsys.readouterr()
+    assert main(run_args(src, tmp_path / "out")) == 0
+    assert capsys.readouterr().out == (
+        f"analyzed {len(rows)} dates | min GBE {low.gbe:.4f} on {low.end_date} | "
+        f"max closer hubs {top.n_closer_hubs} on {top.end_date}\n"
+    )
 
 
 def test_first_metrics_row_has_empty_differential_fields(tmp_path):
@@ -701,7 +720,7 @@ def test_snapshots_over_other_ids_render_in_their_own_blocks():
         DaySnapshot(D0 + timedelta(days=2), ids, np.array([1]), np.array([], dtype=int), np.array([2])),
         DaySnapshot(D0 + timedelta(days=3), ids, np.array([], dtype=int)),
     ]
-    groups = export._export_blocks(RunResult(snapshots={s.end_date: s for s in snaps})._snapshot_blocks())
+    groups = export._export_blocks(RunResult(snapshots={s.end_date: s for s in snaps})._blocks)
     got = [[(b.ids, *b.dates) for b in group] for group in groups]
     assert got == [[(s.asset_ids, s.end_date) for s in part] for part in (snaps[:1], snaps[1:2], snaps[2:])]
     classes = {"a": "bond", "c": "fx"}
@@ -729,7 +748,7 @@ def test_export_peak_memory_does_not_grow_with_the_dates(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(list(export._export_blocks(result._snapshot_blocks()))) > 3
+        assert len(list(export._export_blocks(result._blocks))) > 3
         return peak
 
     short, long = export_peak(150), export_peak(600)
@@ -1012,12 +1031,37 @@ def test_charts_equal_the_row_by_row_renderer(rows):
         assert {p.name: p.read_text(encoding="utf-8") for p in paths} == expected
 
 
+@pytest.mark.parametrize("gbe", [2.0**60, -(2.0**60)], ids=["2**60", "-2**60"])
+def test_a_flat_chart_past_2_53_is_drawn_like_any_flat_chart(tmp_path, gbe):
+    """A flat series is widened so that its range is never empty: at
+    |gbe| = 2**60, where adding 1.0 changes nothing, the GBE line lies on
+    the plot's floor as it does at gbe 0, with no NaN coordinate and no
+    warning."""
+    def polylines(value):
+        rows = [MetricsRow(D0 + timedelta(days=d), value, 1, 0) for d in range(3)]
+        out = tmp_path / str(value)
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            export.write_charts(RunResult(metrics=rows), out)
+        svg = (out / "gbe.svg").read_text(encoding="utf-8")
+        assert "nan" not in svg
+        return [line for line in svg.splitlines() if line.startswith("<polyline")]
+
+    assert polylines(gbe) == polylines(0.0) != []
+
+
 @pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
 def test_a_hand_built_result_writes_the_runs_tree(tmp_path, kernel, request, monkeypatch):
-    """The export reads a run's metric columns and edge arrays while its
-    rows and snapshots are unread, and the rows and snapshots once they are
-    read or when the result was built from them: in blocks of several dates,
-    with every date or chosen ones, all three write the same tree."""
+    """The export reads a result's metric columns and edge arrays, the one
+    form it keeps, whether its rows and snapshots are unread, read, or what
+    it was built from: in blocks of several dates, with every date or chosen
+    ones, all three write the same tree, and none converts rows or
+    snapshots back to arrays while it exports."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the export converted rows or snapshots")
+
     request.getfixturevalue(kernel)
     monkeypatch.setattr(pipeline, "_BLOCK_DOUBLES", 4 * (15 + 6 * 5))  # 4 dates a block
     panel = generate(SynthSpec(n_assets=6, n_days=30, seed=3, shocks=[Shock(12, 20, 0.9)]))
@@ -1032,7 +1076,9 @@ def test_a_hand_built_result_writes_the_runs_tree(tmp_path, kernel, request, mon
                 if form == "built":
                     result = RunResult(metrics=list(rows), snapshots=dict(snaps))
             out = tmp_path / ("every" if wanted == "all" else "chosen") / form
-            export.write_export_bundle(result, out, charts=True)
+            # whatever the form, the export reads the arrays it holds and converts nothing
+            with mock.patch.object(networks._Columns, "of", refuse), mock.patch.object(pipeline, "_edge_block", refuse):
+                export.write_export_bundle(result, out, charts=True)
             trees.append({rel: path.read_bytes() for rel, path in output_files(out).items()})
         assert trees[0] == trees[1] == trees[2]
         assert len(trees[0]) == 3 + 4 * len(result.snapshots) - 2

@@ -18,6 +18,7 @@ from market_rewire import (
     DistanceMatrix,
     Graph,
     PipelineConfig,
+    RunResult,
     SignedGraph,
     Shock,
     StandardizedWindow,
@@ -318,6 +319,9 @@ def test_a_runs_columns_read_as_its_rows_and_snapshots(kernel, threads, request,
         for missing in [panel.dates[0]] + ([] if wanted == "all" else [dates[1], dates[4]]):
             with pytest.raises(KeyError):
                 snaps[missing]
+        for name in ("metrics", "snapshots"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, getattr(result, name))
 
 
 @pytest.mark.usefixtures("pooled")
@@ -760,6 +764,20 @@ def test_snapshots_are_equal_only_with_the_same_edges(shock_panel):
     assert snap != DaySnapshot(day, shock_panel.asset_ids, snap.cooc_pairs)
     with pytest.raises(ValueError):
         snap.cooc_pairs[:1] = 0
+
+
+def test_a_built_result_takes_each_snapshot_under_its_own_date(shock_panel):
+    """`RunResult(metrics, snapshots)` files a snapshot by its `end_date`:
+    one keyed by another date, which the export would write under its own,
+    or a value that is not a DaySnapshot raises a ValueError naming them."""
+    days = shock_panel.dates[30], shock_panel.dates[31]
+    snaps = run(shock_panel, PipelineConfig(snapshot_dates=days)).snapshots
+    assert RunResult(snapshots=snaps).snapshots == snaps
+    with pytest.raises(ValueError, match=f"snapshot of {days[1]} is filed under {days[0]}"):
+        RunResult(snapshots={days[0]: snaps[days[1]]})
+    for bad in (None, snaps[days[0]].cooccurrence):
+        with pytest.raises(ValueError, match=f"a {type(bad).__name__} is filed under {days[0]}"):
+            RunResult(snapshots={days[0]: bad})
 
 
 @pytest.mark.usefixtures("pooled")
