@@ -2,7 +2,7 @@
  * z-scoring of a run's windows, the edge search that networks.day_metrics
  * reads from its distances, and the writer of export.py's snapshot files:
  * the library's four exports, dtw_pairs, dtw_block, dtw_edges and
- * write_files, which dtw.py loads all or none.
+ * write_files, which _native.py loads all or none.
  *
  * dtw_pairs computes, for every date d < days and every p < k, the DTW
  * distance between column ii[p] and column jj[p] of Z[d], a C-contiguous

@@ -16,23 +16,14 @@ batched versions of the same dynamic program. Every version performs the
 scalar loop's elementary float operations on the same values, |p - q|, two
 mins and one add per cell, so all results agree bitwise.
 
-The compiled kernel (`_dtw.c`, `KERNEL == "c"`) sweeps the table row by row
-for groups of pairs laid out pair-minor, so its innermost loop runs across
-pairs and vectorises, and loops over a block's dates within the one call.
-It is built on first import with the machine's `cc` into this package's
-__pycache__ and loaded with ctypes; later imports load it from there. Its
-scratch, (4w + 2) doubles per pair of a group, is a numpy array that each
-call allocates. The same library exports `dtw_block`, which z-scores a
-run's block of dates straight from the panel with numpy's steps and bits
-and then sweeps it, all in the one call that `_block_distances` makes,
-`dtw_edges`, `networks.day_metrics`' edge search, and `write_files`, which
-assembles an export block's snapshot files from `export`'s piece table and
-writes them; `_load_kernel` loads all four exports or none. Where no
-library can be built or loaded (no compiler, a directory that cannot be
-written, a toolchain that rejects the source), `KERNEL` reads "numpy", and
-`preprocess`'s numpy z-scores, the numpy wavefront and
-`networks._numpy_edges` run instead, and the export joins each file's
-pieces in Python.
+The compiled kernel (`_native.c`'s `dtw_pairs` and `dtw_block`, `KERNEL ==
+"c"`) sweeps the table row by row for groups of pairs laid out pair-minor,
+so its innermost loop runs across pairs and vectorises, and loops over a
+block's dates within the one call; `dtw_block` first z-scores the block
+from the panel with numpy's steps and bits. Its scratch, (4w + 2) doubles
+per pair of a group, is a numpy array that each call allocates. Where
+`_native` loaded no library, `KERNEL` reads "numpy", and `preprocess`'s
+numpy z-scores and the numpy wavefront run instead.
 
 The numpy wavefront keeps pairs on the last axis and sweeps the table by
 anti-diagonals, holding three of them. It takes the pairs in blocks of
@@ -51,11 +42,6 @@ asset counts (2 MB at 500 assets). `distance_matrix` also builds an n x n matrix
 traced allocations on either kernel.
 """
 
-import ctypes
-import os
-import platform
-import sys
-import zlib
 from dataclasses import dataclass
 from datetime import date
 from functools import lru_cache
@@ -63,6 +49,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _native
+from ._native import KERNEL  # "c" where the compiled library loaded, else "numpy"
 from .ingest import _check_date, _check_ids, _check_int
 from .preprocess import NON_FINITE, StandardizedWindow, _window_rows, _zscore_flags
 
@@ -73,106 +61,6 @@ from .preprocess import NON_FINITE, StandardizedWindow, _window_rows, _zscore_fl
 # 10 in each of 9 alternated processes per size; at 20 assets, 190 pairs a
 # date, both sizes take a date in one block and tie.
 _PAIR_BLOCK = 2048
-
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_dtw.c")
-# No -ffast-math, which lets the compiler reorder and contract float operations
-# and so break the bitwise contract, and no -march=native, which would tie a
-# checkout's library to the CPU that built it; the source's target_clones pick
-# AVX-512, AVX2 or baseline code when the library loads. -ffp-contract=off
-# keeps the z-scores' squares and sign products out of fused multiply-adds,
-# which GCC forms by default where the clones have FMA, and
-# -fno-math-errno makes sqrt one instruction, so the library needs no libm.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
-
-
-# `_dtw.c`'s exports, described above, by name, with their argument and result types
-_P, _I, _R = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-_EXPORTS = {
-    "dtw_pairs": ((_P, _I, _I, _I, _P, _P, _I, _I, _P, _P), ctypes.c_int),
-    "dtw_block": ((_P, _I, _I, _I, _I, _P, _P, _P, _P, _P, _I, _I, _P, _P), ctypes.c_int),
-    "dtw_edges": ((_P, _P, _I, _I, _I, _P, _P, _R, _R, _P, _P, _P), ctypes.c_int),
-    "write_files": ((_I, ctypes.c_char_p, _P, _P, _P, _P, _I, _P, _P), _I),
-}
-
-
-def _load_kernel() -> ctypes.CDLL | None:
-    """The compiled library, with the types of each of `_EXPORTS` set and
-    its pair group size `dtw_group` defined, or None where it cannot be
-    built or loaded: all exports or none.
-
-    The library is built on first use with the machine's `cc` into this
-    package's __pycache__, and named by the CRC-32 of the source, the flags,
-    the interpreter's cache tag and the machine, so a changed source is
-    rebuilt and a current one is reused, as bytecode is.
-    """
-    try:
-        with open(_SOURCE, "rb") as f:
-            source = f.read()
-    except OSError:
-        return None
-    key = [" ".join(_CFLAGS), str(sys.implementation.cache_tag), platform.machine()]
-    crc = zlib.crc32("\n".join(key).encode(), zlib.crc32(source))
-    path = os.path.join(os.path.dirname(_SOURCE), "__pycache__", f"_dtw.{crc:08x}.so")
-    if not _complete(path) and not _build(path):
-        return None
-    try:
-        lib = ctypes.CDLL(path)
-        for name, (argtypes, restype) in _EXPORTS.items():
-            function = getattr(lib, name)
-            function.argtypes, function.restype = argtypes, restype
-        ctypes.c_int64.in_dll(lib, "dtw_group")
-    except (OSError, AttributeError, ValueError):
-        return None
-    return lib
-
-
-def _complete(path: str) -> bool:
-    """Whether the file exists and, if it is ELF, is as long as its header
-    says: loading a truncated library faults instead of failing. The linker
-    puts the section header table last."""
-    try:
-        with open(path, "rb") as f:
-            head, size = f.read(64), os.fstat(f.fileno()).st_size
-    except OSError:
-        return False
-    if len(head) < 64:
-        return False
-    if head[:4] != b"\x7fELF":
-        return True  # another format, as on macOS: nothing to check it against
-    order = "little" if head[5] == 1 else "big"
-    # e_shoff, e_shentsize and e_shnum of a 64-bit or 32-bit header
-    at = (0x28, 8, 0x3A, 0x3C) if head[4] == 2 else (0x20, 4, 0x2E, 0x30)
-    shoff = int.from_bytes(head[at[0] : at[0] + at[1]], order)
-    entry, count = (int.from_bytes(head[i : i + 2], order) for i in at[2:])
-    return shoff + entry * count <= size
-
-
-def _build(path: str) -> bool:
-    """Compile `_dtw.c` into `path` through a temporary file in its directory,
-    so no process ever loads a partly written library; False where it fails."""
-    import subprocess
-
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SOURCE], check=True, capture_output=True, timeout=300)
-        os.replace(tmp, path)
-        return True
-    except (OSError, subprocess.SubprocessError):
-        return False
-    finally:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
-
-
-_kernel = _load_kernel()
-# pairs per group of the compiled sweep, which lays each group out pair-minor
-_GROUP = 0 if _kernel is None else ctypes.c_int64.in_dll(_kernel, "dtw_group").value
-# "c" where the compiled library loaded, for the DTW kernel, the edge
-# search and the snapshot writer alike, else "numpy"
-KERNEL = "numpy" if _kernel is None else "c"
 
 
 @dataclass
@@ -296,7 +184,7 @@ def _pair_distances(
     the whole block where it loaded; else the numpy wavefront takes each
     date in blocks of _PAIR_BLOCK pairs."""
     k = ii.size
-    if _kernel is None:
+    if _native.lib is None:
         w = Z.shape[-2]
         plan, work = _diagonal_plan(w, band), _aligned((6 * w + 3) * min(k, _PAIR_BLOCK))
         for Zd, od in zip(Z[None] if Z.ndim == 2 else Z, out[None] if out.ndim == 1 else out):
@@ -304,24 +192,14 @@ def _pair_distances(
                 block = slice(start, start + _PAIR_BLOCK)
                 _batched_dtw(Zd, ii[block], jj[block], plan, work, od[block])
         return
-    days = Z.shape[0] if Z.ndim == 3 else 1
     w, n = Z.shape[-2:]
-    # what the kernel reads and writes through raw pointers
-    if not (
-        Z.dtype == out.dtype == np.float64
-        and ii.dtype == jj.dtype == np.int64
-        and ii.shape == jj.shape == (k,)
-        and Z.ndim in (2, 3)
-        and out.shape == Z.shape[:-2] + (k,)
-        and all(a.flags.c_contiguous for a in (Z, ii, jj, out))
-        and out.flags.writeable
-    ):
-        raise ValueError("the DTW kernel takes C-contiguous float64 Z and out and int64 indices")
+    days = Z.shape[:1] if Z.ndim == 3 else ()  # (D,) for a block of D dates, () for one date
+    at_Z = _native.address(Z, np.float64, days + (w, n), "the DTW kernel")
+    at_ii, at_jj = (_native.address(a, np.int64, (k,), "the DTW kernel") for a in (ii, jj))
+    at_out = _native.address(out, np.float64, days + (k,), "the DTW kernel", writeable=True)
     band = w if band is None else min(band, w)
-    work = _aligned((4 * w + 2) * _GROUP)
-    if _kernel.dtw_pairs(
-        Z.ctypes.data, days, w, n, ii.ctypes.data, jj.ctypes.data, k, band, work.ctypes.data, out.ctypes.data
-    ):
+    work = _aligned((4 * w + 2) * _native.GROUP)
+    if _native.lib.dtw_pairs(at_Z, days[0] if days else 1, w, n, at_ii, at_jj, k, band, work.ctypes.data, at_out):
         raise IndexError(f"a pair index is outside 0 .. {n - 1}")
 
 
@@ -348,7 +226,7 @@ def _block_distances(
     `_pair_distances` on that date alone.
     """
     n, k = values.shape[1], ii.size
-    if _kernel is None:
+    if _native.lib is None:
 
         def block(start: int, days: int):
             Z, flags, out = np.empty((days, w, n)), np.empty((days, n), np.uint8), np.empty((days, k))
@@ -365,19 +243,13 @@ def _block_distances(
 
         return block
     held = values, signs, ii, jj  # referenced by the step, so alive while it passes their addresses
-    # what the kernel reads through raw pointers, for every block of the run
-    if not (
-        values.dtype == signs.dtype == np.float64
-        and ii.dtype == jj.dtype == np.int64
-        and signs.shape == (n,)
-        and ii.shape == jj.shape == (k,)
-        and all(a.flags.c_contiguous for a in held)
-    ):
-        raise ValueError("the DTW kernel takes C-contiguous float64 values and signs and int64 indices")
+    at = [
+        _native.address(a, dtype, shape, "the DTW kernel")
+        for a, dtype, shape in zip(held, (np.float64, np.float64, np.int64, np.int64), ((len(values), n), (n,), (k,), (k,)))
+    ]
     band = w if band is None else min(band, w)
-    at = [a.ctypes.data for a in held]
     # doubles of scratch, shared by the z-scores and the sweep
-    scratch = max((4 * w + 2) * _GROUP, (10 + w.bit_length()) * n)
+    scratch = max((4 * w + 2) * _native.GROUP, (10 + w.bit_length()) * n)
 
     def block(start: int, days: int):
         if not w - 1 <= start <= start + days <= len(held[0]):
@@ -396,7 +268,7 @@ def _block_distances(
             # naming buf and held here keeps them alive while the kernel writes
             # and reads them through raw addresses, whatever the caller still holds
             buf, held
-            if _kernel.dtw_block(
+            if _native.lib.dtw_block(
                 at[0], n, start, days, w, at[1], address + 8 * z, address + 8 * f,
                 at[2], at[3], k, band, address + 8 * pad, address + 8 * o,
             ) < 0:

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import dtw
+from . import _native
 from .dtw import _pair_indices, _pair_positions
 from .networks import Graph, MetricsRow, SignedGraph, _Columns, _places
 from .pipeline import DaySnapshot, RunResult, _edge_block, _EdgeBlock
@@ -468,20 +468,20 @@ def write_export_bundle(
     requested format; the first analyzable date has no differential network,
     so it gets only the co-occurrence files.
 
-    The metrics CSV and the charts are read off the result's metric
-    columns and the snapshots off its edge blocks, the one form a
-    `RunResult` keeps, rendered a block of consecutive dates at a time
+    The metrics CSV and the charts are read off the result's metric columns
+    and the snapshots off its edge blocks, the one form a `RunResult`
+    keeps, rendered a block of consecutive dates at a time
     (`_export_blocks`) as one piece table (`_snapshot_texts`). Where the
-    compiled library loaded, its `write_files` assembles and writes all of
-    a block's files in one call, with no text built per file in Python;
-    else each file's pieces are joined in Python and written by
-    `write_file`. Either way a file left by an earlier run is rewritten in
-    place as `write_file` does it and ends up with the same bytes as in a
-    fresh directory, and a file that cannot be written raises the OSError
-    that opening it with `os.open` raises, after the files before it.
-    Files this call does not produce, such as snapshots of dates or formats
-    no longer requested, are left as they were. `graph_formats` and
-    `classes` are checked before anything is written.
+    compiled library loaded (`_native.lib`), its `write_files` assembles
+    and writes all of a block's files in one call, with no text built per
+    file in Python; else each file's pieces are joined in Python and
+    written by `write_file`. Either way a file left by an earlier run is
+    rewritten in place as `write_file` does it and ends up with the same
+    bytes as in a fresh directory, and a file that cannot be written raises
+    the OSError that opening it with `os.open` raises, after the files
+    before it. Files this call does not produce, such as snapshots of dates
+    or formats no longer requested, are left as they were. `graph_formats`
+    and `classes` are checked before anything is written.
     """
     _check_formats(graph_formats, "graph_formats")
     classes = _checked_classes(classes)
@@ -494,7 +494,7 @@ def write_export_bundle(
         net_dir.mkdir(exist_ok=True)
         prefix = os.path.join(net_dir, "")
         blocks = _export_blocks(result._blocks)
-        if dtw._kernel is None:
+        if _native.lib is None:
             for block in blocks:
                 for name, data in _snapshot_texts(block, graph_formats, classes).files():
                     write_file(prefix + name, data)
@@ -518,8 +518,8 @@ def _write_files(dirfd: int, prefix: str, t: _PieceTable) -> None:
         dirfd, t.table, t.offsets.ctypes.data, t.index.ctypes.data, t.starts.ctypes.data,
         t.names.ctypes.data, len(t.starts) - 1,
     )
-    buf, error = np.empty(dtw._kernel.write_files(*args, None, None), np.uint8), np.zeros(1, np.int64)
-    f = dtw._kernel.write_files(*args, buf.ctypes.data, error.ctypes.data)
+    buf, error = np.empty(_native.lib.write_files(*args, None, None), np.uint8), np.zeros(1, np.int64)
+    f = _native.lib.write_files(*args, buf.ctypes.data, error.ctypes.data)
     if f >= 0:
         code = int(error[0])
         raise OSError(code, os.strerror(code), prefix + t.name(f))

@@ -12,7 +12,7 @@ upper triangles of their distance matrices, as columns (`_Columns`),
 without building a graph or a row, and hands back the sorted positions of
 its edges; the pipeline uses it on every date and keeps the positions of
 the snapshot dates. Its edge search, components and degrees are one compiled
-call of `_dtw.c`'s `dtw_edges` where the DTW library loaded
+call of `_native.c`'s `dtw_edges` where the library loaded
 (`dtw.KERNEL == "c"`), and numpy array code (`_numpy_edges`) where it did
 not; both give the same edges and counts. The graph functions map ids to
 their places in the node tuple and call the numpy array code.
@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import dtw
+from . import _native
 from .dtw import DistanceMatrix, _pair_indices
 from .ingest import _check_date, _check_ids, _check_int, _check_real
 
@@ -92,7 +92,9 @@ class SignedGraph:
 @dataclass(frozen=True)
 class MetricsRow:
     """Per-day metrics. Differential fields are None on the first analyzable
-    date, where no previous distance matrix exists (absent, not zero)."""
+    date, where no previous distance matrix exists (absent, not zero). A
+    `RunResult` keeps gbe as a float64 and each count as a non-negative
+    int64, so a row built by hand reads back from it that way."""
 
     end_date: date
     gbe: float
@@ -120,9 +122,14 @@ class _Columns(NamedTuple):
 
     @classmethod
     def of(cls, rows: Sequence[MetricsRow]) -> "_Columns":
-        """The columns of `rows`: gbe taken as float64, None as -1."""
+        """The columns of `rows`: gbe taken as float64, None as -1. A count
+        that is negative, a bool or not an integer raises ValueError naming
+        its date and field, since it would not read back as itself."""
         dates, gbe, *counts = ([getattr(r, f.name) for r in rows] for f in fields(MetricsRow))
-        counts = [[-1 if v is None else v for v in c] for c in counts]
+        counts = [
+            [-1 if v is None else _check_int(v, f"{d}: {f.name}", 0) for d, v in zip(dates, c)]
+            for f, c in zip(fields(MetricsRow)[2:], counts)
+        ]
         return cls(dates, np.array(gbe, np.float64), np.array(counts, np.int64).reshape(6, len(dates)))
 
     def rows(self) -> list[MetricsRow]:
@@ -337,42 +344,33 @@ def _edge_search(
     (3, dates, n): the size of each co-occurrence component at its lowest
     node, else 0, and each node's red and blue degree.
 
-    The search, components and degrees are two calls of `_dtw.c`'s
-    `dtw_edges` where the compiled DTW kernel loaded (`dtw.KERNEL`), and
+    The search, components and degrees are two calls of `_native.c`'s
+    `dtw_edges` where the library loaded (`dtw.KERNEL`), and
     `_numpy_edges` where it did not; both take the same comparisons of the
     same values, so they give the same counts, `at` and `starts`. The
     compiled search checks ii and jj and takes their addresses here, and
-    the addresses of a block's arrays once a block.
+    the addresses of a block's arrays once a block (`_native.address`).
     """
-    if dtw._kernel is None:
+    if _native.lib is None:
         return partial(_numpy_edges, n, pairs)
     held = ii, jj = pairs  # referenced by the search, so alive while it passes their addresses
     m = ii.size
-    # what the library reads through raw pointers, for every block of the run
-    if not (ii.dtype == jj.dtype == np.int64 and ii.shape == jj.shape == (m,) and all(a.flags.c_contiguous for a in held)):
-        raise ValueError("the edge search takes C-contiguous float64 distances and int64 pair indices")
-    at_ii, at_jj = (a.ctypes.data for a in held)
+    at_ii, at_jj = (_native.address(a, np.int64, (m,), "the edge search") for a in held)
 
     def search(dist, prev, theta, delta):
         days = len(dist)
-        if not (
-            dist.dtype == np.float64
-            and dist.shape == (days, held[0].size)
-            and dist.flags.c_contiguous
-            and (prev is None or prev.dtype == np.float64 and prev.shape == (m,) and prev.flags.c_contiguous)
-        ):
-            raise ValueError("the edge search takes C-contiguous float64 distances and int64 pair indices")
+        args = (
+            _native.address(dist, np.float64, (days, m), "the edge search"),
+            None if prev is None else _native.address(prev, np.float64, (m,), "the edge search"),
+            days, m, n, at_ii, at_jj, theta, delta,
+        )
         # one array for `starts` and the counts, for one address lookup
         buf = np.empty(3 * days * (n + 1) + 1, np.int64)
         address = buf.ctypes.data
-        args = (
-            dist.ctypes.data, None if prev is None else prev.ctypes.data, days, m, n,
-            at_ii, at_jj, theta, delta, address,
-        )
-        dtw._kernel.dtw_edges(*args, None, None)
+        _native.lib.dtw_edges(*args, address, None, None)
         starts = buf[: 3 * days + 1]
         at = np.empty(starts[-1], np.intp)
-        if dtw._kernel.dtw_edges(*args, at.ctypes.data, address + 8 * (3 * days + 1)):
+        if _native.lib.dtw_edges(*args, address, at.ctypes.data, address + 8 * (3 * days + 1)):
             raise IndexError(f"a pair index is outside 0 .. {n - 1}")
         return at, starts, buf[3 * days + 1 :].reshape(3, days, n)
 

@@ -27,9 +27,9 @@ warning and non-finite error comes as in a serial run.
 """
 
 import os
+import sys
 from collections import deque
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date
@@ -326,6 +326,18 @@ def run(panel: PricePanel, config: PipelineConfig | None = None, threads: int | 
     return _run_days(panel, config, span, _worker_count(threads, -(-days // span), work))
 
 
+def __getattr__(name: str):
+    """`ThreadPoolExecutor`, imported when it is first read: `concurrent.futures`
+    and the `logging` it imports took 3.7-5.6 ms of a cold start after numpy,
+    and a one-worker run, the CLI's default, never pools."""
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor
+
+
 def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int) -> RunResult:
     """The metrics of every analyzable date, as columns, and the edges of
     the snapshot dates. Each block of `span` dates is z-scored and swept in
@@ -370,7 +382,8 @@ def _run_days(panel: PricePanel, config: PipelineConfig, span: int, workers: int
                 chosen = (d for d, day in enumerate(end_dates) if day in config.snapshot_dates)
                 blocks.extend(_edge_block(ids, end_dates[d], *edges.positions(d)) for d in chosen)
 
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    # read off the module, whose `__getattr__` imports the class for a run's first pool
+    with sys.modules[__name__].ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         for start in range(w - 1, panel.n_dates, span):
             arrays, fill = block(start, min(span, panel.n_dates - start))
             if pool is None:

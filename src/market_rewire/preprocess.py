@@ -6,7 +6,7 @@ the bits that `window_zscore` gives it alone; `_check_flags` warns and raises
 as its flags say. `window_zscore` and `windows_at` are the one-window and
 one-date cases of these steps, which a run's numpy leg takes a block at a
 time (`dtw._block_distances`). Where the compiled DTW library loaded, a run
-z-scores each block inside its kernel call (`_dtw.c`'s `dtw_block`), with the
+z-scores each block inside its kernel call (`_native.c`'s `dtw_block`), with the
 same steps and bits, and only reads the flags with `_check_flags`.
 """
 
@@ -31,7 +31,7 @@ class StandardizedWindow:
 
 
 # Per-(date, row) flags of a z-scored block: a constant window, and a
-# window whose mean or std is not finite. `_dtw.c`'s dtw_block sets the same.
+# window whose mean or std is not finite. `_native.c`'s dtw_block sets the same.
 CONSTANT, NON_FINITE = 1, 2
 
 

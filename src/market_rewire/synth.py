@@ -207,8 +207,9 @@ def write_panel(panel: PricePanel, out_dir):
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["date", *panel.asset_ids])
-        for d, row in zip(panel.dates, panel.values):
-            writer.writerow([d.isoformat()] + ["" if np.isnan(v) else repr(float(v)) for v in row])
+        # one tolist() a row: repr of its floats, NaN (v != v) as a blank
+        for d, row in zip(panel.dates, panel.values.tolist()):
+            writer.writerow([d.isoformat()] + ["" if v != v else repr(v) for v in row])
 
     records = [{key: getattr(m, key) for key in META_KEYS} for m in panel.assets]
     with open(meta_path, "w", encoding="utf-8", newline="") as fh:

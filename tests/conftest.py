@@ -1,13 +1,17 @@
+import csv
 import dataclasses
+import io
 import json
 import math
+import re
 from collections import Counter
+from datetime import date
 from itertools import groupby
 
 import numpy as np
 import pytest
 
-from market_rewire import AssetMeta, MetricsRow, PricePanel, SignedGraph, dtw, pipeline
+from market_rewire import AssetMeta, MetricsRow, PricePanel, SignedGraph, _native, dtw, pipeline
 
 
 @pytest.fixture
@@ -22,7 +26,7 @@ def c_kernel():
 def numpy_kernel(monkeypatch):
     """The numpy wavefront, which a run and `distance_matrix` take where the
     compiled kernel did not load."""
-    monkeypatch.setattr(dtw, "_kernel", None)
+    monkeypatch.setattr(_native, "lib", None)
 
 
 @pytest.fixture
@@ -156,6 +160,71 @@ def build_panel(values, directions=None, classes=None, dates=None):
 @pytest.fixture
 def panel_factory():
     return build_panel
+
+
+def panel_csv_reference(panel):
+    """The price CSV of `panel` as the cell-by-cell renderer wrote it, the
+    bytes `synth.write_panel` must equal: each value's `repr(float(v))`,
+    a NaN cell blank."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["date", *panel.asset_ids])
+    for d, row in zip(panel.dates, panel.values):
+        writer.writerow([d.isoformat()] + ["" if np.isnan(v) else repr(float(v)) for v in row])
+    return out.getvalue().encode("utf-8")
+
+
+def prices_csv_reference(csv_path):
+    """The sorted dates and the (dates, assets) values that
+    `ingest.load_panel` reads from the price CSV at `csv_path`, or the
+    ValueError message it raises, parsed line by line and cell by cell:
+    the contract that any faster parse must keep. It reads only files with
+    no quoted field, no NUL and assets that all have metadata.
+
+    A leading byte-order mark is dropped, and lines end at CR LF, CR or LF,
+    as `csv.reader` splits them; rows are numbered from the header's 1,
+    blank ones included. A row whose cells are all blank or whitespace is
+    skipped. Each cell and date is stripped of whitespace, Unicode's
+    included; a blank cell is NaN, and any other must be what `float`
+    accepts and finite."""
+    with open(csv_path, "rb") as fh:
+        text = fh.read().decode("utf-8-sig")
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        lines.pop()
+    header = lines[0].split(",") if lines and lines[0] else []
+    if not header or header[0].strip() != "date":
+        raise ValueError(f"{csv_path}: first header column must be 'date'")
+    ids = [h.strip() for h in header[1:]]
+    rows, seen = [], {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if all(not c.strip() for c in cells):
+            continue
+        if len(cells) != len(ids) + 1:
+            raise ValueError(f"{csv_path}: row {lineno} has {len(cells)} fields, expected {len(ids) + 1}")
+        try:
+            d = date.fromisoformat(cells[0].strip())
+        except ValueError:
+            raise ValueError(f"{csv_path}: row {lineno}: unparseable date {cells[0].strip()!r}") from None
+        if d in seen:
+            raise ValueError(f"{csv_path}: row {lineno}: duplicate date {d} (first seen at row {seen[d]})")
+        seen[d] = lineno
+        values = []
+        for asset, cell in zip(ids, cells[1:]):
+            cell = cell.strip()
+            try:
+                v = float(cell) if cell else math.nan
+            except ValueError:
+                raise ValueError(f"{csv_path}: row {lineno}: unparseable value {cell!r} for {asset!r}") from None
+            if cell and not math.isfinite(v):
+                raise ValueError(f"{csv_path}: row {lineno}: non-finite value {cell!r} for {asset!r}")
+            values.append(v)
+        rows.append((d, values))
+    if not rows:
+        raise ValueError(f"{csv_path}: no data rows")
+    rows.sort(key=lambda r: r[0])
+    return [d for d, _ in rows], np.array([v for _, v in rows], dtype=float)
 
 
 def metrics_csv_reference(rows):

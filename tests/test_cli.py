@@ -34,7 +34,7 @@ from market_rewire import (
 )
 from market_rewire.cli import _build_parser, main
 import market_rewire
-from market_rewire import dtw, export, networks, pipeline
+from market_rewire import _native, dtw, export, networks, pipeline
 from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
 from market_rewire.ingest import FILL_POLICIES
 from market_rewire.networks import MetricsRow
@@ -702,7 +702,7 @@ def test_compiled_writer_writes_the_joined_pieces(case, first_alone, formats):
         snaps[0] = DaySnapshot(snaps[0].end_date, snaps[0].asset_ids, snaps[0].cooc_pairs)
     with mock.patch.object(export, "_EXPORT_BLOCK_EDGES", limit):
         compiled = _written_networks(snaps, classes, formats)
-        with mock.patch.object(dtw, "_kernel", None):
+        with mock.patch.object(_native, "lib", None):
             joined = _written_networks(snaps, classes, formats)
     assert compiled == joined
     assert len(compiled) == len(formats) * sum(1 if s.red_pairs is None else 2 for s in snaps)

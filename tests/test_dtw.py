@@ -1,16 +1,18 @@
 import gc
+import re
 import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import dtw_bruteforce
 from hypothesis import given, strategies as st
 
-from market_rewire import DistanceMatrix, StandardizedWindow, distance_matrix, dtw, dtw_distance
+from market_rewire import DistanceMatrix, StandardizedWindow, _native, distance_matrix, dtw, dtw_distance
 
 
 sequences = st.lists(
@@ -411,7 +413,7 @@ def test_on_the_numpy_wavefront(test, numpy_kernel):
 )
 def test_compiled_kernel_equals_scalar_at_pair_group_edges(groups, extra, w, band):
     """Any pairs, an asset with itself among them, in one call of the kernel."""
-    k = groups * dtw._GROUP + extra
+    k = groups * _native.GROUP + extra
     rng = np.random.default_rng(31 * k + w)
     Z = rng.normal(size=(w, 12))
     ii, jj = rng.integers(0, 12, size=(2, k))
@@ -549,14 +551,14 @@ def test_a_block_step_keeps_what_it_reads_and_writes_alive(kernel, request):
 
 @pytest.mark.usefixtures("c_kernel")
 def test_compiled_kernel_work_buffer_is_cache_line_aligned(monkeypatch):
-    call = dtw._kernel.dtw_pairs
+    call = _native.lib.dtw_pairs
     works = []
 
     def record(*args):
         works.append(args[8])
         return call(*args)
 
-    monkeypatch.setattr(dtw._kernel, "dtw_pairs", record)
+    monkeypatch.setattr(_native.lib, "dtw_pairs", record)
     rng = np.random.default_rng(5)
     ii, jj = dtw._pair_indices(6)
     held = []
@@ -596,3 +598,14 @@ def test_wavefront_scratch_is_cache_line_aligned(monkeypatch):
 )
 def test_scalar_equals_bruteforce_on_lengths_up_to_6(p, q):
     assert dtw_distance(p, q) == dtw_bruteforce(p, q)
+
+
+def test_the_package_data_ships_the_library_source():
+    """A wheel built from pyproject.toml carries the source that `_native`
+    compiles: a name left behind by a rename would ship a package that
+    silently runs on numpy."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[tool\.setuptools\.package-data\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    listed = re.search(r"^market_rewire = \[(.*?)\]", section.group(1), re.M | re.S)
+    assert Path(_native._SOURCE).name in re.findall(r'"([^"]+)"', listed.group(1))
+    assert Path(_native._SOURCE).parent == Path(_native.__file__).parent

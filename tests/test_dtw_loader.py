@@ -1,10 +1,12 @@
-"""How `market_rewire.dtw` builds, caches and loads its compiled kernel.
+"""How `market_rewire._native` builds, caches and loads the compiled library.
 
 Each test imports a copy of the package from `tmp_path` in fresh
-interpreters, so it starts with no cached library.
+interpreters, with the user's cache directory under `tmp_path` too, so it
+starts with no cached library.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,7 +26,7 @@ pytestmark = pytest.mark.skipif(dtw.KERNEL != "c", reason="the compiled DTW kern
 PROBE = """
 import sys
 import market_rewire.cli
-loaded = " ".join(m for m in ("hashlib", "subprocess") if m in sys.modules)
+loaded = " ".join(m for m in ("hashlib", "subprocess", "concurrent.futures", "logging") if m in sys.modules)
 from datetime import date
 import numpy as np
 from market_rewire import StandardizedWindow, distance_matrix, dtw
@@ -46,11 +48,11 @@ def _expected_hex() -> str:
 @pytest.fixture
 def package_copy(tmp_path):
     """A copy of the package's source with no cached library, and the
-    environment that imports it."""
+    environment that imports it, whose user cache directory is empty."""
     src = tmp_path / "src"
     shutil.copytree(Path(market_rewire.__file__).parent, src / "market_rewire",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    return src, dict(os.environ, PYTHONPATH=str(src))
+    return src, dict(os.environ, PYTHONPATH=str(src), XDG_CACHE_HOME=str(tmp_path / "cache"))
 
 
 def _start(env):
@@ -71,7 +73,7 @@ def _probe(src, env):
 
 
 def _libraries(src):
-    return sorted((src / "market_rewire" / "__pycache__").glob("_dtw.*.so"))
+    return sorted((src / "market_rewire" / "__pycache__").glob("_native.*.so"))
 
 
 def test_without_a_compiler_the_numpy_wavefront_gives_the_same_bytes(package_copy, tmp_path):
@@ -80,7 +82,19 @@ def test_without_a_compiler_the_numpy_wavefront_gives_the_same_bytes(package_cop
     kernel, matrix, _ = _probe(src, dict(env, PATH=str(tmp_path / "bin")))
     assert kernel == "numpy"
     assert matrix == _expected_hex()
-    assert _libraries(src) == []
+    assert _libraries(src) == [] and not (tmp_path / "cache").exists()
+
+
+def test_a_package_directory_that_cannot_be_written_builds_into_the_user_cache(package_copy, tmp_path):
+    src, env = package_copy
+    (src / "market_rewire" / "__pycache__").write_bytes(b"")  # a plain file: nothing can be made under it
+    for _ in range(2):  # a build, then a load of what it left
+        kernel, matrix, modules = _probe(src, env)
+        assert kernel == "c" and matrix == _expected_hex()
+    assert modules == []
+    # one library, CRC-keyed as in the package's own cache, and no temporary file
+    (lib,) = (tmp_path / "cache" / "market-rewire").iterdir()
+    assert re.fullmatch(r"_native\.[0-9a-f]{8}\.so", lib.name)
 
 
 def test_two_interpreters_building_at_once_both_load_the_kernel(package_copy):
@@ -106,6 +120,8 @@ def test_a_truncated_library_is_rebuilt(package_copy, keep):
 
 
 def test_a_warm_cache_imports_neither_hashlib_nor_subprocess(package_copy):
+    """Nor the thread pool's `concurrent.futures` and `logging`, which only
+    a pooled run needs."""
     src, env = package_copy
     _probe(src, env)
     kernel, _, modules = _probe(src, env)

@@ -1,8 +1,12 @@
 import json
+import tempfile
 from datetime import date, datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import prices_csv_reference
+from hypothesis import given, settings, strategies as st
 
 from market_rewire import (
     AssetMeta,
@@ -376,3 +380,58 @@ def test_entry_points_reject_settings_of_the_wrong_type(call, setting):
     # passed until export_graph called its isoformat
     with pytest.raises(ValueError, match=f"^{setting} .*must be"):
         call()
+
+
+# whitespace that `str.strip` and `float` drop around a cell, Unicode's included
+_SPACE = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2003", "\u2028", "\u3000"])
+_ODD_CELLS = st.sampled_from(
+    ["", "1_0", "0x1p3", "nan", "-NaN", "inf", "-Infinity", "1e400", "1e-400", "5e-324", "-0.0", "+.5",
+     "\u0661\u0662\u0663", "\u0663.\u0665", "1.2.3", "abc", "1e", "1__0"]
+)
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.integers(-10**20, 10**20).map(str)
+# Most cells, dates and rows are good, so that many files parse: a choice
+# from a list that repeats the good one (`one_of` takes each strategy once).
+_CELL = st.tuples(_SPACE, st.sampled_from([_NUMBERS] * 8 + [_ODD_CELLS]).flatmap(lambda s: s), _SPACE).map("".join)
+_DAYS = st.dates(date(2019, 12, 1), date(2020, 1, 31)).map(date.isoformat)
+_BAD_DAYS = st.sampled_from(["2020-02-30", "2020/01/07", ""])
+_DATE = st.tuples(_SPACE, st.sampled_from([_DAYS] * 10 + [_BAD_DAYS]).flatmap(lambda s: s), _SPACE).map("".join)
+_ROW = st.sampled_from([3] * 10 + [0, 1, 2, 4]).flatmap(
+    lambda k: st.builds(lambda d, cells: ",".join([d, *cells]), _DATE, st.lists(_CELL, min_size=k, max_size=k))
+    if k
+    else st.sampled_from(["", " ", ",,,", " ,\t, ,\u3000"])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.sampled_from(["date,a,b,c", " date , a ,b,\u00a0c"]),
+    st.lists(st.tuples(_ROW, st.sampled_from(["\n", "\r\n", "\r"])), max_size=6),
+    st.booleans(),
+)
+def test_load_panel_reads_what_the_cell_by_cell_reference_reads(bom, header, rows, last_line_ended):
+    """The contract that a faster parse must keep: `load_panel` gives the
+    reference parser's dates and values, bit for bit, or its ValueError
+    message, over cells with surrounding and Unicode whitespace, `1_0`,
+    `0x1p3`, `nan`, `inf`, `1e400`, blanks and Arabic-Indic digits, and
+    rows that are blank, ragged, duplicate or unsorted, with CR LF, CR or
+    LF line ends and a byte-order mark."""
+    text = header + "\n" + "".join(row + end for row, end in rows)
+    if rows and not last_line_ended:
+        text = text[: -len(rows[-1][1])]
+    meta = [{"asset_id": i, "name": i, "asset_class": "stock", "direction": 1} for i in "abc"]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, meta_path = Path(tmp, "prices.csv"), Path(tmp, "assets.json")
+        csv_path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        try:
+            panel = load_panel(csv_path, meta_path)
+            got = panel.dates, panel.values.tobytes()
+        except ValueError as e:
+            got = str(e)
+        try:
+            dates, values = prices_csv_reference(csv_path)
+            expected = dates, values.tobytes()
+        except ValueError as e:
+            expected = str(e)
+    assert got == expected

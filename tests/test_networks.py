@@ -19,7 +19,7 @@ from market_rewire import (
     differential_network,
     graph_based_entropy,
 )
-from market_rewire import networks
+from market_rewire import _native, networks
 from market_rewire.networks import _edge_search, day_metrics
 
 D0 = date(2020, 3, 2)
@@ -475,11 +475,11 @@ def test_compiled_edge_search_equals_the_numpy_path(case):
     dates = [D0 + timedelta(days=d) for d in range(len(dist))]
     pairs = np.triu_indices(n, k=1)
     compiled = day_metrics(dates, _edge_search(n, pairs), dist, prev, theta, delta, k)
-    kernel, networks.dtw._kernel = networks.dtw._kernel, None
+    kernel, _native.lib = _native.lib, None
     try:
         numpy_path = day_metrics(dates, _edge_search(n, pairs), dist, prev, theta, delta, k)
     finally:
-        networks.dtw._kernel = kernel
+        _native.lib = kernel
     columns, at, starts = compiled
     assert columns.rows() == numpy_path[0].rows()
     assert at.dtype == numpy_path[1].dtype and at.tolist() == numpy_path[1].tolist()

@@ -17,6 +17,7 @@ from market_rewire import (
     DaySnapshot,
     DistanceMatrix,
     Graph,
+    MetricsRow,
     PipelineConfig,
     RunResult,
     SignedGraph,
@@ -27,7 +28,7 @@ from market_rewire import (
     generate,
     run,
 )
-from market_rewire import dtw, pipeline
+from market_rewire import _native, pipeline
 from market_rewire.pipeline import _POOL_MIN_WORK, _worker_count
 
 
@@ -431,7 +432,7 @@ def test_both_kernels_warn_and_raise_alike(panel_factory, dates, monkeypatch):
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     config = PipelineConfig(window_w=5)
     seen = [_warned_and_raised(panel, config, threads) for threads in (1, 2)]
-    monkeypatch.setattr(dtw, "_kernel", None)
+    monkeypatch.setattr(_native, "lib", None)
     seen += [_warned_and_raised(panel, config, threads) for threads in (1, 2)]
     assert len(seen[0][0]) == 4
     assert seen[1:] == seen[:1] * 3
@@ -778,6 +779,29 @@ def test_a_built_result_takes_each_snapshot_under_its_own_date(shock_panel):
     for bad in (None, snaps[days[0]].cooccurrence):
         with pytest.raises(ValueError, match=f"a {type(bad).__name__} is filed under {days[0]}"):
             RunResult(snapshots={days[0]: bad})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_components", -1, "must be >= 0, got -1"),
+        ("n_cooc_edges", -3, "must be >= 0, got -3"),
+        ("n_red_edges", 1.5, "must be an integer, got 1.5"),
+        ("n_closer_hubs", True, "must be an integer, got True"),
+        ("n_blue_edges", 2.0, "must be an integer, got 2.0"),
+    ],
+)
+def test_a_built_result_refuses_a_count_it_cannot_give_back(field, value, message):
+    """The columns keep each count as a non-negative int64, -1 meaning
+    absent, so a row whose count is negative, a bool or not an integer
+    would read back as another row; it raises a ValueError naming the
+    date and the field instead."""
+    day = date(2020, 1, 2)
+    good = MetricsRow(day, 0.5, 1, 3, 2, 2, 0, 0)
+    assert RunResult([good]).metrics == [good]
+    assert RunResult([MetricsRow(day, 0.5, 1, 3, np.int64(2), 2, 0, 0)]).metrics == [good]
+    with pytest.raises(ValueError, match=f"^{day}: {field} {message}$"):
+        RunResult([dataclasses.replace(good, **{field: value})])
 
 
 @pytest.mark.usefixtures("pooled")

@@ -1,7 +1,9 @@
 import json
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from conftest import panel_csv_reference
 
 from market_rewire import (
     AssetMeta,
@@ -121,6 +123,21 @@ def test_write_panel_byte_deterministic(tmp_path):
     c2, m2 = write_panel(panel, tmp_path / "two")
     assert c1.read_bytes() == c2.read_bytes()
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_write_panel_writes_the_cell_by_cell_bytes(tmp_path):
+    """Each row's floats go through one `tolist`, and give the bytes of the
+    cell-by-cell `repr(float(v))`: NaN blank, -0.0, the smallest subnormal,
+    1e300 and integral floats kept as such."""
+    values = np.array(
+        [[1.0, np.nan, -0.0, 5e-324], [1e300, 100.0, np.nan, 0.1], [-2.5e-7, 3.0, 1 / 3, np.nan]]
+    )
+    metas = [AssetMeta(i, i, "stock", 1) for i in ("a", "b,c", "d", "e")]
+    dates = [date(2020, 1, 2) + timedelta(days=d) for d in range(3)]
+    for panel in (PricePanel(dates, metas, values), generate(SynthSpec(n_assets=4, n_days=25, seed=33))):
+        csv_path, _ = write_panel(panel, tmp_path)
+        assert csv_path.read_bytes() == panel_csv_reference(panel)
+    assert b"1.0,,-0.0,5e-324\n" in panel_csv_reference(PricePanel(dates, metas, values))
 
 
 def test_write_panel_round_trips_ids_that_need_quoting(tmp_path):
