@@ -1,14 +1,14 @@
 /* Pair-interleaved DTW, the recurrence of dtw.py for many pairs at once, the
  * z-scoring of a run's windows, the edge search that networks.day_metrics
  * reads from its distances, and the writer of export.py's snapshot files:
- * the library's four exports, dtw_pairs, dtw_block, dtw_edges and
- * write_files, which _native.py loads all or none.
+ * the library's three exports, dtw_block, dtw_edges and write_files, which
+ * _native.py loads all or none.
  *
- * dtw_pairs computes, for every date d < days and every p < k, the DTW
- * distance between column ii[p] and column jj[p] of Z[d], a C-contiguous
- * (days, w, n) array of float64, into out[d][p], out being (days, k): the
- * dates' arrays lie w * n doubles apart and their distances k apart. One
- * call thus covers a block of dates; days = 1 is one date.
+ * sweep computes, for every date d < days and every p < k, the DTW distance
+ * between column ii[p] and column jj[p] of Z[d], a C-contiguous (days, w, n)
+ * array of float64, into out[d][p], out being (days, k): the dates' arrays
+ * lie w * n doubles apart and their distances k apart. One call thus covers
+ * a block of dates; days = 1 is one date.
  * The table is padded with a +inf border and a 0 corner, as in the numpy
  * wavefront, and swept one row at a time over two rolling rows. GROUP pairs
  * are swept together, laid out pair-minor, so the innermost loop runs across
@@ -27,11 +27,10 @@
  * 0 .. w (w for no band). It returns -1, having written part of `out` at most,
  * if an index is outside 0 .. n-1, and 0 otherwise.
  *
- * dtw_block z-scores a block's windows straight from the panel's rows with
- * the steps of preprocess._zscore_flags, numpy's pairwise sums included, so
- * every z-score has the bits of the numpy path, and then sweeps them as
- * dtw_pairs does. Its squares and signs are multiplies: the library is
- * built with -ffp-contract=off, so that none is fused into an add.
+ * dtw_block, the one DTW export, sweeps the windows in Z, which, given a
+ * panel, it first z-scores with the steps of preprocess._zscore_flags, so
+ * every z-score has the bits of the numpy path. Its squares and signs are
+ * multiplies: -ffp-contract=off keeps them out of fused multiply-adds.
  */
 #include <errno.h>
 #include <fcntl.h>
@@ -128,13 +127,6 @@ sweep(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t *ii, co
     return 0;
 }
 
-CLONES
-int dtw_pairs(const double *Z, int64_t days, int64_t w, int64_t n, const int64_t *ii,
-              const int64_t *jj, int64_t k, int64_t band, double *work, double *out)
-{
-    return sweep(Z, days, w, n, ii, jj, k, band, work, out);
-}
-
 /* For every a < n, numpy's pairwise sum of the m <= 128 values x[i n + a],
  * i < m, or of their squares, into s[a]: one by one below 8 values, else in
  * 8 interleaved sums, added up as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)),
@@ -191,24 +183,26 @@ static void pairwise(const double *x, int64_t n, int64_t m, int square, double *
         s[a] += r[a];
 }
 
-/* A block of a run in one call: for every date d < days and asset a < n,
+/* A block of dates in one call: for every date d < days and asset a < n,
  * the window of the w values of column a of `values`, a C-contiguous
  * (dates, n) array of float64, in rows start + d - w + 1 .. start + d,
  * z-scored by the steps of preprocess._zscore_flags and times signs[a] into
  * Z[d][.][a], Z being (days, w, n), and its flags into flags[d][a]; then,
- * unless a window's mean or std is not finite, the DTW distances of
- * dtw_pairs from Z into out. The mean is the pairwise sum, added to 0.0,
- * over w; the std the square root of the same sum of the squared deviations
- * over w - 1. A window is constant, flag 1, when every value equals its
- * first (0.0 equals -0.0) or its std is 0.0, and its z-scores are then 0.0
- * times the sign; flag 2 marks a mean or std that is not finite.
+ * unless a window's mean or std is not finite, the DTW distances of sweep
+ * from Z into out. The mean is the pairwise sum, added to 0.0, over w; the
+ * std the square root of the same sum of the squared deviations over w - 1.
+ * A window is constant, flag 1, when every value equals its first (0.0
+ * equals -0.0) or its std is 0.0, and its z-scores are then 0.0 times the
+ * sign; flag 2 marks a mean or std that is not finite. With `values` NULL,
+ * which leaves `start`, `signs` and `flags` unread, it sweeps the windows
+ * already in Z.
  *
  * The caller passes start >= w - 1 and start + days no larger than the
- * dates, and `work` of (4w + 2) * dtw_group doubles, and at least
- * (10 + the bit length of w) * n, shared by the z-scores and then the
- * sweep; `band` and `out` are dtw_pairs'. It returns 1, having swept
- * nothing, if a window's mean or std is not finite, and otherwise what
- * dtw_pairs returns. */
+ * dates, and `work` of (4w + 2) * dtw_group doubles, and, given a panel, at
+ * least (10 + the bit length of w) * n, shared by the z-scores and then the
+ * sweep; `band` and `out` are sweep's. It returns 1, having swept nothing,
+ * if a window's mean or std is not finite, and otherwise what sweep
+ * returns. */
 CLONES
 int dtw_block(const double *values, int64_t n, int64_t start, int64_t days, int64_t w,
               const double *signs, double *Z, uint8_t *flags, const int64_t *ii, const int64_t *jj,
@@ -216,7 +210,7 @@ int dtw_block(const double *values, int64_t n, int64_t start, int64_t days, int6
 {
     double *mean = work, *sd = work + n, *r = work + 2 * n;
     int all = 0;
-    for (int64_t d = 0; d < days; d++) {
+    for (int64_t d = 0; values && d < days; d++) {
         const double *x = values + (start + d - w + 1) * n;
         double *z = Z + d * w * n;
         uint8_t *f = flags + d * n;

@@ -28,7 +28,6 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 # the exports of `_native.c`, by name, with their argument and result types
 _P, _I, _R = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _EXPORTS = {
-    "dtw_pairs": ((_P, _I, _I, _I, _P, _P, _I, _I, _P, _P), ctypes.c_int),
     "dtw_block": ((_P, _I, _I, _I, _I, _P, _P, _P, _P, _P, _I, _I, _P, _P), ctypes.c_int),
     "dtw_edges": ((_P, _P, _I, _I, _I, _P, _P, _R, _R, _P, _P, _P), ctypes.c_int),
     "write_files": ((_I, ctypes.c_char_p, _P, _P, _P, _P, _I, _P, _P), _I),

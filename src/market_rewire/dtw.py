@@ -16,14 +16,16 @@ batched versions of the same dynamic program. Every version performs the
 scalar loop's elementary float operations on the same values, |p - q|, two
 mins and one add per cell, so all results agree bitwise.
 
-The compiled kernel (`_native.c`'s `dtw_pairs` and `dtw_block`, `KERNEL ==
-"c"`) sweeps the table row by row for groups of pairs laid out pair-minor,
-so its innermost loop runs across pairs and vectorises, and loops over a
-block's dates within the one call; `dtw_block` first z-scores the block
-from the panel with numpy's steps and bits. Its scratch, (4w + 2) doubles
-per pair of a group, is a numpy array that each call allocates. Where
-`_native` loaded no library, `KERNEL` reads "numpy", and `preprocess`'s
-numpy z-scores and the numpy wavefront run instead.
+The compiled kernel (`_native.c`'s `dtw_block`, the library's one DTW
+export, `KERNEL == "c"`) sweeps the table row by row for groups of pairs
+laid out pair-minor, so its innermost loop runs across pairs and
+vectorises, and loops over a block's dates within the one call. Given a
+panel, as in a run's block step, it first z-scores the block with numpy's
+steps and bits; given none, as in `_pair_distances`, it sweeps the windows
+it is given. Its scratch, (4w + 2) doubles per pair of a group, is a numpy
+array that each call allocates. Where `_native` loaded no library, `KERNEL`
+reads "numpy", and `preprocess`'s numpy z-scores and the numpy wavefront
+run instead.
 
 The numpy wavefront keeps pairs on the last axis and sweeps the table by
 anti-diagonals, holding three of them. It takes the pairs in blocks of
@@ -199,7 +201,9 @@ def _pair_distances(
     at_out = _native.address(out, np.float64, days + (k,), "the DTW kernel", writeable=True)
     band = w if band is None else min(band, w)
     work = _aligned((4 * w + 2) * _native.GROUP)
-    if _native.lib.dtw_pairs(at_Z, days[0] if days else 1, w, n, at_ii, at_jj, k, band, work.ctypes.data, at_out):
+    # no panel: the call sweeps the windows already in Z
+    args = None, n, 0, days[0] if days else 1, w, None, at_Z, None, at_ii, at_jj, k, band, work.ctypes.data, at_out
+    if _native.lib.dtw_block(*args):
         raise IndexError(f"a pair index is outside 0 .. {n - 1}")
 
 
@@ -216,43 +220,31 @@ def _block_distances(
     window's mean or std is not finite, which leaves out unset. `fill`
     warns of nothing and raises nothing for the flags: the caller reads
     them. A pool thread may run `fill` while this thread, which allocated
-    the arrays, goes on.
+    the arrays, goes on. `block` raises ValueError for dates that hold no
+    complete windows.
 
-    Where the library loaded, `fill` is one `dtw_block` call, with the GIL
-    released, into one array that holds the kernel's scratch too, and the
-    addresses of `values`, `signs`, ii and jj are taken here, once for
-    every block; else `_zscore_flags` and `_pair_distances` fill them.
-    Either way each date gets the bits of `preprocess.windows_at` and of
-    `_pair_distances` on that date alone.
+    On either kernel the three arrays are views of one array, after the
+    compiled kernel's scratch where it loaded, and the addresses of
+    `values`, `signs`, ii and jj are checked here, once for every block.
+    Only `fill` differs: where the library loaded it is one `dtw_block`
+    call, with the GIL released; else `_zscore_flags` and
+    `_pair_distances`. Either way each date gets the bits of
+    `preprocess.windows_at` and of `_pair_distances` on that date alone.
     """
-    n, k = values.shape[1], ii.size
-    if _native.lib is None:
-
-        def block(start: int, days: int):
-            Z, flags, out = np.empty((days, w, n)), np.empty((days, n), np.uint8), np.empty((days, k))
-
-            def fill() -> None:
-                rows = _window_rows(values, start, start + days, w)
-                flags[...] = _zscore_flags(rows)
-                rows *= signs[:, None]
-                np.copyto(Z, rows.transpose(0, 2, 1))
-                if not (flags & NON_FINITE).any():
-                    _pair_distances(Z, ii, jj, band, out)
-
-            return (Z, flags, out), fill
-
-        return block
-    held = values, signs, ii, jj  # referenced by the step, so alive while it passes their addresses
+    n, k, lib = values.shape[1], ii.size, _native.lib
     at = [
         _native.address(a, dtype, shape, "the DTW kernel")
-        for a, dtype, shape in zip(held, (np.float64, np.float64, np.int64, np.int64), ((len(values), n), (n,), (k,), (k,)))
+        for a, dtype, shape in zip(
+            (values, signs, ii, jj), (np.float64, np.float64, np.int64, np.int64), ((len(values), n), (n,), (k,), (k,))
+        )
     ]
     band = w if band is None else min(band, w)
-    # doubles of scratch, shared by the z-scores and the sweep
-    scratch = max((4 * w + 2) * _native.GROUP, (10 + w.bit_length()) * n)
+    # doubles of scratch, shared by the compiled z-scores and the sweep; the
+    # numpy leg's `_pair_distances` allocates its own
+    scratch = 0 if lib is None else max((4 * w + 2) * _native.GROUP, (10 + w.bit_length()) * n)
 
     def block(start: int, days: int):
-        if not w - 1 <= start <= start + days <= len(held[0]):
+        if not w - 1 <= start <= start + days <= len(values):
             raise ValueError(f"dates {start} .. {start + days - 1} hold no complete windows of {w}")
         # One array, for one address lookup (1.3-2.7 us each): the scratch
         # from a 64-byte boundary (see _aligned), then Z, out and the flags.
@@ -263,19 +255,27 @@ def _block_distances(
         address = buf.ctypes.data
         pad = (-address) % 64 // 8
         z, o, f = (pad + scratch + x for x in (0, days * w * n, days * (w * n + k)))
+        Z, out = buf[z:o].reshape(days, w, n), buf[o:f].reshape(days, k)
+        flags = buf[f:].view(np.uint8)[: days * n].reshape(days, n)
 
         def fill() -> None:
-            # naming buf and held here keeps them alive while the kernel writes
-            # and reads them through raw addresses, whatever the caller still holds
-            buf, held
-            if _native.lib.dtw_block(
+            # fill names values, signs, ii, jj and Z, flags and out, views of
+            # buf, so all stay alive while the kernel reads and writes them
+            # through raw addresses, whatever the caller still holds
+            if lib is None:
+                rows = _window_rows(values, start, start + days, w)
+                flags[...] = _zscore_flags(rows)
+                rows *= signs[:, None]
+                np.copyto(Z, rows.transpose(0, 2, 1))
+                if not (flags & NON_FINITE).any():
+                    _pair_distances(Z, ii, jj, band, out)
+            elif lib.dtw_block(
                 at[0], n, start, days, w, at[1], address + 8 * z, address + 8 * f,
                 at[2], at[3], k, band, address + 8 * pad, address + 8 * o,
             ) < 0:
                 raise IndexError(f"a pair index is outside 0 .. {n - 1}")
 
-        flags = buf[f:].view(np.uint8)[: days * n]
-        return (buf[z:o].reshape(days, w, n), flags.reshape(days, n), buf[o:f].reshape(days, k)), fill
+        return (Z, flags, out), fill
 
     return block
 

@@ -159,11 +159,14 @@ def export_graph(
     return list(_snapshot_texts([block], [fmt], _checked_classes(classes)).files())[-1][1].decode()
 
 
-def _check_formats(formats, name: str) -> None:
-    """Raise unless `formats` is a sequence of names from GRAPH_FORMATS; a
-    str is not, although it iterates."""
-    if isinstance(formats, str) or any(f not in GRAPH_FORMATS for f in formats):
-        raise ValueError(f"{name} must be a sequence drawn from {GRAPH_FORMATS}, got {formats!r}")
+def _check_formats(formats, name: str) -> tuple[str, ...]:
+    """`formats`, taken once, as a tuple: a ValueError unless it is an
+    iterable of names from GRAPH_FORMATS, such as a list, a set or a
+    generator; a str is not, although it iterates."""
+    checked = None if isinstance(formats, str) or not isinstance(formats, Iterable) else tuple(formats)
+    if checked is None or any(f not in GRAPH_FORMATS for f in checked):
+        raise ValueError(f"{name} must be an iterable of names from {GRAPH_FORMATS}, got {formats!r}")
+    return checked
 
 
 def _checked_classes(classes) -> Mapping[str, str]:
@@ -310,7 +313,7 @@ def snapshot_files(
     `<date>.cooc.<fmt>`, and `<date>.diff.<fmt>` unless it is the first
     analyzable date. Each text is the one `export_graph` gives for the
     snapshot's graph, rendered from its edge positions without building it."""
-    _check_formats(formats, "formats")
+    formats = _check_formats(formats, "formats")
     texts = _snapshot_texts(RunResult(snapshots={snap.end_date: snap})._blocks, formats, _checked_classes(classes))
     return [(name, data.decode()) for name, data in texts.files()]
 
@@ -483,7 +486,7 @@ def write_export_bundle(
     or formats no longer requested, are left as they were. `graph_formats`
     and `classes` are checked before anything is written.
     """
-    _check_formats(graph_formats, "graph_formats")
+    graph_formats = _check_formats(graph_formats, "graph_formats")
     classes = _checked_classes(classes)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,6 +19,7 @@ their places in the node tuple and call the numpy array code.
 """
 
 import math
+import numbers
 from collections.abc import Iterable, Sized
 from dataclasses import dataclass, fields
 from datetime import date
@@ -93,8 +94,11 @@ class SignedGraph:
 class MetricsRow:
     """Per-day metrics. Differential fields are None on the first analyzable
     date, where no previous distance matrix exists (absent, not zero). A
-    `RunResult` keeps gbe as a float64 and each count as a non-negative
-    int64, so a row built by hand reads back from it that way."""
+    `RunResult`, and `metrics_csv_text`, take a row built by hand only where
+    it reads back from them as itself: end_date a `date` and not a
+    `datetime`, gbe a finite real number and not a bool, kept as a float64,
+    and each count an integer in 0 .. 2**63 - 1 and not a bool, or None;
+    else they raise ValueError naming the date and the field."""
 
     end_date: date
     gbe: float
@@ -122,12 +126,22 @@ class _Columns(NamedTuple):
 
     @classmethod
     def of(cls, rows: Sequence[MetricsRow]) -> "_Columns":
-        """The columns of `rows`: gbe taken as float64, None as -1. A count
-        that is negative, a bool or not an integer raises ValueError naming
-        its date and field, since it would not read back as itself."""
+        """The columns of `rows`: gbe taken as float64, None as -1. A field
+        that would not read back as itself, or that the export cannot write,
+        raises ValueError naming its date and field: an end_date that is not
+        a date, a gbe that is not a finite real number or is a bool, and a
+        count that is not an integer in 0 .. 2**63 - 1 or is a bool."""
         dates, gbe, *counts = ([getattr(r, f.name) for r in rows] for f in fields(MetricsRow))
+        for d, g in zip(dates, gbe):
+            _check_date(d, "end_date")
+            try:
+                finite = not isinstance(g, bool) and isinstance(g, numbers.Real) and math.isfinite(g)
+            except OverflowError:  # no repr: an int's may be too long to give
+                raise ValueError(f"{d}: gbe must be a finite real number, got one past the largest float") from None
+            if not finite:
+                raise ValueError(f"{d}: gbe must be a finite real number, got {g!r}")
         counts = [
-            [-1 if v is None else _check_int(v, f"{d}: {f.name}", 0) for d, v in zip(dates, c)]
+            [-1 if v is None else _count(v, f"{d}: {f.name}") for d, v in zip(dates, c)]
             for f, c in zip(fields(MetricsRow)[2:], counts)
         ]
         return cls(dates, np.array(gbe, np.float64), np.array(counts, np.int64).reshape(6, len(dates)))
@@ -136,6 +150,15 @@ class _Columns(NamedTuple):
         """The MetricsRow of each date, with None where a count is absent."""
         counts = np.where(self.counts < 0, None, self.counts).tolist()
         return list(map(MetricsRow, self.end_dates, self.gbe.tolist(), *counts))
+
+
+def _count(value, name: str) -> int:
+    """`value` as an int that an int64 column holds: ValueError unless it is
+    an integer, not a bool, in 0 .. 2**63 - 1."""
+    value = _check_int(value, name, 0)
+    if value >= 2**63:
+        raise ValueError(f"{name} must be below 2**63, got one of {value.bit_length()} bits")
+    return value
 
 
 class HubCounts(NamedTuple):

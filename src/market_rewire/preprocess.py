@@ -6,8 +6,9 @@ the bits that `window_zscore` gives it alone; `_check_flags` warns and raises
 as its flags say. `window_zscore` and `windows_at` are the one-window and
 one-date cases of these steps, which a run's numpy leg takes a block at a
 time (`dtw._block_distances`). Where the compiled DTW library loaded, a run
-z-scores each block inside its kernel call (`_native.c`'s `dtw_block`), with the
-same steps and bits, and only reads the flags with `_check_flags`.
+z-scores each block inside its one kernel call (`_native.c`'s `dtw_block`,
+given the panel), with the same steps and bits, and only reads the flags
+with `_check_flags`.
 """
 
 import warnings

@@ -1,8 +1,11 @@
 import argparse
+import contextlib
 import csv
 import errno
 import gc
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -36,7 +39,7 @@ from market_rewire.cli import _build_parser, main
 import market_rewire
 from market_rewire import _native, dtw, export, networks, pipeline
 from market_rewire.export import GRAPH_FORMATS, export_graph, metrics_csv_text
-from market_rewire.ingest import FILL_POLICIES
+from market_rewire.ingest import ASSET_CLASSES, FILL_POLICIES
 from market_rewire.networks import MetricsRow
 
 D0 = date(2020, 5, 4)
@@ -969,6 +972,22 @@ def test_snapshot_files_names_the_formats_it_rejects(formats):
         export.snapshot_files(snap, formats)
 
 
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+def test_graph_formats_may_be_any_iterable_of_names(tmp_path, kernel, request):
+    """The formats are taken once: a generator used to be read by the check
+    and then found empty, or without a len, after metrics.csv was written."""
+    request.getfixturevalue(kernel)
+    result = run(generate(SynthSpec(n_assets=4, n_days=22, seed=1)), PipelineConfig(snapshot_dates="all"))
+    snap = next(iter(result.snapshots.values()))
+    trees = []
+    for i, formats in enumerate([["json", "dot"], (f for f in ["json", "dot"]), {"dot", "json"}]):
+        assert export.snapshot_files(snap, iter(["dot"])) == export.snapshot_files(snap, ["dot"])
+        export.write_export_bundle(result, tmp_path / str(i), graph_formats=formats, charts=True)
+        trees.append({p.relative_to(tmp_path / str(i)): p.read_bytes() for p in (tmp_path / str(i)).rglob("*.*")})
+    # 3 dates, the first without a differential, in 2 formats; metrics.csv and 2 charts
+    assert len(trees[0]) == 2 * 5 + 3 and trees[1] == trees[0] and trees[2] == trees[0]
+
+
 def test_metrics_csv_empty_vs_zero():
     rows = [
         MetricsRow(end_date=D0, gbe=1.5, n_components=3, n_cooc_edges=2),
@@ -1132,3 +1151,80 @@ def test_a_closed_stdout_is_an_export_error_after_every_file(tmp_path, unbuffere
     fresh, out = output_files(tmp_path / "fresh"), output_files(tmp_path / "out")
     assert len(out) > 3 and fresh.keys() == out.keys()
     assert all(fresh[k].read_bytes() == out[k].read_bytes() for k in fresh)
+
+
+# Cells of a hand-made price CSV that a run takes, although they are odd
+_ODD_CELLS = ["1e300", "5e-324", "", "1_0"]
+
+
+@st.composite
+def hostile_cli_inputs(draw):
+    """A price CSV, as bytes, a metadata JSON text and the run's flags. The
+    CSV may have odd cells (`_ODD_CELLS`), unsorted rows, CR or CRLF line
+    ends, a BOM and an id holding a quote, a comma or a space. Half the
+    examples add one fault that the run should refuse."""
+    n, days = draw(st.integers(2, 5)), draw(st.integers(1, 40))
+    faults = ["duplicate date", "ragged row", "not UTF-8", "missing record", "no records", "edge id", "bad cell"]
+    fault = draw(st.sampled_from(faults)) if draw(st.booleans()) else None
+    # the last id, with an odd character before, inside or after it
+    last, odd = f"a{n - 1}", draw(st.sampled_from([" ", "\r"] if fault == "edge id" else ["", '"', ",", " "]))
+    at = draw(st.sampled_from([0, 1, len(last)])) if fault == "edge id" else 1
+    ids = [*(f"a{i}" for i in range(n - 1)), last[:at] + odd + last[at:]]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(days, n)), axis=0))
+    prices[:, sorted(draw(st.sets(st.integers(0, n - 1), max_size=1)))] = 7.0  # a constant column
+    cells = [[repr(v) for v in row] for row in prices.tolist()]
+    odd_cells = st.sampled_from(_ODD_CELLS + (["nan", "inf", "0x1p3"] if fault == "bad cell" else []))
+    for r, c, cell in draw(st.lists(st.tuples(st.integers(0, days - 1), st.integers(0, n - 1), odd_cells), max_size=2)):
+        cells[r][c] = cell
+    dates = [(date(2021, 1, 4) + timedelta(days=2 * d)).isoformat() for d in range(days)]
+    if fault == "duplicate date":
+        dates[draw(st.integers(0, days - 1))] = dates[draw(st.integers(0, days - 1))]
+    rows = [[d, *row] for d, row in zip(dates, cells)]
+    if fault == "ragged row":
+        r = draw(st.integers(0, days - 1))
+        rows[r] = rows[r] + ["1.0"] if draw(st.booleans()) else rows[r][:-1]
+    if draw(st.booleans()):
+        rows = [rows[i] for i in draw(st.permutations(range(days)))]
+    text = io.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))).writerows([["date", *ids], *rows])
+    data = (("\ufeff" if draw(st.booleans()) else "") + text.getvalue()).encode()
+    if fault == "not UTF-8":
+        data += b"\xff"
+    missing = {"missing record": ids[:1], "no records": ids}.get(fault, [])
+    classes, signs = st.sampled_from(ASSET_CLASSES), st.sampled_from([1, -1])
+    meta = [
+        {"asset_id": i, "name": i, "asset_class": draw(classes), "direction": draw(signs)} for i in ids if i not in missing
+    ]
+    flags = ["--window", str(draw(st.sampled_from([2, 3, 5, 20])))]
+    if draw(st.booleans()):
+        flags += ["--band", str(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        flags += ["--fill", "drop_date"]
+    return data, json.dumps(meta), flags
+
+
+@settings(max_examples=100, deadline=None)
+@given(hostile_cli_inputs())
+def test_hostile_inputs_end_in_a_clear_exit(case):
+    """Whatever a hand-made input holds, a run exits 0, 1 or 2, never 3 (an
+    internal error). A run that succeeds writes finite metrics, and a rerun
+    at two threads, always pooled, rewrites the same bytes."""
+    data, meta, flags = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # constant windows
+        tmp = Path(tmp)
+        (tmp / "prices.csv").write_bytes(data)
+        (tmp / "assets.json").write_text(meta, encoding="utf-8")
+        args = run_args(tmp, tmp / "out", ["--snapshots", "all", "--charts", *flags])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+            assert code in (0, 1, 2), err.getvalue()
+            if code == 0:
+                files = {k: p.read_bytes() for k, p in output_files(tmp / "out").items()}
+                gbe = [row["gbe"] for row in csv.DictReader(io.StringIO(files[Path("metrics.csv")].decode()))]
+                assert gbe and all(math.isfinite(float(g)) for g in gbe)
+                with mock.patch.object(pipeline, "_POOL_MIN_WORK", 0):
+                    assert main(args + ["--threads", "2"]) == 0, err.getvalue()
+                assert {k: p.read_bytes() for k, p in output_files(tmp / "out").items()} == files

@@ -534,6 +534,18 @@ def test_the_compiled_block_step_checks_its_arrays_and_dates():
 
 
 @pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
+@pytest.mark.parametrize("start, days", [(3, 1), (4, 9), (11, 2), (0, 2)])
+def test_a_block_step_refuses_dates_without_complete_windows(kernel, start, days, request):
+    """A window before the panel's first date or past its last: the numpy
+    step once read rows outside the panel and returned finite distances."""
+    request.getfixturevalue(kernel)
+    values = np.random.default_rng(4).normal(size=(12, 4))
+    block = dtw._block_distances(values, np.ones(4), *dtw._pair_indices(4), 5, None)
+    with pytest.raises(ValueError, match="no complete windows"):
+        block(start, days)
+
+
+@pytest.mark.parametrize("kernel", ["c_kernel", "numpy_kernel"])
 def test_a_block_step_keeps_what_it_reads_and_writes_alive(kernel, request):
     """`fill` may run after its caller dropped the step, its inputs and the
     block's arrays: the compiled step's `fill` once held only their raw
@@ -551,14 +563,14 @@ def test_a_block_step_keeps_what_it_reads_and_writes_alive(kernel, request):
 
 @pytest.mark.usefixtures("c_kernel")
 def test_compiled_kernel_work_buffer_is_cache_line_aligned(monkeypatch):
-    call = _native.lib.dtw_pairs
+    call = _native.lib.dtw_block
     works = []
 
     def record(*args):
-        works.append(args[8])
+        works.append(args[12])
         return call(*args)
 
-    monkeypatch.setattr(_native.lib, "dtw_pairs", record)
+    monkeypatch.setattr(_native.lib, "dtw_block", record)
     rng = np.random.default_rng(5)
     ii, jj = dtw._pair_indices(6)
     held = []

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import os
+import re
 import signal
 import threading
 import tracemalloc
@@ -29,6 +30,7 @@ from market_rewire import (
     run,
 )
 from market_rewire import _native, pipeline
+from market_rewire.export import metrics_csv_text
 from market_rewire.pipeline import _POOL_MIN_WORK, _worker_count
 
 
@@ -802,6 +804,35 @@ def test_a_built_result_refuses_a_count_it_cannot_give_back(field, value, messag
     assert RunResult([MetricsRow(day, 0.5, 1, 3, np.int64(2), 2, 0, 0)]).metrics == [good]
     with pytest.raises(ValueError, match=f"^{day}: {field} {message}$"):
         RunResult([dataclasses.replace(good, **{field: value})])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_cooc_edges", 2**63, "n_cooc_edges must be below 2**63, got one of 64 bits"),
+        ("gbe", "x", "gbe must be a finite real number, got 'x'"),
+        ("gbe", 2**1100, "gbe must be a finite real number, got one past the largest float"),
+        ("gbe", None, "gbe must be a finite real number, got None"),
+        ("gbe", True, "gbe must be a finite real number, got True"),
+        ("gbe", [1.0], "gbe must be a finite real number, got [1.0]"),
+        ("gbe", float("inf"), "gbe must be a finite real number, got inf"),
+        ("gbe", float("nan"), "gbe must be a finite real number, got nan"),
+        ("end_date", "2020-01-02", "end_date must be calendar dates, got '2020-01-02'"),
+        ("end_date", datetime(2020, 1, 2), "end_date must be calendar dates, got datetime.datetime(2020, 1, 2, 0, 0)"),
+    ],
+    ids=["count-2**63", "gbe-str", "gbe-2**1100", "gbe-None", "gbe-True", "gbe-list", "gbe-inf", "gbe-nan", "date-str", "date-datetime"],
+)
+def test_a_built_result_refuses_a_field_it_cannot_give_back_or_write(field, value, message):
+    """A row's date must be a `date`, its gbe a finite real number and each
+    count fit an int64; else the columns would read back another row, or
+    the CSV or the charts would fail or go wrong later. Both conversions of
+    hand-built rows raise a ValueError naming the date and the field."""
+    day = date(2020, 1, 2)
+    row = dataclasses.replace(MetricsRow(day, 0.5, 1, 3, 2, 2, 0, 0), **{field: value})
+    message = re.escape(message if field == "end_date" else f"{day}: {message}")
+    for convert in (RunResult, metrics_csv_text):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convert([row])
 
 
 @pytest.mark.usefixtures("pooled")
