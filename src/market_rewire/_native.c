@@ -1,8 +1,9 @@
 /* Pair-interleaved DTW, the recurrence of dtw.py for many pairs at once, the
  * z-scoring of a run's windows, the edge search that networks.day_metrics
- * reads from its distances, and the writer of export.py's snapshot files:
- * the library's three exports, dtw_block, dtw_edges and write_files, which
- * _native.py loads all or none.
+ * reads from its distances, the writer of export.py's snapshot files and
+ * the reader of the price CSV's data rows that ingest.load_panel tries first:
+ * the library's four exports, dtw_block, dtw_edges, write_files and
+ * parse_rows, which _native.py loads all or none.
  *
  * sweep computes, for every date d < days and every p < k, the DTW distance
  * between column ii[p] and column jj[p] of Z[d], a C-contiguous (days, w, n)
@@ -37,6 +38,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <unistd.h>
 
@@ -440,4 +442,85 @@ int64_t write_files(int64_t dirfd, const char *table, const int64_t *offsets, co
         }
     }
     return -1;
+}
+
+/* The end of the digits from p, before `end`, or NULL where there are none. */
+static const char *digits(const char *p, const char *end)
+{
+    const char *start = p;
+    while (p < end && *p >= '0' && *p <= '9')
+        p++;
+    return p > start ? p : NULL;
+}
+
+/* The end of the number [-+]?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)? from p,
+ * before `end`, or NULL where the bytes from p do not start one. */
+static const char *number(const char *p, const char *end)
+{
+    if (p < end && (*p == '-' || *p == '+'))
+        p++;
+    if ((p = digits(p, end)) == NULL)
+        return NULL;
+    if (p < end && *p == '.' && (p = digits(p + 1, end)) == NULL)
+        return NULL;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        if (p < end && (*p == '-' || *p == '+'))
+            p++;
+        p = digits(p, end);
+    }
+    return p;
+}
+
+/* The data rows of a price CSV, bytes begin .. size - 1 of `text`, which a
+ * NUL follows, as it follows a Python bytes object's. Each row is a date,
+ * [0-9]{4}-[0-9]{2}-[0-9]{2}, and n cells, each after a comma, and ends at
+ * LF, CR LF or the text's end. A cell is empty, which reads as NaN, or a
+ * number of the grammar above, which strtod reads in place: the read must
+ * end where the number does, as it may not under a locale whose decimal
+ * point is not '.', and give a finite value. No field may be longer than
+ * `limit` bytes, csv.field_size_limit(). Row r's cells go to
+ * values[r][.], values being (rows, n), and the offset of its date in
+ * `text` to dates[r]. It returns the number of rows, or -1, having written
+ * part of the outputs at most, where a byte breaks this grammar, such as a
+ * space, a quote, a lone CR or a blank line, a value is not finite, or
+ * there are no rows or more than `rows`. */
+int64_t parse_rows(const char *text, int64_t size, int64_t begin, int64_t n, int64_t limit,
+                   int64_t rows, double *values, int64_t *dates)
+{
+    const char *p = text + begin, *end = text + size;
+    int64_t r = 0;
+    for (; p < end; r++) {
+        if (r == rows || end - p < 10 || limit < 10)
+            return -1;
+        for (int k = 0; k < 10; k++)
+            if ((k == 4 || k == 7) ? p[k] != '-' : (p[k] < '0' || p[k] > '9'))
+                return -1;
+        dates[r] = p - text;
+        p += 10;
+        double *v = values + r * n;
+        for (int64_t c = 0; c < n; c++) {
+            if (p == end || *p++ != ',')
+                return -1;
+            if (p == end || *p == ',' || *p == '\n' || *p == '\r') {
+                v[c] = NAN;
+                continue;
+            }
+            const char *stop = number(p, end);
+            char *read;
+            if (stop == NULL || stop - p > limit)
+                return -1;
+            v[c] = strtod(p, &read);
+            if (read != stop || !isfinite(v[c]))
+                return -1;
+            p = stop;
+        }
+        if (p < end) {
+            if (*p == '\r')
+                p++;
+            if (p == end || *p++ != '\n')
+                return -1;
+        }
+    }
+    return r ? r : -1;
 }

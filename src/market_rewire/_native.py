@@ -1,9 +1,9 @@
 """The one compiled library, `_native.c`: its build, its cache and its load.
 
 `lib` is the library, or None where none could be built or loaded. `dtw`,
-`networks` and `export` call its exports with the addresses that `address`
-checks, and take their numpy paths where it is None; no other module
-imports ctypes.
+`networks`, `export` and `ingest` call its exports, and take their numpy or
+Python paths where it is None. An array that the caller did not make for
+the call passes through `address` first. No other module imports ctypes.
 """
 
 import ctypes
@@ -31,6 +31,7 @@ _EXPORTS = {
     "dtw_block": ((_P, _I, _I, _I, _I, _P, _P, _P, _P, _P, _I, _I, _P, _P), ctypes.c_int),
     "dtw_edges": ((_P, _P, _I, _I, _I, _P, _P, _R, _R, _P, _P, _P), ctypes.c_int),
     "write_files": ((_I, ctypes.c_char_p, _P, _P, _P, _P, _I, _P, _P), _I),
+    "parse_rows": ((ctypes.c_char_p, _I, _I, _I, _I, _I, _P, _P), _I),
 }
 
 

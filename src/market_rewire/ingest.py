@@ -1,5 +1,6 @@
 """Price panel ingestion: CSV + metadata loading, date alignment, missing-data policies."""
 
+import codecs
 import csv
 import json
 import math
@@ -9,6 +10,8 @@ from dataclasses import dataclass
 from datetime import date, datetime
 
 import numpy as np
+
+from . import _native
 
 ASSET_CLASSES = ("stock", "bond", "fx", "other")
 FILL_POLICIES = ("forward_fill", "drop_date")
@@ -205,20 +208,83 @@ def load_panel(csv_path, meta_path) -> PricePanel:
     ``name``, ``asset_class`` and ``direction``. Rows are returned sorted by
     date. Every CSV column must have a metadata record; duplicate dates and
     unparseable cells are hard errors naming the offending row.
+
+    The rows are read by the compiled pass of `_read_compiled` where it
+    takes the file, and otherwise, errors included, by `_read_csv`: both
+    give the same dates and the same value bits.
     """
     metas = _load_meta(meta_path)
+    ids, dates, values = _read_compiled(csv_path) or _read_csv(csv_path)
+    unmatched = sorted(i for i in ids if i not in metas)
+    if unmatched:
+        raise ValueError(f"no metadata for asset(s): {', '.join(unmatched)}")
+    assets = [metas[i] for i in ids]
+    return PricePanel(dates=dates, assets=assets, values=values)
+
+
+def _asset_ids(header, csv_path) -> list[str]:
+    """The asset ids of a price CSV's header row, its fields after ``date``,
+    or the ValueError that names what is wrong with it."""
+    if not header or header[0].strip() != "date":
+        raise ValueError(f"{csv_path}: first header column must be 'date'")
+    ids = [h.strip() for h in header[1:]]
+    if not ids:
+        raise ValueError(f"{csv_path}: no asset columns in header")
+    if "" in ids:
+        raise ValueError(f"{csv_path}: header column {ids.index('') + 2} has no asset id")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{csv_path}: duplicate asset columns in header")
+    return ids
+
+
+def _read_compiled(csv_path) -> tuple[list[str], list[date], np.ndarray] | None:
+    """The asset ids, dates and (dates, assets) values of the price CSV at
+    `csv_path`, its data rows read in one pass of the compiled `parse_rows`,
+    or None where the library did not load or the file is not in the strict
+    subset that the pass reads: no quote anywhere, a header that `_read_csv`
+    accepts, LF or CR LF line ends, and rows of a YYYY-MM-DD date and one
+    cell per asset, empty or a plain decimal number that is finite, with no
+    blank row, no field past `csv.field_size_limit()` and the dates strictly
+    increasing. None also stands for a file that cannot be read, a path
+    that is a file descriptor, a date that `date.fromisoformat` refuses or
+    any other ValueError here, so that `_read_csv` reads the file from its
+    start and raises its own error."""
+    if _native.lib is None or isinstance(csv_path, int):  # a descriptor's read would use it up
+        return None
+    try:
+        with open(csv_path, "rb") as fh:
+            data = fh.read()
+        start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+        end = data.index(b"\n", start) + 1
+        line = data[start : end - 1].removesuffix(b"\r")
+        if b'"' in data or b"\r" in line or b"\0" in line:
+            return None
+        header, limit = line.decode("utf-8").split(","), csv.field_size_limit()
+        ids = _asset_ids(header, csv_path)
+        if max(map(len, header)) > limit:
+            return None
+        # at most one row a line, and each at least a date, n commas and a line end
+        n = len(ids)
+        rows = min(data.count(b"\n", end) + 1, (len(data) - end + 1) // (n + 11))
+        values, starts = np.empty((rows, n)), np.empty(rows, np.int64)
+        rows = _native.lib.parse_rows(data, len(data), end, n, limit, rows, values.ctypes.data, starts.ctypes.data)
+        if rows < 0:
+            return None
+        dates = [date.fromisoformat(data[i : i + 10].decode("ascii")) for i in starts[:rows].tolist()]
+        if any(not a < b for a, b in zip(dates, dates[1:])):
+            return None
+        return ids, dates, values[:rows]
+    except (OSError, ValueError):
+        return None
+
+
+def _read_csv(csv_path) -> tuple[list[str], list[date], np.ndarray]:
+    """The asset ids, dates and (dates, assets) values of the price CSV at
+    `csv_path`, read by `csv.reader` and then cell by cell, rows sorted by
+    date: any file `load_panel` takes, and the error of any it refuses."""
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = _csv_rows(fh, csv_path)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip() != "date":
-            raise ValueError(f"{csv_path}: first header column must be 'date'")
-        ids = [h.strip() for h in header[1:]]
-        if not ids:
-            raise ValueError(f"{csv_path}: no asset columns in header")
-        if "" in ids:
-            raise ValueError(f"{csv_path}: header column {ids.index('') + 2} has no asset id")
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"{csv_path}: duplicate asset columns in header")
+        ids = _asset_ids(next(reader, None), csv_path)
 
         rows: list[tuple[date, list[float]]] = []
         seen: dict[date, int] = {}
@@ -260,15 +326,11 @@ def load_panel(csv_path, meta_path) -> PricePanel:
 
     if not rows:
         raise ValueError(f"{csv_path}: no data rows")
-    unmatched = sorted(i for i in ids if i not in metas)
-    if unmatched:
-        raise ValueError(f"no metadata for asset(s): {', '.join(unmatched)}")
 
     rows.sort(key=lambda r: r[0])
     dates = [r[0] for r in rows]
     values = np.array([r[1] for r in rows], dtype=float)
-    assets = [metas[i] for i in ids]
-    return PricePanel(dates=dates, assets=assets, values=values)
+    return ids, dates, values
 
 
 def fill_missing(panel: PricePanel, policy: str = "forward_fill") -> PricePanel:

@@ -1,4 +1,8 @@
+import csv
 import json
+import math
+import os
+import re
 import tempfile
 from datetime import date, datetime
 from pathlib import Path
@@ -24,7 +28,9 @@ from market_rewire import (
     generate,
     load_panel,
     windows_at,
+    write_panel,
 )
+from market_rewire import _native, ingest
 from market_rewire.export import export_graph
 
 META = [
@@ -435,3 +441,217 @@ def test_load_panel_reads_what_the_cell_by_cell_reference_reads(bom, header, row
         except ValueError as e:
             expected = str(e)
     assert got == expected
+
+
+# cells that `float` reads and the compiled pass must read to the same bits:
+# the extremes of the float range, zero signs, exponent spellings, leading
+# zeros, an underflow to 0.0 and 400-digit mantissas
+_EDGE_CELLS = st.sampled_from(
+    ["5e-324", "2.225073858507201e-308", "1e308", "1.7976931348623157e308", "-0.0", "1E5", "1e+05", "007",
+     "1e-400", "3." + "14159265358979323846" * 20, "1" * 400 + "e-390", "-" + "9" * 400 + "E-800"]
+)
+_DIGITS_17 = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}")
+# mostly cells of the compiled subset, now and then one that is not (_ODD_CELLS
+# has a few that are) or one with whitespace around it
+_STRICT_CELL = st.sampled_from(
+    [_NUMBERS] * 10 + [_DIGITS_17] * 3 + [_EDGE_CELLS] * 3 + [st.just("")] * 2 + [_ODD_CELLS, _CELL]
+).flatmap(lambda s: s)
+_STRICT_ROW_FAULTS = st.sampled_from(
+    ["", ",,,", " ,\t, ,\u3000", "2020-01-09,1,2", "2020-01-09,1,2,3,4", "2020-02-30,1,2,3", "20200107,1,2,3",
+     " 2020-01-09,1,2,3", "2020-1-09,1,2,3"]
+)
+
+
+@st.composite
+def _strict_rows(draw):
+    """Rows of a price CSV with ids a, b and c and their line ends: dates
+    mostly increasing, as an exported history is, now and then reversed or
+    with one repeated, and now and then a row or a line end outside the
+    compiled subset."""
+    days = sorted(draw(st.lists(st.dates(date(2019, 12, 1), date(2020, 1, 31)), max_size=6, unique=True)))
+    order = draw(st.sampled_from(["increasing"] * 8 + ["reversed", "repeated"]))
+    if order == "reversed":
+        days.reverse()
+    elif order == "repeated" and days:
+        days.append(days[-1])
+    rows = []
+    for day in days:
+        cells = draw(st.lists(_STRICT_CELL, min_size=3, max_size=3))
+        row = ",".join([day.isoformat(), *cells])
+        row = draw(st.sampled_from([st.just(row)] * 15 + [_STRICT_ROW_FAULTS]).flatmap(lambda s: s))
+        rows.append((row, draw(st.sampled_from(["\n"] * 6 + ["\r\n"] * 4 + ["\r"]))))
+    return rows
+
+
+_STRICT_NUMBER = re.compile(r"[-+]?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+def _in_compiled_subset(text):
+    """Whether a price CSV text, after its byte-order mark and with a valid
+    header of three ids, is one the compiled pass reads: no quote and no
+    lone CR, and at least one row, each a YYYY-MM-DD date that is a real
+    day and three cells that are empty or plain finite numbers, the dates
+    strictly increasing. Built from the rules, not from the pass."""
+    if '"' in text or re.search("\r(?!\n)", text):
+        return False
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    days = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != 4 or not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", cells[0]):
+            return False
+        try:
+            days.append(date.fromisoformat(cells[0]))
+        except ValueError:
+            return False
+        if any(c and not (_STRICT_NUMBER.fullmatch(c) and math.isfinite(float(c))) for c in cells[1:]):
+            return False
+    return bool(days) and all(a < b for a, b in zip(days, days[1:]))
+
+
+def _read_both(csv_path, meta_path):
+    """`load_panel`'s dates and value bits, or its ValueError message, and
+    the same of the reference parser."""
+    try:
+        panel = load_panel(csv_path, meta_path)
+        got = panel.dates, panel.values.tobytes()
+    except ValueError as e:
+        got = str(e)
+    try:
+        dates, values = prices_csv_reference(csv_path)
+        expected = dates, values.tobytes()
+    except ValueError as e:
+        expected = str(e)
+    return got, expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.sampled_from(["date,a,b,c", " date , a ,b,\u00a0c"]), _strict_rows(), st.booleans())
+def test_the_compiled_pass_reads_what_the_reference_reads(bom, header, rows, last_line_ended):
+    """Every file whose rows are in the compiled subset, and no other, takes
+    the compiled pass where the library loaded, and `load_panel` gives the
+    reference parser's dates and value bits, or its error, either way: over
+    17-digit reprs, subnormals, the largest finite values, -0.0, exponent
+    spellings, an underflow to 0.0 and 400-digit mantissas, and over the
+    files outside the subset that blank, ragged, padded, reversed or
+    repeated rows, bad dates or a lone CR put there."""
+    text = header + "\n" + "".join(row + end for row, end in rows)
+    if rows and not last_line_ended:
+        text = text[: -len(rows[-1][1])]
+    meta = [{"asset_id": i, "name": i, "asset_class": "stock", "direction": 1} for i in "abc"]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, meta_path = Path(tmp, "prices.csv"), Path(tmp, "assets.json")
+        csv_path.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        compiled = ingest._read_compiled(csv_path) is not None
+        got, expected = _read_both(csv_path, meta_path)
+    assert compiled == (_native.lib is not None and _in_compiled_subset(text))
+    assert got == expected
+
+
+def test_a_panel_of_the_benchmark_shape_takes_the_compiled_path(tmp_path):
+    """20 assets over 252 dates, with about 2% blank cells, as `write_panel`
+    writes them: the shape of history_cli, whose ingest the compiled pass
+    speeds up, so that a fallback cannot take the gain away unseen."""
+    panel = generate(SynthSpec(n_assets=20, n_days=252, seed=1))
+    values = np.array(panel.values)
+    values[np.random.default_rng(1).random(values.shape) < 0.02] = np.nan
+    csv_path, meta_path = write_panel(PricePanel(panel.dates, panel.assets, values), tmp_path)
+    assert (ingest._read_compiled(csv_path) is not None) == (_native.lib is not None)
+    got, expected = _read_both(csv_path, meta_path)
+    assert got == expected
+    assert np.isnan(values).mean() > 0.01
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "2007-01-01,100,200\r2007-01-02,101,199\n",  # a lone CR
+        "2007-01-01,100,200\r",
+        "2007-01-01, 100,200\n",
+        "2007-01-01,100,200\n , \n2007-01-02,101,199\n",
+        "2007-01-01,100,200\n\n",
+        *(f"2007-01-01,{cell},200\n" for cell in ["1.", ".5", "1_0", "0x1p3", "+inf", "nan", "1e400", "\u0661"]),
+        "2007-01-01,100\n",
+        "2020-02-30,100,200\n",
+        "20200107,100,200\n",
+        "2007-01-01,100,200\n2007-01-01,101,199\n",
+        "2007-01-02,100,200\n2007-01-01,101,199\n",
+    ],
+)
+def test_the_compiled_pass_refuses_a_file_outside_its_subset(tmp_path, rows):
+    """Each rule of the subset refuses its file, which `load_panel` then reads
+    as the reference does, to the same panel or the same error."""
+    csv_path, meta_path = write_inputs(tmp_path, "")
+    csv_path.write_bytes(("date,spx,jgb\n" + rows).encode("utf-8"))
+    assert ingest._read_compiled(csv_path) is None
+    got, expected = _read_both(csv_path, meta_path)
+    assert got == expected
+
+
+def test_the_compiled_pass_refuses_a_nul_byte(tmp_path):
+    # csv.reader reads a NUL as a character from Python 3.11 on and fails
+    # its line before that, so only the row of the error is common
+    csv_path, meta_path = write_inputs(tmp_path, "")
+    csv_path.write_bytes(b"date,spx,jgb\n2007-01-01,100\x00,200\n")
+    assert ingest._read_compiled(csv_path) is None
+    with pytest.raises(ValueError, match=": row 2: "):
+        load_panel(csv_path, meta_path)
+
+
+def test_the_compiled_pass_refuses_a_quoted_header_id(tmp_path):
+    """`write_panel` quotes an id that holds a comma; `csv.reader` reads it."""
+    panel = PricePanel(
+        [date(2007, 1, 1), date(2007, 1, 2)],
+        [AssetMeta("spx", "s", "stock", 1), AssetMeta("usd,jpy", "u", "fx", -1)],
+        [[100.0, 110.5], [101.0, np.nan]],
+    )
+    csv_path, meta_path = write_panel(panel, tmp_path)
+    assert ingest._read_compiled(csv_path) is None
+    loaded = load_panel(csv_path, meta_path)
+    assert (loaded.dates, loaded.assets) == (panel.dates, panel.assets)
+    assert loaded.values.tobytes() == panel.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, limit",
+    [
+        ("date,spx,jgb\n2007-01-01,100.2512345,200\n", 10),
+        ("date,spx,jgb\n2007-01-01,1,2\n", 9),
+        ("date,spx,jgb        \n2007-01-01,1,2\n", 10),
+    ],
+)
+def test_the_compiled_pass_refuses_a_field_past_the_csv_field_size_limit(tmp_path, text, limit):
+    csv_path, meta_path = write_inputs(tmp_path, text)
+    default = csv.field_size_limit(limit)
+    try:
+        assert ingest._read_compiled(csv_path) is None
+        with pytest.raises(ValueError, match="row [12]: field larger than field limit"):
+            load_panel(csv_path, meta_path)
+    finally:
+        csv.field_size_limit(default)
+    assert ingest._read_compiled(csv_path) is not None or _native.lib is None
+
+
+def test_the_compiled_pass_sizes_its_array_by_the_bytes_a_row_takes(tmp_path):
+    # 20,000 ids over 200,000 blank lines: one row a line would ask for 30 GiB
+    ids = [f"a{i}" for i in range(20_000)]
+    meta = [{"asset_id": i, "name": i, "asset_class": "stock", "direction": 1} for i in ids]
+    csv_path, meta_path = write_inputs(tmp_path, "", meta)
+    csv_path.write_bytes(("date," + ",".join(ids) + "\n" + "\n" * 200_000).encode())
+    assert ingest._read_compiled(csv_path) is None
+    with pytest.raises(ValueError, match="no data rows$"):
+        load_panel(csv_path, meta_path)
+
+
+def test_the_compiled_pass_leaves_a_file_descriptor_to_the_parser(tmp_path):
+    """A read through a descriptor uses it up, so the pass, which could not
+    hand the file on after a refusal, does not take one."""
+    csv_path, meta_path = write_inputs(tmp_path, "date,spx,jgb\n2007-01-01,100,200\n2007-01-02,101,\n")
+    fd = os.open(csv_path, os.O_RDONLY)
+    assert ingest._read_compiled(fd) is None
+    panel = load_panel(fd, meta_path)
+    dates, values = prices_csv_reference(csv_path)
+    assert (panel.dates, panel.values.tobytes()) == (dates, values.tobytes())
