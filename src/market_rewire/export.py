@@ -10,6 +10,7 @@ the same way every time, so one run's outputs are identical bytes whatever
 the thread count.
 """
 
+import io
 import json
 import os
 from dataclasses import fields
@@ -49,58 +50,62 @@ def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
+# The pieces a snapshot file of each format shares with every other, the
+# first pieces of its block's piece table: the head of a co-occurrence and
+# of a differential network, up to the date; what follows the date, up to
+# the node block; the tail of a file with edges and of one without; and the
+# name suffixes of the two networks, each ending in the NUL that the
+# compiled writer opens it by. A JSON file is the text of
+# json.dumps(payload, indent=2) + "\n", built here because an indent makes
+# json run its pure-Python encoder.
+_CONSTANT_PIECES = {
+    "dot": (
+        b'graph cooccurrence {\n  label="', b'graph differential {\n  label="', b'";\n  node [style=filled];\n',
+        b"}\n", b"}\n", b".cooc.dot\0", b".diff.dot\0",
+    ),
+    "json": (
+        b'{\n  "date": "', b'{\n  "date": "', b'",\n  "nodes": ', b"\n  ]\n}\n", b"[]\n}\n",
+        b".cooc.json\0", b".diff.json\0",
+    ),
+}
+# The piece numbers of the node list and the first id piece (`_node_block`)
+_NODE_PIECE, _ID_PIECES = 7, 8
+
+
 @lru_cache(maxsize=16)
-def _node_block(
-    fmt: str, nodes: tuple[str, ...], node_classes: tuple[str, ...]
-) -> tuple[tuple[str, ...], bytes]:
-    """The escaped id of each of the sorted `nodes`, in their order, and the
-    UTF-8 of their node list in `fmt`, for nodes of the given classes, up to
-    the edge list (in JSON, its key). These stay the same from one date or
-    block of a run to the next, so they are memoized for the 16 most recent
-    keys and each id is escaped once per format."""
+def _node_block(fmt: str, nodes: tuple[str, ...], node_classes: tuple[str, ...]) -> tuple[bytes, np.ndarray]:
+    """The first pieces of a `fmt` piece table over the sorted `nodes` of
+    the given classes, joined, and the length of each: `_CONSTANT_PIECES`,
+    the node list up to the edge list (in JSON, its key), then for each id
+    the start of an edge from it, that start as a list's first edge (in
+    JSON, opening it), and the end of an edge to it in the co-occurrence,
+    red and blue network. They stay the same over a run, so they are
+    memoized for the 16 most recent keys."""
     if fmt == "json":
         # json.dumps of each string keeps the C encoder's escaping
-        ids = tuple([json.dumps(n) for n in nodes])
+        ids = [json.dumps(n) for n in nodes]
         items = [
             f'    {{\n      "id": {i},\n      "class": {json.dumps(cls)}\n    }}'
             for i, cls in zip(ids, node_classes)
         ]
-        block = "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-        return ids, (block + ',\n  "edges": ').encode()
-    ids = tuple([_dot_escape(n) for n in nodes])
-    colors = [CLASS_COLORS.get(cls, CLASS_COLORS["other"]) for cls in node_classes]
-    block = "".join(
-        f'  "{i}" [class="{_dot_escape(cls)}", fillcolor="{color}"];\n'
-        for i, cls, color in zip(ids, node_classes, colors)
-    )
-    return ids, block.encode()
-
-
-# The pieces a snapshot file of each format shares with every other, as
-# the first pieces of its block's piece table: the head of a co-occurrence
-# and of a differential network, up to the date; what follows the date, up
-# to the node block; the tail of a file with edges and of one without; the
-# end of a co-occurrence, red and blue edge, after its pair; and the name
-# suffixes of the two networks, each ending in the NUL that the compiled
-# writer opens it by. A JSON file is the text of json.dumps(payload,
-# indent=2) + "\n", built here because an indent makes json run its
-# pure-Python encoder.
-_CONSTANT_PIECES = {
-    "dot": (
-        b'graph cooccurrence {\n  label="', b'graph differential {\n  label="', b'";\n  node [style=filled];\n',
-        b"}\n", b"}\n", b";\n", b' [color="red"];\n', b' [color="blue"];\n', b".cooc.dot\0", b".diff.dot\0",
-    ),
-    "json": (
-        b'{\n  "date": "', b'{\n  "date": "', b'",\n  "nodes": ', b"\n  ]\n}\n", b"[]\n}\n",
-        b"\n    }", b',\n      "color": "red"\n    }', b',\n      "color": "blue"\n    }',
-        b".cooc.json\0", b".diff.json\0",
-    ),
-}
-# The node block's piece number in each format's table, and the first
-# date's; the dates are followed by the pair texts, then by their
-# first-edge variants
-_NODE_PIECE = 10
-_DATE_PIECES = 11
+        block = ("[\n" + ",\n".join(items) + "\n  ]" if items else "[]") + ',\n  "edges": '
+        start = ',\n    {{\n      "a": {},\n      "b": '
+        first = "[" + start[1:]
+        ends = ("{}\n    }}", '{},\n      "color": "red"\n    }}', '{},\n      "color": "blue"\n    }}')
+    else:
+        ids = [_dot_escape(n) for n in nodes]
+        colors = [CLASS_COLORS.get(cls, CLASS_COLORS["other"]) for cls in node_classes]
+        block = "".join(
+            f'  "{i}" [class="{_dot_escape(cls)}", fillcolor="{color}"];\n'
+            for i, cls, color in zip(ids, node_classes, colors)
+        )
+        start = first = '  "{}" -- "'
+        ends = ('{}";\n', '{}" [color="red"];\n', '{}" [color="blue"];\n')
+    edge_pieces = [t.format(i).encode() for i in ids for t in (start, first, *ends)]
+    pieces = [*_CONSTANT_PIECES[fmt], block.encode(), *edge_pieces]
+    lengths = np.fromiter(map(len, pieces), np.int64, len(pieces))
+    lengths.setflags(write=False)
+    return b"".join(pieces), lengths
 
 
 class _PieceTable(NamedTuple):
@@ -122,14 +127,17 @@ class _PieceTable(NamedTuple):
         return (self.table[o[a] : o[a + 1]] + self.table[o[b] : o[b + 1] - 1]).decode()
 
     def files(self) -> Iterator[tuple[str, bytes]]:
-        """Name and bytes of each file, joined here, in Python."""
+        """Name and bytes of each file, joined here, in Python, by a `BytesIO`:
+        `bytes.join` takes about 80 bytes a piece, so a 0.44 MB 200-asset file
+        of 22,359 pieces traced 2.7 MB joined that way and 0.64 MB this way."""
         offsets = self.offsets.tolist()
         pieces = np.empty(len(offsets) - 1, dtype=object)
         pieces[:] = [self.table[a:b] for a, b in zip(offsets, offsets[1:])]
-        texts, names, starts = pieces[self.index].tolist(), pieces[self.names].tolist(), self.starts.tolist()
+        names, starts = pieces[self.names].tolist(), self.starts.tolist()
         for f in range(len(starts) - 1):
-            name = names[2 * f] + names[2 * f + 1][:-1]
-            yield name.decode(), b"".join(texts[starts[f] : starts[f + 1]])
+            text = io.BytesIO()
+            text.writelines(pieces[self.index[starts[f] : starts[f + 1]]])
+            yield (names[2 * f] + names[2 * f + 1][:-1]).decode(), text.getvalue()
 
 
 def export_graph(
@@ -183,19 +191,20 @@ def _checked_classes(classes) -> Mapping[str, str]:
 
 @lru_cache(maxsize=2)
 def _id_order(ids: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted `ids`, and 4 times the rank of each pair of `ids`, in
-    `_pair_indices` order, among the pairs of the sorted ids: the
-    `_pair_positions` of the sorted places of its ends, which orders pairs
-    as (lower id, higher id) tuples. A run's snapshots share one `ids`
-    tuple, so this is memoized for the two most recent."""
+    """The sorted `ids`, and 4·(lo·n + hi) for each pair of `ids`, in
+    `_pair_indices` order, where lo < hi are the places of its ends among
+    the sorted ids, which orders pairs as (lower id, higher id) tuples. A
+    run's snapshots share one `ids` tuple, so this is memoized for the two
+    most recent."""
     n = len(ids)
     by_id = sorted(range(n), key=ids.__getitem__)
-    place = np.empty(n, dtype=np.intp)
+    place = np.empty(n, dtype=np.int64)
     place[by_id] = np.arange(n)
     ii, jj = _pair_indices(n)
-    rank = 4 * _pair_positions(n, place[ii], place[jj])
-    rank.setflags(write=False)
-    return tuple([ids[k] for k in by_id]), rank
+    a, b = place[ii], place[jj]
+    key = 4 * (np.minimum(a, b) * n + np.maximum(a, b))
+    key.setflags(write=False)
+    return tuple([ids[k] for k in by_id]), key
 
 
 def _snapshot_texts(
@@ -207,97 +216,82 @@ def _snapshot_texts(
     with a differential. This is the one edge renderer: `export_graph`,
     `snapshot_files` and `write_export_bundle` all call it.
 
-    Each edge is keyed by its file, its pair's rank among the sorted ids
-    (`_id_order`) and its end, so one sort of integer keys puts every edge
-    in export order. The distinct ranks are read off a mask over the pairs,
-    and their ends are `_pair_indices` read at them. Each format's table
-    holds its `_CONSTANT_PIECES`, the node block, the dates, and the text
-    of each distinct pair, with no color, formatted once, then again as the
-    first edge of a list, which in JSON opens it instead of following a
-    comma. A file is its head, date, node block, its edges' pair texts each
-    followed by the end that gives its color, and its tail. The tables of
-    the formats are laid out alike, so the piece indices of every file are
-    built once and shifted for each format. Nothing is checked here: a
-    snapshot is checked when it is built, and `classes` by the entry point
+    Each edge is keyed by its file, the sorted places lo < hi of its ends
+    (`_id_order`) and its network, so one sort of integer keys puts every
+    edge in export order, and lo and hi are read back from the sorted key.
+    Each format's table holds the pieces `_node_block` memoizes for the
+    ids, five an id, then the dates. A file is its head, date, what
+    follows the date and the node block, then for each edge the start
+    piece of its lower id (the first-edge variant for its first edge) and
+    the end piece of its higher id in its network, and its tail. So no
+    text is built per pair or per edge. The tables of the formats are laid
+    out alike, so the piece indices of every file are built once and
+    shifted for each format. Nothing is checked here: a snapshot is checked
+    when it is built, and `classes` by the entry point
     (`_checked_classes`)."""
     ids = blocks[0].ids
-    n, days, m = len(ids), sum(len(b.dates) for b in blocks), len(ids) * (len(ids) - 1) // 2
-    nodes, rank = _id_order(ids)
+    n, days = len(ids), sum(len(b.dates) for b in blocks)
+    nodes, pair_key = _id_order(ids)
     node_classes = tuple([classes.get(i, "other") for i in nodes])
     # File slot 2d is date d's co-occurrence network and 2d + 1 its
     # differential, where it has one. Run q of a block of k dates is network
-    # c = q // k of its date q % k, and an edge's end is c: 0 for a
-    # co-occurrence edge, 1 for a red one and 2 for a blue one.
-    key, first = [], 0
+    # c = q // k of its date q % k: 0 for a co-occurrence edge, 1 for a red
+    # one and 2 for a blue one.
+    key, first, span = [], 0, 4 * n * n  # a file slot's span of keys
     for b in blocks:
         network, day = np.divmod(np.arange(3 * len(b.dates)), len(b.dates))
-        key.append(np.repeat(4 * m * (2 * (first + day) + (network > 0)) + network, np.diff(b.starts)) + rank[b.at])
+        key.append(np.repeat(span * (2 * (first + day) + (network > 0)) + network, np.diff(b.starts)) + pair_key[b.at])
         first += len(b.dates)
     key = np.concatenate(key)
     key.sort()
+    # each edge's start piece, its lower id's, and its end piece, its higher
+    # id's in its network, in the first format's table
     end = key & 3
     key >>= 2
-    key %= max(m, 1)
-    # the distinct ranks, ascending, and each edge's place among them, which
-    # becomes the number of its pair text in the first format's table
-    present = np.zeros(m, bool)
-    present[key] = True
-    ranks = np.flatnonzero(present)
-    pair = np.cumsum(present, dtype=np.int32).take(key)
-    pair += _DATE_PIECES + days - 1
-    ii, jj = _pair_indices(n)
-    lo, hi = ii[ranks].tolist(), jj[ranks].tolist()
+    start, hi = np.divmod(key % max(n * n, 1), max(n, 1))
+    del key
+    start *= 5
+    start += _ID_PIECES
+    end += 5 * hi + _ID_PIECES + 2
+    del hi
+    date_piece = _ID_PIECES + 5 * n  # the first date's
 
     # Each file: its head, date, what follows the date and the node block,
     # then two pieces an edge, and its tail. Edge k of file f goes at the
     # file's start, 5f plus twice the edges before it, plus 4 + 2k, and its
-    # pair text is the first-edge variant for k = 0. Row 0 of `index` holds
-    # the first format's piece numbers, row k the same shifted by k tables.
+    # start is the first-edge variant for k = 0. Row 0 of `index` holds the
+    # first format's piece numbers, row k the same shifted by k tables.
     slots = np.flatnonzero(np.column_stack((np.ones(days, bool), np.concatenate([b.diff for b in blocks]))))
     sizes = np.concatenate([np.diff(b.starts).reshape(3, -1) for b in blocks], axis=1)
     edges = np.column_stack((sizes[0], sizes[1] + sizes[2])).ravel()[slots]
     starts = np.zeros(len(slots) + 1, np.int64)
     np.cumsum(2 * edges + 5, out=starts[1:])
-    shift = (_DATE_PIECES + days + 2 * len(ranks)) * np.arange(len(formats), dtype=np.int32)[:, None]
+    shift = (date_piece + days) * np.arange(len(formats), dtype=np.int32)[:, None]
     index = np.empty((max(len(formats), 1), starts[-1]), np.int32)
     row, head = index[0], starts[:-1]
     row[head] = slots & 1
-    row[head + 1] = _DATE_PIECES + slots // 2
+    row[head + 1] = date_piece + slots // 2
     row[head + 2] = 2
     row[head + 3] = _NODE_PIECE
     row[starts[1:] - 1] = 3 + (edges == 0)
-    pair[(head - 5 * np.arange(len(slots)))[edges > 0] // 2] += len(ranks)
+    start[(head - 5 * np.arange(len(slots)))[edges > 0] // 2] += 1
     at = np.repeat(5 * np.arange(len(slots)) + 4, edges)
     at += 2 * np.arange(len(end))
-    row[at] = pair
+    row[at] = start
     at += 1
-    end += 5
     row[at] = end
     np.add(row, shift[1:], out=index[1:])
     names = np.empty((len(slots), 2), np.int32)
-    names[:, 0] = _DATE_PIECES + slots // 2
-    names[:, 1] = 8 + (slots & 1)
-    del key, pair, at, end  # freed before the texts are built
+    names[:, 0] = row[head + 1]
+    names[:, 1] = 5 + (slots & 1)
 
-    dates = [d.isoformat().encode() for b in blocks for d in b.dates]
-    date_lengths = np.fromiter(map(len, dates), np.int64, days)
-    pieces, lengths = [], []
-    for fmt in formats:
-        escaped, node_block = _node_block(fmt, nodes, node_classes)
-        if fmt == "json":
-            pairs = [f',\n    {{\n      "a": {escaped[a]},\n      "b": {escaped[b]}'.encode() for a, b in zip(lo, hi)]
-            first_pairs = [b"[" + p[1:] for p in pairs]
-        else:
-            pairs = first_pairs = [f'  "{escaped[a]}" -- "{escaped[b]}"'.encode() for a, b in zip(lo, hi)]
-        pieces += [*_CONSTANT_PIECES[fmt], node_block, *dates, *pairs, *first_pairs]
-        pair_lengths = np.fromiter(map(len, pairs), np.int64, len(pairs))
-        lengths += [[*map(len, _CONSTANT_PIECES[fmt]), len(node_block)], date_lengths, pair_lengths, pair_lengths]
-    offsets = np.zeros(len(pieces) + 1, np.int64)
-    if lengths:
-        np.cumsum(np.concatenate(lengths), out=offsets[1:])
+    dates_text = b"".join([d.isoformat().encode() for b in blocks for d in b.dates])
+    heads = [_node_block(fmt, nodes, node_classes) for fmt in formats]
+    # each table's pieces: the memoized head pieces, then the dates, an ISO date being ten bytes
+    lengths = [part for _, head_lengths in heads for part in (head_lengths, np.full(days, 10))]
     return _PieceTable(
-        b"".join(pieces),
-        offsets,
+        b"".join([text for head, _ in heads for text in (head, dates_text)]),
+        np.cumsum(np.concatenate([[0], *lengths]), dtype=np.int64),
         index[: len(formats)].ravel(),
         np.concatenate((starts[:1], (starts[1:] + np.arange(len(formats))[:, None] * starts[-1]).ravel())),
         (names.ravel() + shift).ravel(),
@@ -430,13 +424,14 @@ def write_charts(result: RunResult, out_dir: Path) -> list[Path]:
 
 
 # Edges of the snapshots that `write_export_bundle` renders together: one
-# sort and one formatting of each distinct pair per block, and a bounded
-# number of edge texts held. Fastest of 15-30 calls (2-core AVX-512 Xeon VM,
-# busy host), with the traced peak of a 60-asset x 150-day export (69,448
-# edges): at 20 assets x 252 days (9,440 edges) 10.9-11.2 ms at 2,048,
-# 10.4-11.2 at 4,096, 11.1-15.9 at 8,192, 10.2-11.0 at 16,384 and 9.9-10.2
-# at 32,768; at 60 x 150 28.6-29.4, 23.4-27.7, 20.2-29.2, 19.0-20.8 and
-# 17.2-19.8 ms, holding 0.56, 0.66, 1.02, 1.65 and 2.98 MB.
+# sort, piece table and compiled write per block, and a bounded number of
+# piece numbers held. Fastest of 30 calls, two processes (2-core AVX-512
+# Xeon VM, shared host), for each run block alone, then at 2,048, 4,096,
+# 8,192, 16,384 and 32,768, with the traced peak: at 20 assets x 252 days
+# (11,019 edges) 6.2-6.3, 6.0, 5.6-5.9, 5.5-5.9, 5.4-5.8 and 5.5-6.3 ms
+# (0.21, 0.21, 0.21, 0.39, 0.66 and 0.66 MB); at 60 x 150 (69,448 edges)
+# 10.6-11.8, 10.7-11.5, 9.4-10.2, 9.2-9.7, 8.5-8.7 and 9.7-10.5 ms (0.35,
+# 0.35, 0.34, 0.47, 0.91 and 1.84 MB).
 _EXPORT_BLOCK_EDGES = 16_384
 
 

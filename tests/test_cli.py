@@ -734,15 +734,18 @@ def test_snapshots_over_other_ids_render_in_their_own_blocks():
 
 def test_export_peak_memory_does_not_grow_with_the_dates(tmp_path):
     """The export renders its snapshots in blocks of at most
-    _EXPORT_BLOCK_EDGES edges and writes each file as soon as it is
-    rendered: beyond the result it is given, writing every snapshot of a
-    60-asset run traces under 3 MB of peak allocations at 600 days as at
-    150 (1.7 MB at either; 5.9 and 17 MB in one block)."""
+    _EXPORT_BLOCK_EDGES edges from pieces per asset id, not per pair, and
+    writes each file as soon as it is rendered: beyond the result it is
+    given, writing every snapshot of a 60-asset run traces under 3 MB of
+    peak allocations at 600 days as at 150 (0.9 MB at either), and so
+    does a 200-asset run of 30 days, whose blocks hold most of its 19,900
+    pairs (1.3 MB; 13.7 MB with a text per distinct pair of a block)."""
 
-    def export_peak(days):
-        panel = generate(SynthSpec(n_assets=60, n_days=days, seed=6, shocks=[Shock(days // 2, days // 2 + 30, 0.9)]))
+    def export_peak(n_assets, days):
+        shock = Shock(days // 2, min(days // 2 + 30, days - 1), 0.9)
+        panel = generate(SynthSpec(n_assets=n_assets, n_days=days, seed=6, shocks=[shock]))
         result = run(panel, PipelineConfig(snapshot_dates="all"))
-        out = tmp_path / str(days)
+        out = tmp_path / f"{n_assets}x{days}"
         export.write_export_bundle(result, out)  # the node blocks and pair order of these ids
         gc.collect()
         tracemalloc.start()
@@ -754,8 +757,8 @@ def test_export_peak_memory_does_not_grow_with_the_dates(tmp_path):
         assert len(list(export._export_blocks(result._blocks))) > 3
         return peak
 
-    short, long = export_peak(150), export_peak(600)
-    assert short < 3_000_000 and long < 3_000_000
+    short, long, wide = export_peak(60, 150), export_peak(60, 600), export_peak(200, 30)
+    assert short < 3_000_000 and long < 3_000_000 and wide < 3_000_000
     assert long <= short + 256 * 1024
 
 
